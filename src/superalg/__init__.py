@@ -20,8 +20,7 @@ from .invariants import (CharacteristicSequence, DERIVED, DESCENDING_CENTRAL,
                          zero_space)
 from .families import (filiform_leibniz, model_filiform_lie,
                        model_nilpotent_leibniz, model_nilpotent_lie,
-                       z_basis_filiform_lie, z_basis_nilpotent_lie,
-                       z_basis_presentation)
+                       z_basis_filiform_lie, z_basis_nilpotent_lie)
 from .extension import (ExtensionSpec, IdentityViolation, NonDiagonalAction,
                         filiform_lie_torus_spec, filiform_leibniz_torus_spec,
                         model_nilpotent_lie_torus_spec,

@@ -9,30 +9,24 @@ SUPERALG_MAX_DIM (default 64) caps the dimension of accepted algebras.
 """
 
 import argparse
-import itertools
 import json
 import os
 import re
 import sys
 from fractions import Fraction
 
+from . import fixtures
 from .core import EVEN, ODD, Element, change_of_basis, equal_laws, validate
 from .derivations import derivation_space, innerness_report
-from .extension import (ExtensionSpec, IdentityViolation,
-                        filiform_lie_torus_spec, filiform_leibniz_torus_spec,
-                        model_nilpotent_lie_torus_spec,
-                        model_nilpotent_leibniz_torus_spec,
-                        nil_independence_check, nilradical_verdict,
-                        semidirect_extension)
+from .extension import IdentityViolation, semidirect_extension
 from .families import (filiform_leibniz, model_filiform_lie,
-                       model_nilpotent_leibniz, model_nilpotent_lie,
-                       z_basis_presentation)
-from .fileformat import (ParseError, ValidationError, _parse_coeff,
-                         dump_algebra, load_algebra)
+                       model_nilpotent_leibniz, model_nilpotent_lie)
+from .fileformat import (ParseError, ValidationError, dump_algebra,
+                         load_algebra, load_basis_map, load_extension_spec)
 from .invariants import (DERIVED, DESCENDING_CENTRAL, GRADED_EVEN, GRADED_ODD,
                          characteristic_sequence, classify, right_annihilator,
-                         series, span_of_labels)
-from .linalg import Matrix, NotNilpotent
+                         series)
+from .linalg import NotNilpotent
 
 
 class CliError(Exception):
@@ -70,24 +64,6 @@ def _emit(args, obj, lines):
     else:
         for line in lines:
             print(line)
-
-
-def _fmt_element(A, el):
-    items = sorted(el.items(), key=lambda t: A.index(t[0]))
-    if not items:
-        return "0"
-    parts = []
-    for l, c in items:
-        if c == 1:
-            parts.append(l)
-        elif c == -1:
-            parts.append("-" + l)
-        else:
-            parts.append("%s*%s" % (c, l))
-    out = parts[0]
-    for t in parts[1:]:
-        out += " - " + t[1:] if t.startswith("-") else " + " + t
-    return out
 
 
 def _element_obj(A, el):
@@ -196,7 +172,7 @@ def cmd_check(args):
         for v in report.violations:
             lines.append("  %s on (%s): residual %s"
                          % (v.identity, ", ".join(v.labels),
-                            _fmt_element(A, v.residual)))
+                            A.element_from_coords(A.coords(v.residual))))
     _emit(args, obj, lines)
     return 0 if report.ok else 1
 
@@ -219,7 +195,7 @@ def cmd_series(args):
     }
     lines = ["%s series of %s" % (args.which, A.name or "the algebra")]
     for k, S in enumerate(chain):
-        rendered = ", ".join(_fmt_element(A, A.element_from_coords(v))
+        rendered = ", ".join(repr(A.element_from_coords(v))
                              for v in S.basis) or "0"
         lines.append("  step %d: dim %d; basis: %s" % (k, S.dim, rendered))
     lines.append("dims: (%s)" % ", ".join(str(S.dim) for S in chain))
@@ -263,11 +239,12 @@ def cmd_charseq(args):
              % (", ".join(map(str, seq.even_part)),
                 ", ".join(map(str, seq.odd_part)))]
     if seq.witness is not None:
-        lines.append("witness: %s" % _fmt_element(A, seq.witness))
+        lines.append("witness: %s"
+                     % A.element_from_coords(A.coords(seq.witness)))
     else:
         lines.append("witness: none (even part by %s, odd part by %s)"
-                     % (_fmt_element(A, seq.witness_even),
-                        _fmt_element(A, seq.witness_odd)))
+                     % (A.element_from_coords(A.coords(seq.witness_even)),
+                        A.element_from_coords(A.coords(seq.witness_odd))))
     lines.append("lower bound only: %s" % ("yes" if seq.lower_bound else "no"))
     _emit(args, obj, lines)
     return 0
@@ -277,7 +254,7 @@ def cmd_ann(args):
     A = _load(args.file, skip_validate=args.skip_validate)
     S = right_annihilator(A)
     obj = _subspace_obj(S)
-    rendered = ", ".join(_fmt_element(A, A.element_from_coords(v))
+    rendered = ", ".join(repr(A.element_from_coords(v))
                          for v in S.basis) or "0"
     lines = ["right annihilator: dim %d" % S.dim, "basis: %s" % rendered]
     _emit(args, obj, lines)
@@ -289,7 +266,7 @@ def _derivation_lines(A, D):
     for label in A.combined_basis:
         img = D.apply(A, A.basis_element(label))
         if not img.is_zero():
-            images.append("%s -> %s" % (label, _fmt_element(A, img)))
+            images.append("%s -> %s" % (label, img))
     return "; ".join(images) or "0"
 
 
@@ -329,65 +306,9 @@ def cmd_inner(args):
     return 0
 
 
-def _parse_action_matrix(raw, n, what):
-    if not (isinstance(raw, list) and len(raw) == n
-            and all(isinstance(r, list) and len(r) == n for r in raw)):
-        raise ParseError("%s must be a %dx%d matrix" % (what, n, n))
-    return Matrix([[_parse_coeff(v) for v in row] for row in raw])
-
-
-def _load_extension_spec(nil, path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError("not valid JSON: %s" % (exc,))
-    if not isinstance(data, dict):
-        raise ParseError("top level must be an object")
-    labels = data.get("torus_labels")
-    if not isinstance(labels, list) or any(not isinstance(l, str) for l in labels):
-        raise ParseError("'torus_labels' must be a list of labels")
-    raw_actions = data.get("actions")
-    if not isinstance(raw_actions, dict):
-        raise ParseError("'actions' must map torus labels to matrices")
-    actions = {}
-    for t in labels:
-        entry = raw_actions.get(t)
-        if not isinstance(entry, dict):
-            raise ParseError("missing action for torus label %r" % (t,))
-        left = _parse_action_matrix(entry.get("left"), nil.dim,
-                                    "left action of %r" % (t,))
-        right = entry.get("right")
-        if right is not None:
-            right = _parse_action_matrix(right, nil.dim,
-                                         "right action of %r" % (t,))
-        actions[t] = (left, right)
-    torus_brackets = {}
-    known = set(nil.combined_basis) | set(labels)
-    for entry in data.get("torus_brackets", []):
-        if not isinstance(entry, dict):
-            raise ParseError("torus bracket entries must be objects")
-        left, right = entry.get("left"), entry.get("right")
-        if left not in known or right not in known:
-            raise ParseError("torus bracket (%r, %r) uses an unknown label"
-                             % (left, right))
-        pairs = []
-        for term in entry.get("result", []):
-            basis = term.get("basis")
-            if basis not in known:
-                raise ParseError("torus bracket term uses an unknown label %r"
-                                 % (basis,))
-            pairs.append((basis, _parse_coeff(term.get("coeff"))))
-        torus_brackets[(left, right)] = Element(pairs)
-    try:
-        return ExtensionSpec(nil, labels, actions, torus_brackets)
-    except ValueError as exc:
-        raise CliError(str(exc))
-
-
 def cmd_extend(args):
     nil = _load(args.nilradical)
-    spec = _load_extension_spec(nil, args.actions)
+    spec = load_extension_spec(nil, args.actions)
     cap = _max_dim()
     if nil.dim + len(spec.torus_labels) > cap:
         raise CliError("extension dimension %d exceeds SUPERALG_MAX_DIM=%d"
@@ -416,21 +337,7 @@ def cmd_extend(args):
 def cmd_iso(args):
     A = _load(args.file_a, skip_validate=args.skip_validate)
     B = _load(args.file_b, skip_validate=args.skip_validate)
-    with open(args.map, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError("not valid JSON: %s" % (exc,))
-    raw = data.get("map") if isinstance(data, dict) else None
-    if not isinstance(raw, dict):
-        raise ParseError("map file needs a 'map' object")
-    mapping = {}
-    for new_label, expr in raw.items():
-        if not isinstance(expr, dict):
-            raise ParseError("image of %r must map labels to coefficients"
-                             % (new_label,))
-        mapping[new_label] = Element(
-            [(l, _parse_coeff(c)) for l, c in expr.items()])
+    mapping = load_basis_map(args.map)
     try:
         transformed = change_of_basis(A, mapping)
         same = equal_laws(transformed, B)
@@ -442,149 +349,20 @@ def cmd_iso(args):
     return 0 if same else 1
 
 
-def _filiform_params(args):
-    even = args.even or [3]
-    odd = args.odd or [2]
-    if len(even) != 1 or len(odd) != 1:
-        raise CliError("this theorem takes one --even and one --odd value")
-    return even[0], odd[0]
-
-
-def _block_params(args):
-    even = tuple(args.even or (2,))
-    odd = tuple(args.odd or (2,))
-    return even, odd
-
-
-def _verify_lie_construction(args, z_family):
-    if z_family == "SL":
-        n, m = _filiform_params(args)
-        nil = model_filiform_lie(n, m)
-        solvable = model_filiform_lie(n, m, solvable=True)
-        spec = filiform_lie_torus_spec(n, m)
-        zalg, zmap = z_basis_presentation("SL", (n, m))
-        codim = 3
-    else:
-        even, odd = _block_params(args)
-        nil = model_nilpotent_lie(even, odd)
-        solvable = model_nilpotent_lie(even, odd, solvable=True)
-        spec = model_nilpotent_lie_torus_spec(even, odd)
-        zalg, zmap = z_basis_presentation("SN", (even, odd))
-        codim = len(even) + 1 + len(odd)
-    _check_cap(solvable)
-    checks = []
-    try:
-        ext = semidirect_extension(spec)
-        checks.append(("extension satisfies the identities", True, ""))
-        checks.append(("extension matches the solvable law",
-                       equal_laws(ext, solvable), ""))
-    except IdentityViolation as exc:
-        checks.append(("extension satisfies the identities", False,
-                       "%d violations" % len(exc.report.violations)))
-    checks.append(("torus is nil-independent", nil_independence_check(spec), ""))
-    replay = change_of_basis(zalg, zmap)
-    checks.append(("z-basis replay matches the solvable law",
-                   equal_laws(replay, solvable), ""))
-    verdict = nilradical_verdict(
-        solvable, span_of_labels(solvable, nil.combined_basis))
-    checks.append(("nilradical verdict", verdict["verdict"], ""))
-    checks.append(("nilradical codimension = %d" % codim,
-                   verdict["codimension"] == codim,
-                   "got %d" % verdict["codimension"]))
-    return solvable.name, checks
-
-
-def _verify_leibniz_sweep(args, family):
-    if family == "SLP":
-        n, m = _filiform_params(args)
-        solvable = filiform_leibniz(n, m, solvable=True)
-        points = list(itertools.product((0, 1), repeat=3))
-        expected = {(0, 1, 1)}
-        make = lambda b: filiform_leibniz_torus_spec(n, m, b)
-    else:
-        even, odd = _block_params(args)
-        solvable = model_nilpotent_leibniz(even, odd, solvable=True)
-        k, p = len(even), len(odd)
-        points = [(b, bp)
-                  for b in itertools.product((0, 1), repeat=k + 1)
-                  for bp in itertools.product((0, 1), repeat=p)]
-        expected = {((1,) + (0,) * k, (0,) * p)}
-        make = lambda pt: model_nilpotent_leibniz_torus_spec(even, odd, *pt)
-    _check_cap(solvable)
-    successes = set()
-    witness = None
-    for pt in points:
-        spec = make(pt)
-        try:
-            ext = semidirect_extension(spec)
-        except IdentityViolation:
-            continue
-        successes.add(pt)
-        witness = (spec, ext)
-    checks = [("sweep succeeds exactly on the expected parameters",
-               successes == expected,
-               "got {%s}" % ", ".join(map(str, sorted(successes))))]
-    if witness is not None:
-        spec, ext = witness
-        checks.append(("surviving extension matches the solvable law",
-                       equal_laws(ext, solvable), ""))
-        checks.append(("torus is nil-independent",
-                       nil_independence_check(spec), ""))
-    return solvable.name, checks
-
-
-def _verify_derivations(args, family):
-    if family in ("SL", "SLP"):
-        n, m = _filiform_params(args)
-        if family == "SL":
-            A = model_filiform_lie(n, m, solvable=True)
-            want_even, want_odd = n + 3, m
-        else:
-            A = filiform_leibniz(n, m, solvable=True)
-            want_even, want_odd = 4, 0
-    else:
-        even, odd = _block_params(args)
-        k, p = len(even), len(odd)
-        if family == "SN":
-            A = model_nilpotent_lie(even, odd, solvable=True)
-            want_even, want_odd = (sum(even) + 1) + k + 1 + p, sum(odd)
-        else:
-            A = model_nilpotent_leibniz(even, odd, solvable=True)
-            want_even, want_odd = k + p + 2, 0
-    _check_cap(A)
-    rep = innerness_report(A)
-    checks = [
-        ("dim Der_even = %d" % want_even, rep["dim_der_even"] == want_even,
-         "got %d" % rep["dim_der_even"]),
-        ("dim Der_odd = %d" % want_odd, rep["dim_der_odd"] == want_odd,
-         "got %d" % rep["dim_der_odd"]),
-        ("all superderivations inner", rep["all_inner"], ""),
-    ]
-    return A.name, checks
-
-
-_THEOREMS = {
-    "3.1": lambda args: _verify_lie_construction(args, "SL"),
-    "4.1": lambda args: _verify_lie_construction(args, "SN"),
-    "5.1": lambda args: _verify_leibniz_sweep(args, "SLP"),
-    "6.1": lambda args: _verify_leibniz_sweep(args, "SNP"),
-    "7.1": lambda args: _verify_derivations(args, "SL"),
-    "7.2": lambda args: _verify_derivations(args, "SN"),
-    "7.3": lambda args: _verify_derivations(args, "SLP"),
-    "7.4": lambda args: _verify_derivations(args, "SNP"),
-}
-
-
 def cmd_verify(args):
-    instance, checks = _THEOREMS[args.theorem](args)
+    default_even, default_odd = fixtures.default_sizes(args.theorem)
+    instance, run = fixtures.prepare(args.theorem, args.even or default_even,
+                                     args.odd or default_odd)
+    _check_cap(instance)
+    checks = run()
     ok = all(c[1] for c in checks)
     obj = {
         "theorem": args.theorem,
-        "instance": instance,
+        "instance": instance.name,
         "ok": ok,
         "checks": [{"name": n, "ok": o, "detail": d} for n, o, d in checks],
     }
-    lines = ["theorem %s on %s" % (args.theorem, instance)]
+    lines = ["theorem %s on %s" % (args.theorem, instance.name)]
     for name, good, detail in checks:
         suffix = "" if good or not detail else " (%s)" % detail
         lines.append("  %s: %s%s" % (name, "pass" if good else "FAIL", suffix))
@@ -662,7 +440,7 @@ def _build_parser():
 
     v = sub.add_parser("verify", parents=[fmt],
                        help="run a verification fixture")
-    v.add_argument("--theorem", required=True, choices=sorted(_THEOREMS))
+    v.add_argument("--theorem", required=True, choices=sorted(fixtures.THEOREMS))
     v.add_argument("--even", action="append", type=int)
     v.add_argument("--odd", action="append", type=int)
     v.set_defaults(func=cmd_verify)

@@ -258,13 +258,6 @@ def bracket(A, u, v):
     return Element(out)
 
 
-def _apply_to_element(A, fn, el):
-    out = ZERO_ELEMENT
-    for l, c in el.items():
-        out = out + fn(l).scale(c)
-    return out
-
-
 def validate(A, kind=None):
     """Check the grading and the defining identity on all basis tuples.
 

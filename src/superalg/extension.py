@@ -11,7 +11,8 @@ actions and verifies nilradical candidates.
 from fractions import Fraction
 
 from .linalg import Matrix, NotNilpotent, nilpotent_jordan_blocks, rank, span_contains
-from .core import LIE, Element, SuperAlgebra, multiplication_matrix, validate
+from .core import EVEN, LIE, Element, SuperAlgebra, multiplication_matrix, validate
+from .derivations import _check_parity_blocks
 from .invariants import product_space, whole_space
 from .families import (_check_blocks, _check_filiform, _partial_sums,
                        filiform_leibniz, model_nilpotent_leibniz)
@@ -30,18 +31,6 @@ class IdentityViolation(Exception):
 
 class NonDiagonalAction(Exception):
     """Nil-independence is only decided for diagonal actions."""
-
-
-def _check_block_structure(nilradical, M):
-    ne = nilradical.dim_even
-    n = nilradical.dim
-    if not (M.rows == n and M.cols == n):
-        raise ValueError("action matrix must be %dx%d" % (n, n))
-    for i in range(n):
-        for j in range(n):
-            if M.entries[i][j] and (i < ne) != (j < ne):
-                raise ValueError("action mixes the even and odd blocks at (%d, %d)"
-                                 % (i, j))
 
 
 class ExtensionSpec:
@@ -70,19 +59,19 @@ class ExtensionSpec:
                 left, right = pair, None
             else:
                 left, right = pair
-            _check_block_structure(nilradical, left)
+            _check_parity_blocks(nilradical, EVEN, left)
             if nilradical.kind == LIE:
                 if right is None:
                     right = -left
                 else:
-                    _check_block_structure(nilradical, right)
+                    _check_parity_blocks(nilradical, EVEN, right)
                     if right != -left:
                         raise ValueError("the Lie kind forces right = -left for %r" % (t,))
             else:
                 if right is None:
                     raise ValueError("the Leibniz kind needs an explicit right action for %r"
                                      % (t,))
-                _check_block_structure(nilradical, right)
+                _check_parity_blocks(nilradical, EVEN, right)
             fixed[t] = (left, right)
         self.actions = fixed
         self.torus_brackets = dict(torus_brackets or {})

@@ -186,14 +186,9 @@ def z_basis_filiform_lie(n, m):
     Returns (algebra, map); pushing the algebra through change_of_basis
     with the map reproduces SL^{n,m} on the nose.
     """
-    _check_filiform(n, m)
-    xs = ["x%d" % i for i in range(1, n + 1)]
-    ys = ["y%d" % j for j in range(1, m + 1)]
-    table = {}
-    for i in range(2, n):
-        table[("x1", "x%d" % i)] = Element.basis("x%d" % (i + 1))
-    for j in range(1, m):
-        table[("x1", "y%d" % j)] = Element.basis("y%d" % (j + 1))
+    nil = model_filiform_lie(n, m)
+    xs, ys = list(nil.even_basis), list(nil.odd_basis)
+    table = dict(nil.brackets)
     table[("z1", "x1")] = Element.basis("x1")
     for i in range(3, n + 1):
         table[("z1", "x%d" % i)] = Element({"x%d" % i: i - 2})
@@ -225,19 +220,11 @@ def z_basis_nilpotent_lie(even_blocks, odd_blocks):
     k, p = len(even_blocks), len(odd_blocks)
     N = _partial_sums(even_blocks)
     M = _partial_sums(odd_blocks)
-    xs = ["x%d" % i for i in range(1, N[k] + 2)]
-    ys = ["y%d" % j for j in range(1, M[p] + 1)]
+    nil = model_nilpotent_lie(even_blocks, odd_blocks)
+    xs, ys = list(nil.even_basis), list(nil.odd_basis)
     zs = ["z%d" % i for i in range(1, k + 2)]
     zps = ["zp%d" % i for i in range(1, p + 1)]
-    table = {}
-    for j in range(k):
-        for i in range(2, even_blocks[j] + 1):
-            src = N[j] + i
-            table[("x1", "x%d" % src)] = Element.basis("x%d" % (src + 1))
-    for j in range(p):
-        for i in range(1, odd_blocks[j]):
-            src = M[j] + i
-            table[("x1", "y%d" % src)] = Element.basis("y%d" % (src + 1))
+    table = dict(nil.brackets)
     table[("z1", "x1")] = Element.basis("x1")
     for j in range(k):
         for i in range(3, even_blocks[j] + 2):
@@ -273,14 +260,3 @@ def z_basis_nilpotent_lie(even_blocks, odd_blocks):
     for l in ys:
         mapping[l] = Element.basis(l)
     return alg, mapping
-
-
-def z_basis_presentation(family, params):
-    """Dispatch: family "SL" takes (n, m), family "SN" takes (even, odd) blocks."""
-    if family == "SL":
-        n, m = params
-        return z_basis_filiform_lie(n, m)
-    if family == "SN":
-        even_blocks, odd_blocks = params
-        return z_basis_nilpotent_lie(even_blocks, odd_blocks)
-    raise ValueError("no z-basis presentation for family %r" % (family,))

@@ -1,6 +1,6 @@
-"""JSON presentations of graded algebras.
+"""The JSON file formats: algebras, torus actions, basis maps.
 
-The on-disk format is a single object
+An algebra is a single object
 
     {"name": ..., "kind": "lie_super" | "leibniz_super",
      "even_basis": [...], "odd_basis": [...],
@@ -10,6 +10,16 @@ The on-disk format is a single object
 with coefficients given as integers or rational strings like "-3/2".
 Loading validates the defining identities unless told to skip; emitting
 is deterministic so that files diff cleanly.
+
+An actions file gives the torus of an extension,
+
+    {"torus_labels": [...],
+     "actions": {label: {"left": matrix, "right": matrix}},
+     "torus_brackets": [bracket entries as above]}
+
+and a basis map gives each new label's image over the old basis,
+
+    {"map": {label: {old label: coeff}}}.
 """
 
 import json
@@ -17,6 +27,8 @@ import re
 from fractions import Fraction
 
 from .core import LIE, LEIBNIZ, Element, SuperAlgebra, validate
+from .extension import ExtensionSpec
+from .linalg import Matrix
 
 
 class ParseError(Exception):
@@ -57,6 +69,51 @@ def _string_list(data, key):
     return value
 
 
+def _read_json(source):
+    """Decode the JSON held by a path or an open stream."""
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError("not valid JSON: %s" % (exc,))
+
+
+def _known_label(value, known):
+    return isinstance(value, str) and value in known
+
+
+def _parse_brackets(raw, key, known):
+    """Bracket entries {"left", "right", "result"} over the labels in known."""
+    if not isinstance(raw, list):
+        raise ParseError("%r must be a list" % (key,))
+    table = {}
+    for entry in raw:
+        if not isinstance(entry, dict):
+            raise ParseError("bracket entries must be objects")
+        left, right = entry.get("left"), entry.get("right")
+        if not (_known_label(left, known) and _known_label(right, known)):
+            raise ParseError("bracket (%r, %r) uses an unknown label" % (left, right))
+        if (left, right) in table:
+            raise ParseError("duplicate bracket (%r, %r)" % (left, right))
+        terms = entry.get("result")
+        if not isinstance(terms, list):
+            raise ParseError("bracket (%r, %r) needs a 'result' list" % (left, right))
+        pairs = []
+        for term in terms:
+            if not isinstance(term, dict):
+                raise ParseError("result terms must be objects")
+            basis = term.get("basis")
+            if not _known_label(basis, known):
+                raise ParseError("result term uses an unknown label %r" % (basis,))
+            pairs.append((basis, _parse_coeff(term.get("coeff"))))
+        table[(left, right)] = Element(pairs)
+    return table
+
+
 def parse_algebra(data, skip_validate=False):
     """Build an algebra from an already-decoded JSON object."""
     if not isinstance(data, dict):
@@ -69,31 +126,7 @@ def parse_algebra(data, skip_validate=False):
     labels = even + odd
     if len(set(labels)) != len(labels):
         raise ParseError("duplicate basis labels")
-    known = set(labels)
-    raw = data.get("brackets")
-    if not isinstance(raw, list):
-        raise ParseError("'brackets' must be a list")
-    table = {}
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise ParseError("bracket entries must be objects")
-        left, right = entry.get("left"), entry.get("right")
-        if left not in known or right not in known:
-            raise ParseError("bracket (%r, %r) uses an unknown label" % (left, right))
-        if (left, right) in table:
-            raise ParseError("duplicate bracket (%r, %r)" % (left, right))
-        terms = entry.get("result")
-        if not isinstance(terms, list):
-            raise ParseError("bracket (%r, %r) needs a 'result' list" % (left, right))
-        pairs = []
-        for term in terms:
-            if not isinstance(term, dict):
-                raise ParseError("result terms must be objects")
-            basis = term.get("basis")
-            if basis not in known:
-                raise ParseError("result term uses an unknown label %r" % (basis,))
-            pairs.append((basis, _parse_coeff(term.get("coeff"))))
-        table[(left, right)] = Element(pairs)
+    table = _parse_brackets(data.get("brackets"), "brackets", set(labels))
     name = data.get("name", "")
     if not isinstance(name, str):
         raise ParseError("'name' must be a string")
@@ -112,16 +145,60 @@ def load_algebra(source, skip_validate=False):
     """Load an algebra from a path, an open stream, or a decoded dict."""
     if isinstance(source, dict):
         return parse_algebra(source, skip_validate)
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    return parse_algebra(_read_json(source), skip_validate)
+
+
+def _parse_action_matrix(raw, n, what):
+    if not (isinstance(raw, list) and len(raw) == n
+            and all(isinstance(r, list) and len(r) == n for r in raw)):
+        raise ParseError("%s must be a %dx%d matrix" % (what, n, n))
+    return Matrix([[_parse_coeff(v) for v in row] for row in raw])
+
+
+def load_extension_spec(nil, source):
+    """Read an actions file into an ExtensionSpec over the algebra nil."""
+    data = _read_json(source)
+    if not isinstance(data, dict):
+        raise ParseError("top level must be an object")
+    labels = _string_list(data, "torus_labels")
+    raw_actions = data.get("actions")
+    if not isinstance(raw_actions, dict):
+        raise ParseError("'actions' must map torus labels to matrices")
+    actions = {}
+    for t in labels:
+        entry = raw_actions.get(t)
+        if not isinstance(entry, dict):
+            raise ParseError("missing action for torus label %r" % (t,))
+        left = _parse_action_matrix(entry.get("left"), nil.dim,
+                                    "left action of %r" % (t,))
+        right = entry.get("right")
+        if right is not None:
+            right = _parse_action_matrix(right, nil.dim,
+                                         "right action of %r" % (t,))
+        actions[t] = (left, right)
+    torus_brackets = _parse_brackets(data.get("torus_brackets", []),
+                                     "torus_brackets",
+                                     set(nil.combined_basis) | set(labels))
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("not valid JSON: %s" % (exc,))
-    return parse_algebra(data, skip_validate)
+        return ExtensionSpec(nil, labels, actions, torus_brackets)
+    except ValueError as exc:
+        raise ParseError(str(exc))
+
+
+def load_basis_map(source):
+    """Read a map file: each new basis label to an Element over the old basis."""
+    data = _read_json(source)
+    raw = data.get("map") if isinstance(data, dict) else None
+    if not isinstance(raw, dict):
+        raise ParseError("map file needs a 'map' object")
+    mapping = {}
+    for new_label, expr in raw.items():
+        if not isinstance(expr, dict):
+            raise ParseError("image of %r must map labels to coefficients"
+                             % (new_label,))
+        mapping[new_label] = Element(
+            [(l, _parse_coeff(c)) for l, c in expr.items()])
+    return mapping
 
 
 def emit_algebra(A, name=None):

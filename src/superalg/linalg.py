@@ -135,16 +135,6 @@ class Matrix:
         return tuple(sum((a * b for a, b in zip(row, vec) if a and b), ZERO)
                      for row in self.entries)
 
-    def power(self, k):
-        if not self.is_square():
-            raise ValueError("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative power")
-        out = Matrix.identity(self.rows)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __repr__(self):
         return "Matrix(%r)" % (
             [[str(v) for v in row] for row in self.entries],)

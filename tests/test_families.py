@@ -3,7 +3,7 @@ import pytest
 from superalg.core import Element, change_of_basis, equal_laws, validate
 from superalg.families import (filiform_leibniz, model_filiform_lie,
                                model_nilpotent_leibniz, model_nilpotent_lie,
-                               z_basis_presentation)
+                               z_basis_filiform_lie, z_basis_nilpotent_lie)
 
 GRID_FILIFORM = ((3, 2), (4, 3), (5, 2), (6, 4))
 GRID_BLOCKS = (((2,), (2,)), ((2, 2), (1, 2)), ((3,), (3,)))
@@ -102,22 +102,20 @@ def test_filiform_is_the_one_block_model():
                       filiform_leibniz(3, 2, solvable=True))
 
 
-def test_z_basis_presentations_replay():
+def test_z_basis_replay():
     for n, m in ((3, 2), (4, 3)):
-        z, zmap = z_basis_presentation("SL", (n, m))
+        z, zmap = z_basis_filiform_lie(n, m)
         assert validate(z).ok
         target = model_filiform_lie(n, m, solvable=True)
         assert equal_laws(change_of_basis(z, zmap), target)
     for even, odd in (((2,), (2,)), ((2, 2), (1, 2))):
-        z, zmap = z_basis_presentation("SN", (even, odd))
+        z, zmap = z_basis_nilpotent_lie(even, odd)
         assert validate(z).ok
         target = model_nilpotent_lie(even, odd, solvable=True)
         assert equal_laws(change_of_basis(z, zmap), target)
-    with pytest.raises(ValueError):
-        z_basis_presentation("SLP", (3, 2))
 
 
 def test_z_basis_t1_image():
-    _, zmap = z_basis_presentation("SN", ((2, 2), (1, 2)))
+    _, zmap = z_basis_nilpotent_lie((2, 2), (1, 2))
     assert zmap["t1"] == Element({"z1": 1, "z2": 2, "z3": 4, "zp1": 1,
                                   "zp2": 2})

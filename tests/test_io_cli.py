@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from superalg import fixtures
 from superalg.cli import CliError, main, parse_element_expression
 from superalg.core import Element, bracket, equal_laws
 from superalg.families import (filiform_leibniz, model_filiform_lie,
@@ -107,6 +108,15 @@ def test_parse_rejects_malformed_structure():
         parse_algebra(bad)
     bad = dict(good, brackets=good["brackets"] + [
         {"left": "x1", "right": "x2", "result": []}])
+    with pytest.raises(ParseError):
+        parse_algebra(bad)
+    bad = dict(good, brackets=good["brackets"] + [
+        {"left": ["x1"], "right": "x2", "result": []}])
+    with pytest.raises(ParseError):
+        parse_algebra(bad)
+    bad = dict(good, brackets=good["brackets"] + [
+        {"left": "x2", "right": "x3",
+         "result": [{"basis": {"x1": 1}, "coeff": "1"}]}])
     with pytest.raises(ParseError):
         parse_algebra(bad)
     bad = dict(good, name=7)
@@ -294,6 +304,19 @@ def test_extend_rejects_non_derivation(tmp_path, capsys):
     assert "extension fails" in capsys.readouterr().out
 
 
+def test_extend_rejects_malformed_actions(tmp_path, capsys):
+    nil = _gen(tmp_path, "nil.json", ["--family", "L", "--even", "3", "--odd", "2"])
+    actions = {"torus_labels": ["t1"],
+               "actions": {"t1": {"left": _diag([1, 2, 3, 1, 2])}}}
+    for torus_brackets in ([{"left": "t1", "right": "x1", "result": ["x1"]}],
+                           5,
+                           [{"left": "t1", "right": "x1", "result": "abc"}]):
+        act_path = tmp_path / "act.json"
+        act_path.write_text(json.dumps(dict(actions, torus_brackets=torus_brackets)))
+        assert main(["extend", nil, str(act_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_iso_detects_law_mismatch(tmp_path, capsys):
     a = _gen(tmp_path, "a.json", ["--family", "L", "--even", "3", "--odd", "2"])
     mapping = {"map": {"x1": {"x1": "1"}, "x2": {"x2": "1"},
@@ -305,14 +328,25 @@ def test_iso_detects_law_mismatch(tmp_path, capsys):
     assert "laws equal: no" in capsys.readouterr().out
 
 
-def test_verify_fixture_exit_codes(capsys):
-    assert main(["verify", "--theorem", "5.1"]) == 0
-    out = capsys.readouterr().out
-    assert "result: pass" in out
+def test_verify_fixture_exit_codes(monkeypatch, capsys):
+    for theorem in sorted(fixtures.THEOREMS):
+        instance, run = fixtures.prepare(theorem, *fixtures.default_sizes(theorem))
+        assert all(ok for _, ok, _ in run()), theorem
+        assert main(["verify", "--theorem", theorem]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("theorem %s on %s\n" % (theorem, instance.name))
+        assert "result: pass" in out
     assert main(["verify", "--theorem", "7.1", "--even", "4", "--odd", "3",
                  "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["ok"] and all(c["ok"] for c in obj["checks"])
+
+    # SL^{3,2} has dimension 8; the refusal comes before any extension is built
+    monkeypatch.setenv("SUPERALG_MAX_DIM", "7")
+    monkeypatch.setattr(fixtures, "semidirect_extension", None)
+    assert main(["verify", "--theorem", "3.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds" in captured.err
 
 
 def test_dimension_cap(tmp_path, monkeypatch, capsys):

@@ -38,8 +38,6 @@ def test_matrix_arithmetic():
     assert -A == A.scale(-1)
     assert A * B == Matrix([[2, 1], [4, 3]])
     assert A.apply((1, 1)) == (F(3), F(7))
-    assert A.power(0) == Matrix.identity(2)
-    assert A.power(2) == A * A
     assert A.transpose() == Matrix([[1, 3], [2, 4]])
     assert A.flatten() == (F(1), F(2), F(3), F(4))
     assert A.submatrix(range(1), range(1, 2)) == Matrix([[2]])
