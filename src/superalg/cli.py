@@ -19,7 +19,7 @@ from . import fixtures
 from .core import EVEN, ODD, Element, change_of_basis, equal_laws, validate
 from .derivations import derivation_space, innerness_report
 from .extension import IdentityViolation, semidirect_extension
-from .families import (filiform_leibniz, model_filiform_lie,
+from .families import (filiform_leibniz, member_dim, model_filiform_lie,
                        model_nilpotent_leibniz, model_nilpotent_lie)
 from .fileformat import (ParseError, ValidationError, dump_algebra,
                          load_algebra, load_basis_map, load_extension_spec)
@@ -47,15 +47,16 @@ def _max_dim():
     return cap
 
 
-def _check_cap(A):
+def _check_cap(dim):
     cap = _max_dim()
-    if A.dim > cap:
-        raise CliError("dimension %d exceeds SUPERALG_MAX_DIM=%d" % (A.dim, cap))
-    return A
+    if dim > cap:
+        raise CliError("dimension %d exceeds SUPERALG_MAX_DIM=%d" % (dim, cap))
 
 
 def _load(path, skip_validate=False):
-    return _check_cap(load_algebra(path, skip_validate=skip_validate))
+    A = load_algebra(path, skip_validate=skip_validate)
+    _check_cap(A.dim)
+    return A
 
 
 def _emit(args, obj, lines):
@@ -119,15 +120,15 @@ FAMILIES = ("L", "SL", "N", "SN", "LP", "SLP", "NP", "SNP")
 
 
 def _build_family(family, even, odd):
+    """Build a family member, refusing it over the cap before any work."""
+    if family in ("L", "SL", "LP", "SLP") and (len(even) != 1 or len(odd) != 1):
+        raise CliError("family %s takes one --even and one --odd value" % family)
     try:
-        if family in ("L", "SL", "LP", "SLP"):
-            if len(even) != 1 or len(odd) != 1:
-                raise CliError("family %s takes one --even and one --odd value"
-                               % family)
-            n, m = even[0], odd[0]
-            if family in ("L", "SL"):
-                return model_filiform_lie(n, m, solvable=family == "SL")
-            return filiform_leibniz(n, m, solvable=family == "SLP")
+        _check_cap(member_dim(family, even, odd))
+        if family in ("L", "SL"):
+            return model_filiform_lie(even[0], odd[0], solvable=family == "SL")
+        if family in ("LP", "SLP"):
+            return filiform_leibniz(even[0], odd[0], solvable=family == "SLP")
         if family in ("N", "SN"):
             return model_nilpotent_lie(tuple(even), tuple(odd),
                                        solvable=family == "SN")
@@ -137,23 +138,16 @@ def _build_family(family, even, odd):
         raise CliError(str(exc))
 
 
-def _write_algebra(A, output):
-    if output:
-        dump_algebra(A, output)
-    else:
-        dump_algebra(A, sys.stdout)
-
-
 def cmd_gen(args):
     if not args.even or not args.odd:
         raise CliError("gen needs at least one --even and one --odd value")
-    A = _check_cap(_build_family(args.family, args.even, args.odd))
-    _write_algebra(A, args.output)
+    dump_algebra(_build_family(args.family, args.even, args.odd),
+                 args.output or sys.stdout)
     return 0
 
 
 def cmd_check(args):
-    A = _check_cap(load_algebra(args.file, skip_validate=True))
+    A = _load(args.file, skip_validate=True)
     report = validate(A)
     obj = {
         "ok": report.ok,
@@ -330,7 +324,7 @@ def cmd_extend(args):
         dump_algebra(extended, args.output)
         print("extension ok: dim %d, written to %s" % (extended.dim, args.output))
     else:
-        _write_algebra(extended, None)
+        dump_algebra(extended, sys.stdout)
     return 0
 
 
@@ -351,9 +345,9 @@ def cmd_iso(args):
 
 def cmd_verify(args):
     default_even, default_odd = fixtures.default_sizes(args.theorem)
-    instance, run = fixtures.prepare(args.theorem, args.even or default_even,
-                                     args.odd or default_odd)
-    _check_cap(instance)
+    even, odd = args.even or default_even, args.odd or default_odd
+    _check_cap(member_dim(fixtures.THEOREMS[args.theorem][1], even, odd))
+    instance, run = fixtures.prepare(args.theorem, even, odd)
     checks = run()
     ok = all(c[1] for c in checks)
     obj = {

@@ -6,9 +6,13 @@ kind, super Leibniz for the Leibniz kind).  Bracket pairs absent from the
 table are zero.  For the Lie kind a missing transpose entry is filled in by
 super skew-symmetry at construction time; entries present on both sides are
 kept as given so that validate() can report contradictions.
+
+`brackets` holds the table by labels, for files, constructors and
+equal_laws; `law` holds it by combined-basis index, (i, j) -> {k: c}, with
+`parities` by index, and every computation reads it (product() for
+coordinate vectors).
 """
 
-from fractions import Fraction
 from types import MappingProxyType
 
 from .linalg import Matrix, ZERO, _frac
@@ -151,17 +155,16 @@ class SuperAlgebra:
         self.odd_basis = odd_basis
         self.combined_basis = combined
         self.name = name
-        self._parity = {l: EVEN for l in even_basis}
-        self._parity.update({l: ODD for l in odd_basis})
-        self._index = {l: i for i, l in enumerate(combined)}
+        self.parities = (EVEN,) * len(even_basis) + (ODD,) * len(odd_basis)
+        self._index = idx = {l: i for i, l in enumerate(combined)}
 
         table = {}
         for (left, right), value in brackets.items():
-            if left not in self._parity or right not in self._parity:
+            if left not in idx or right not in idx:
                 raise ValueError("bracket on unknown labels (%r, %r)" % (left, right))
             el = value if isinstance(value, Element) else Element(value)
             for l in el.labels():
-                if l not in self._parity:
+                if l not in idx:
                     raise ValueError("bracket result uses unknown label %r" % (l,))
             if not el.is_zero():
                 table[(left, right)] = el
@@ -169,9 +172,11 @@ class SuperAlgebra:
             # fill in the missing side by super skew-symmetry
             for (left, right), el in list(table.items()):
                 if (right, left) not in table:
-                    sign = 1 if (self._parity[left] and self._parity[right]) else -1
+                    sign = 1 if (self.parity(left) and self.parity(right)) else -1
                     table[(right, left)] = el.scale(sign)
         self.brackets = MappingProxyType(table)
+        self.law = MappingProxyType({(idx[l], idx[r]): {idx[k]: c for k, c in el.items()}
+                                     for (l, r), el in table.items()})
 
     # ---- basic queries -------------------------------------------------
 
@@ -188,10 +193,7 @@ class SuperAlgebra:
         return len(self.odd_basis)
 
     def parity(self, label):
-        try:
-            return self._parity[label]
-        except KeyError:
-            raise ValueError("unknown basis label %r" % (label,)) from None
+        return self.parities[self.index(label)]
 
     def index(self, label):
         try:
@@ -242,74 +244,88 @@ class SuperAlgebra:
         return alg
 
 
+def product(A, u, v):
+    """Coordinates of [u, v] for coordinate vectors u and v."""
+    law = A.law
+    out = [ZERO] * A.dim
+    vs = [(j, b) for j, b in enumerate(v) if b]
+    for i, a in enumerate(u):
+        if a:
+            for j, b in vs:
+                cell = law.get((i, j))
+                if cell:
+                    f = a * b
+                    for k, c in cell.items():
+                        out[k] += f * c
+    return tuple(out)
+
+
 def bracket(A, u, v):
-    """Bilinear extension of A's bracket table to arbitrary elements."""
-    u = A.as_element(u)
-    v = A.as_element(v)
-    out = {}
-    for lu, cu in u.items():
-        for lv, cv in v.items():
-            e = A.brackets.get((lu, lv))
-            if e is None:
-                continue
-            f = cu * cv
-            for lr, cr in e.items():
-                out[lr] = out.get(lr, ZERO) + f * cr
-    return Element(out)
+    """Bilinear extension of A's law to elements or basis labels."""
+    return A.element_from_coords(product(A, A.coords(u), A.coords(v)))
 
 
 def validate(A, kind=None):
-    """Check the grading and the defining identity on all basis tuples.
+    """Check the grading and the defining identity from the nonzero constants.
 
+    Only the nonzero double products [p,[q,r]] and [[q,r],p] are formed;
+    each is added into the residual of every basis triple whose identity
+    holds it, and the triples left nonzero are reported in index order.
     Violations are report entries, never exceptions.  `kind` overrides the
-    algebra's own kind, which allows checking a Lie-kind table against the
+    algebra's own kind, so a Lie-kind table can be checked against the
     Leibniz identity (it must also pass).
     """
     kind = A.kind if kind is None else kind
     if kind not in KINDS:
         raise ValueError("unknown kind %r" % (kind,))
+    basis, par, law = A.combined_basis, A.parities, A.law
     violations = []
+    residuals = {}
 
-    for (left, right), el in A.brackets.items():
-        want = A.parity(left) ^ A.parity(right)
-        bad = {l: c for l, c in el.items() if A.parity(l) != want}
+    def add(triple, f, cell):
+        res = residuals.setdefault(triple, {})
+        for k, c in cell.items():
+            res[k] = res.get(k, ZERO) + f * c
+
+    for (q, r), cell in law.items():
+        bad = {basis[k]: c for k, c in cell.items() if par[k] != par[q] ^ par[r]}
         if bad:
-            violations.append(Violation("grading", (left, right), Element(bad)))
-
-    basis = A.combined_basis
-    par = A._parity
-    br = A.basis_bracket
+            violations.append(Violation("grading", (basis[q], basis[r]), Element(bad)))
+        # Jacobi residual of (x,y,z): (-1)^{|z||x|}[x,[y,z]]
+        #   + (-1)^{|x||y|}[y,[z,x]] + (-1)^{|y||z|}[z,[x,y]], which holds
+        #   [p,[q,r]] at each rotation of (p,q,r) with sign (-1)^{|p||r|}.
+        # Leibniz residual: [x,[y,z]] - [[x,y],z] + (-1)^{|y||z|}[[x,z],y],
+        #   which holds [p,[q,r]] at (p,q,r), and [[q,r],p] at (q,r,p) with
+        #   sign -1 and at (q,p,r) with sign (-1)^{|p||r|}.
+        for k, c in cell.items():
+            for p in range(A.dim):
+                sc = -c if par[p] and par[r] else c
+                outer = law.get((p, k))
+                if outer and kind == LIE:
+                    add((p, q, r), sc, outer)
+                    add((r, p, q), sc, outer)
+                    add((q, r, p), sc, outer)
+                elif outer:
+                    add((p, q, r), c, outer)
+                outer = law.get((k, p))
+                if outer and kind == LEIBNIZ:
+                    add((q, r, p), -c, outer)
+                    add((q, p, r), sc, outer)
 
     if kind == LIE:
-        for i, a in enumerate(basis):
-            for b in basis[i:]:
-                # [a,b] + (-1)^{|a||b|} [b,a] must vanish
-                sign = -1 if (par[a] and par[b]) else 1
-                residual = br(a, b) + br(b, a).scale(sign)
-                if not residual.is_zero():
-                    violations.append(Violation("skew", (a, b), residual))
-        for x in basis:
-            for y in basis:
-                for z in basis:
-                    s1 = -1 if (par[z] and par[x]) else 1
-                    s2 = -1 if (par[x] and par[y]) else 1
-                    s3 = -1 if (par[y] and par[z]) else 1
-                    residual = (bracket(A, Element.basis(x), br(y, z)).scale(s1)
-                                + bracket(A, Element.basis(y), br(z, x)).scale(s2)
-                                + bracket(A, Element.basis(z), br(x, y)).scale(s3))
-                    if not residual.is_zero():
-                        violations.append(Violation("jacobi", (x, y, z), residual))
-    else:
-        for x in basis:
-            for y in basis:
-                for z in basis:
-                    sign = -1 if (par[y] and par[z]) else 1
-                    lhs = bracket(A, Element.basis(x), br(y, z))
-                    rhs = (bracket(A, br(x, y), Element.basis(z))
-                           + bracket(A, br(x, z), Element.basis(y)).scale(-sign))
-                    residual = lhs - rhs
-                    if not residual.is_zero():
-                        violations.append(Violation("leibniz", (x, y, z), residual))
+        for i, j in sorted({(min(i, j), max(i, j)) for i, j in law}):
+            # [a,b] + (-1)^{|a||b|} [b,a] must vanish
+            a, b = basis[i], basis[j]
+            sign = -1 if (par[i] and par[j]) else 1
+            residual = A.basis_bracket(a, b) + A.basis_bracket(b, a).scale(sign)
+            if not residual.is_zero():
+                violations.append(Violation("skew", (a, b), residual))
+    identity = "jacobi" if kind == LIE else "leibniz"
+    for triple in sorted(residuals):
+        residual = Element((basis[k], c) for k, c in sorted(residuals[triple].items()))
+        if not residual.is_zero():
+            violations.append(Violation(identity, tuple(basis[i] for i in triple),
+                                        residual))
     return ValidationReport(kind, violations)
 
 
@@ -323,12 +339,16 @@ def multiplication_matrix(A, x, side):
         raise ValueError("side must be 'left' or 'right'")
     x = A.as_element(x)
     A.element_parity(x)
-    columns = []
-    for b in A.combined_basis:
-        eb = Element.basis(b)
-        w = bracket(A, x, eb) if side == "left" else bracket(A, eb, x)
-        columns.append(A.coords(w))
-    return Matrix.from_columns(columns, A.dim)
+    vec = A.coords(x)
+    left = side == "left"
+    rows = [[ZERO] * A.dim for _ in range(A.dim)]
+    for (i, j), cell in A.law.items():
+        a = vec[i] if left else vec[j]
+        if a:
+            col = j if left else i
+            for k, c in cell.items():
+                rows[k][col] += a * c
+    return Matrix(rows)
 
 
 def change_of_basis(A, mapping):
@@ -358,20 +378,19 @@ def change_of_basis(A, mapping):
     if len(set(new_combined)) != len(new_combined):
         raise ValueError("duplicate labels in the map")
 
-    P = Matrix.from_columns([A.coords(images[l]) for l in new_combined], A.dim)
+    cols = [A.coords(images[l]) for l in new_combined]
     try:
-        Pinv = invert(P)
+        Pinv = invert(Matrix.from_columns(cols, A.dim))
     except ValueError:
         raise ValueError("the change-of-basis map is singular") from None
 
     table = {}
-    for u in new_combined:
-        for v in new_combined:
-            w = bracket(A, images[u], images[v])
-            if w.is_zero():
+    for u, cu in zip(new_combined, cols):
+        for v, cv in zip(new_combined, cols):
+            w = product(A, cu, cv)
+            if not any(w):
                 continue
-            coeffs = Pinv.apply(A.coords(w))
-            el = Element({l: c for l, c in zip(new_combined, coeffs)})
+            el = Element(zip(new_combined, Pinv.apply(w)))
             if not el.is_zero():
                 table[(u, v)] = el
     return SuperAlgebra(A.kind, new_even, new_odd, table, name=A.name)

@@ -14,8 +14,8 @@ two per parity.
 
 from fractions import Fraction
 
-from .linalg import Matrix, nullspace, row_space_basis, span_contains
-from .core import EVEN, ODD, LIE, bracket, multiplication_matrix
+from .linalg import ZERO, Matrix, nullspace, row_space_basis, span_contains
+from .core import EVEN, ODD, LIE, multiplication_matrix, product
 
 
 class SuperDerivation:
@@ -58,19 +58,21 @@ class DerivationSpace:
 
 
 def _check_parity_blocks(A, parity, M):
-    n = A.dim
+    n, par = A.dim, A.parities
     if not (M.rows == n and M.cols == n):
         raise ValueError("matrix must be %dx%d" % (n, n))
-    ne = A.dim_even
-    for i in range(n):
-        for j in range(n):
-            if not M.entries[i][j]:
-                continue
-            source = EVEN if j < ne else ODD
-            target = EVEN if i < ne else ODD
-            if target != (source + parity) % 2:
+    for i, row in enumerate(M.entries):
+        for j, v in enumerate(row):
+            if v and par[i] != par[j] ^ parity:
                 raise ValueError("entry (%d, %d) breaks the parity-%d block structure"
                                  % (i, j, parity))
+
+
+def _rule_signs(A, parity, a, b):
+    """Signs of [D e_a, e_b] and [e_a, D e_b] in the rule for D[e_a, e_b]."""
+    if A.kind == LIE:
+        return 1, (-1) ** (parity * A.parities[a])
+    return (-1) ** (parity * A.parities[b]), 1
 
 
 def is_superderivation(A, D):
@@ -80,119 +82,75 @@ def is_superderivation(A, D):
     label, residual) with residual = rule right side minus left side.
     """
     _check_parity_blocks(A, D.parity, D.matrix)
-    s = D.parity
+    M, basis = D.matrix, A.combined_basis
+    units = [A.coords(l) for l in basis]
     violations = []
-    for a in A.combined_basis:
-        pa = A.parity(a)
-        ea = A.basis_element(a)
-        Da = D.apply(A, ea)
-        for b in A.combined_basis:
-            pb = A.parity(b)
-            eb = A.basis_element(b)
-            lhs = D.apply(A, A.basis_bracket(a, b))
-            if A.kind == LIE:
-                rhs = (bracket(A, Da, eb)
-                       + ((-1) ** (s * pa)) * bracket(A, ea, D.apply(A, eb)))
-            else:
-                rhs = (((-1) ** (s * pb)) * bracket(A, Da, eb)
-                       + bracket(A, ea, D.apply(A, eb)))
-            residual = rhs - lhs
+    for a, ea in enumerate(units):
+        for b, eb in enumerate(units):
+            s1, s2 = _rule_signs(A, D.parity, a, b)
+            terms = zip(product(A, M.column(a), eb), product(A, ea, M.column(b)),
+                        M.apply(product(A, ea, eb)))
+            residual = A.element_from_coords([s1 * x + s2 * y - z for x, y, z in terms])
             if not residual.is_zero():
-                violations.append((a, b, residual))
+                violations.append((basis[a], basis[b], residual))
     return (not violations), violations
 
 
 def _unknown_positions(A, parity):
     """Matrix positions (target row, source column) an unknown may occupy.
 
-    Even parity lists the even-to-even block then the odd-to-odd block;
-    odd parity lists the even-source block (odd rows) then the odd-source
-    block, each row-major.
+    Those with par[row] == par[col] ^ parity: the even-source block first,
+    then the odd-source block, each row-major.
     """
-    ne, n = A.dim_even, A.dim
-    evens = range(ne)
-    odds = range(ne, n)
-    positions = []
-    if parity == EVEN:
-        for k in evens:
-            for l in evens:
-                positions.append((k, l))
-        for k in odds:
-            for l in odds:
-                positions.append((k, l))
-    else:
-        for k in odds:
-            for l in evens:
-                positions.append((k, l))
-        for k in evens:
-            for l in odds:
-                positions.append((k, l))
-    return positions
+    n, par = A.dim, A.parities
+    return [(k, l) for source in (EVEN, ODD) for k in range(n) for l in range(n)
+            if par[l] == source and par[k] == source ^ parity]
 
 
 def derivation_space(A, parity):
     """All superderivations of the given parity, as a canonical basis.
 
     One linear equation per basis triple (i, j, k): coordinate k of the
-    rule applied to the pair (e_i, e_j).  Duplicate equations are dropped
-    keeping first-seen order; the canonical nullspace of the system is
-    reshaped into matrices.
+    rule applied to the pair (e_i, e_j).  Each structure constant adds its
+    terms to the equations it occurs in; zero and duplicate equations are
+    dropped, and the canonical nullspace of the system, which does not
+    depend on the order of the equations, is reshaped into matrices.
     """
     n = A.dim
-    basis = A.combined_basis
-    C = [[{lab: v for lab, v in A.basis_bracket(basis[i], basis[j]).items()}
-          for j in range(n)] for i in range(n)]
-    idx = A.index
-    C = [[{idx(lab): v for lab, v in cell.items()} for cell in row] for row in C]
-
     positions = _unknown_positions(A, parity)
     pos_index = {pos: t for t, pos in enumerate(positions)}
     width = len(positions)
 
-    rows = []
-    seen = set()
-    zero_row = (Fraction(0),) * width
-    for i in range(n):
-        pi = A.parity(basis[i])
-        for j in range(n):
-            pj = A.parity(basis[j])
-            if A.kind == LIE:
-                s1 = Fraction(1)
-                s2 = Fraction((-1) ** (parity * pi))
-            else:
-                s1 = Fraction((-1) ** (parity * pj))
-                s2 = Fraction(1)
-            for k in range(n):
-                row = [Fraction(0)] * width
-                for l, c in C[i][j].items():
-                    t = pos_index.get((k, l))
-                    if t is not None:
-                        row[t] += c
-                for l in range(n):
-                    c = C[l][j].get(k)
-                    if c:
-                        t = pos_index.get((l, i))
-                        if t is not None:
-                            row[t] -= s1 * c
-                    c = C[i][l].get(k)
-                    if c:
-                        t = pos_index.get((l, j))
-                        if t is not None:
-                            row[t] -= s2 * c
-                tup = tuple(row)
-                if tup == zero_row or tup in seen:
-                    continue
-                seen.add(tup)
-                rows.append(tup)
+    eqs = {}
 
-    if rows:
-        solutions = nullspace(Matrix(rows))
-    else:
-        solutions = [tuple(Fraction(1) if t == u else Fraction(0) for u in range(width))
-                     for t in range(width)]
+    def add(eq, pos, c):
+        t = pos_index.get(pos)
+        if t is not None:
+            row = eqs.setdefault(eq, {})
+            row[t] = row.get(t, ZERO) + c
+
+    for (a, b), cell in A.law.items():
+        s1, s2 = _rule_signs(A, parity, a, b)
+        for k, c in cell.items():
+            for x in range(n):
+                add((a, b, x), (x, k), c)
+                add((x, b, k), (a, x), -s1 * c)
+                add((a, x, k), (b, x), -s2 * c)
+
+    # distinct nonzero equations in (i, j, k) order, densified with the
+    # shared ZERO (Matrix would turn an int 0 into a new Fraction); a single
+    # zero row stands for an empty system and leaves every unknown free
+    dense = {}
+    for eq in sorted(eqs):
+        row = tuple(sorted((t, c) for t, c in eqs[eq].items() if c))
+        if row and row not in dense:
+            vec = dense[row] = [ZERO] * width
+            for t, c in row:
+                vec[t] = c
+    solutions = nullspace(Matrix(list(dense.values()) or [[ZERO] * width]))
     out = []
     for vec in solutions:
-        entries = [[Fraction(0)] * n for _ in range(n)]
+        entries = [[ZERO] * n for _ in range(n)]
         for t, (k, l) in enumerate(positions):
             entries[k][l] = vec[t]
         out.append(SuperDerivation(parity, Matrix(entries)))

@@ -118,16 +118,20 @@ def nil_independence_check(spec):
     Leibniz kind; that matrix must be diagonal, else the check refuses.
     """
     weights = []
-    n = spec.nilradical.dim
     side = 0 if spec.nilradical.kind == LIE else 1
     for t in spec.torus_labels:
-        M = spec.actions[t][side]
-        for i in range(n):
-            for j in range(n):
-                if i != j and M.entries[i][j]:
-                    raise NonDiagonalAction("action of %r is not diagonal" % (t,))
-        weights.append([M.entries[i][i] for i in range(n)])
+        diag = _diagonal(spec.actions[t][side])
+        if diag is None:
+            raise NonDiagonalAction("action of %r is not diagonal" % (t,))
+        weights.append(diag)
     return rank(Matrix(weights)) == len(spec.torus_labels)
+
+
+def _diagonal(M):
+    """The diagonal of a square matrix, or None when it is not diagonal."""
+    if any(v for i, row in enumerate(M.entries) for j, v in enumerate(row) if i != j):
+        return None
+    return [M.entries[i][i] for i in range(M.rows)]
 
 
 def _restricted_operator(A, direction, candidate):
@@ -154,8 +158,10 @@ def nilradical_verdict(A, candidate):
 
     (a) candidate is a two-sided ideal; (b) the candidate is nilpotent as
     an algebra; (c) every complement basis direction acts non-nilpotently
-    on the candidate; (d) the derived subalgebra of A lies inside the
-    candidate.  The verdict is the conjunction.
+    on the candidate, and so does every nonzero combination of them when
+    all act diagonally (else only the basis directions are checked); (d)
+    the derived subalgebra of A lies inside the candidate.  The verdict is
+    the conjunction.
     """
     whole = whole_space(A)
     is_ideal = (product_space(A, whole, candidate) <= candidate
@@ -183,6 +189,7 @@ def nilradical_verdict(A, candidate):
         if j not in pivot_cols:
             directions.append(label)
     per_direction = {}
+    diagonals = []
     for label in directions:
         op = _restricted_operator(A, A.basis_element(label), candidate)
         if op is None:
@@ -193,7 +200,12 @@ def nilradical_verdict(A, candidate):
             per_direction[label] = False
         except NotNilpotent:
             per_direction[label] = True
+        diagonals.append(_diagonal(op))
     complement_ok = all(per_direction.values())
+    if complement_ok and None not in diagonals:
+        # a combination of diagonal operators is nilpotent exactly when its
+        # weights cancel, so the weights must be independent
+        complement_ok = rank(Matrix(diagonals)) == len(directions)
 
     derived = product_space(A, whole, whole)
     derived_contained = derived <= candidate

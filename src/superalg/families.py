@@ -44,6 +44,20 @@ def _partial_sums(blocks):
     return sums
 
 
+def member_dim(family, even, odd):
+    """Dimension of the member of family L, SL, N, SN, LP, SLP, NP or SNP
+    with these sizes, without building it; sizes its constructor refuses
+    raise the same ValueError."""
+    solvable = family.startswith("S")
+    if family in ("L", "SL", "LP", "SLP"):
+        if len(even) != 1 or len(odd) != 1:
+            raise ValueError("family %s takes one even and one odd size" % family)
+        _check_filiform(even[0], odd[0])
+        return even[0] + odd[0] + (3 if solvable else 0)
+    even, odd = _check_blocks(even, odd)
+    return sum(even) + 1 + sum(odd) + (len(even) + 1 + len(odd) if solvable else 0)
+
+
 def model_filiform_lie(n, m, solvable=False):
     """L^{n,m}, or SL^{n,m} with the three-dimensional torus appended."""
     _check_filiform(n, m)

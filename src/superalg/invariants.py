@@ -7,7 +7,7 @@ the characteristic sequence, and the generator count.
 
 from .linalg import (Matrix, NotNilpotent, nilpotent_jordan_blocks, nullspace,
                      row_space_basis, span_contains)
-from .core import EVEN, ODD, LIE, Element, bracket, multiplication_matrix
+from .core import EVEN, LIE, multiplication_matrix, product
 
 DESCENDING_CENTRAL = "descending_central"
 DERIVED = "derived"
@@ -37,9 +37,6 @@ class Subspace:
 
     def contains_element(self, el):
         return self.contains(self.algebra.coords(el))
-
-    def elements(self):
-        return [self.algebra.element_from_coords(v) for v in self.basis]
 
     def __le__(self, other):
         if self.algebra is not other.algebra:
@@ -83,11 +80,11 @@ def product_space(A, S, T):
     if S.algebra is not A or T.algebra is not A:
         raise ValueError("subspace of a different algebra")
     vectors = []
-    for s in S.elements():
-        for t in T.elements():
-            w = bracket(A, s, t)
-            if not w.is_zero():
-                vectors.append(A.coords(w))
+    for s in S.basis:
+        for t in T.basis:
+            w = product(A, s, t)
+            if any(w):
+                vectors.append(w)
     return Subspace(A, vectors)
 
 

@@ -156,6 +156,23 @@ def test_nilradical_verdict_negative_cases():
     assert not verdict["is_ideal"] and not verdict["verdict"]
 
 
+def test_nilradical_verdict_rejects_nil_dependent_torus():
+    # t1 and t2 act by the same diagonal map, so t1 - t2 acts as zero and
+    # N + span(t1 - t2) is a larger nilpotent ideal than N
+    nil = model_filiform_lie(3, 2)
+    action = Matrix.diagonal([1, 2, 3, 1, 2])
+    spec = ExtensionSpec(nil, ["t1", "t2"], {"t1": action, "t2": action})
+    ext = semidirect_extension(spec)
+    assert not nil_independence_check(spec)
+    verdict = nilradical_verdict(ext, span_of_labels(ext, nil.combined_basis))
+    assert verdict["complement_directions"] == {"t1": True, "t2": True}
+    assert verdict["is_ideal"] and verdict["restriction_nilpotent"]
+    assert verdict["derived_subalgebra_contained"]
+    assert not verdict["complement_acts_nonnilpotently"]
+    assert not verdict["verdict"]
+    assert verdict["codimension"] == 2
+
+
 def test_verdict_for_all_solvable_families():
     cases = []
     for n, m in ((3, 2), (4, 3)):

@@ -1,12 +1,38 @@
 import pytest
 
 from superalg.core import Element, change_of_basis, equal_laws, validate
-from superalg.families import (filiform_leibniz, model_filiform_lie,
+from superalg.families import (filiform_leibniz, member_dim, model_filiform_lie,
                                model_nilpotent_leibniz, model_nilpotent_lie,
                                z_basis_filiform_lie, z_basis_nilpotent_lie)
 
 GRID_FILIFORM = ((3, 2), (4, 3), (5, 2), (6, 4))
 GRID_BLOCKS = (((2,), (2,)), ((2, 2), (1, 2)), ((3,), (3,)))
+
+
+def test_member_dim_matches_the_built_member():
+    filiform = {"L": model_filiform_lie, "LP": filiform_leibniz}
+    blocks = {"N": model_nilpotent_lie, "NP": model_nilpotent_leibniz}
+    for family, build in filiform.items():
+        for n, m in GRID_FILIFORM:
+            for solvable in (False, True):
+                name = "S" + family if solvable else family
+                assert member_dim(name, (n,), (m,)) == build(n, m, solvable).dim
+    for family, build in blocks.items():
+        for even, odd in GRID_BLOCKS:
+            for solvable in (False, True):
+                name = "S" + family if solvable else family
+                assert member_dim(name, even, odd) == build(even, odd, solvable).dim
+    # sizes the constructors refuse are refused with the same message
+    for family, even, odd, build in (("SL", (2,), (2,), lambda: model_filiform_lie(2, 2)),
+                                     ("LP", (3,), (1,), lambda: filiform_leibniz(3, 1)),
+                                     ("N", (0,), (2,), lambda: model_nilpotent_lie((0,), (2,))),
+                                     ("SNP", (), (2,), lambda: model_nilpotent_leibniz((), (2,)))):
+        with pytest.raises(ValueError) as built:
+            build()
+        with pytest.raises(ValueError, match=str(built.value)):
+            member_dim(family, even, odd)
+    with pytest.raises(ValueError):
+        member_dim("L", (3, 4), (2,))
 
 
 def test_names_and_dimensions():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from superalg import fixtures
+from superalg import cli, fixtures
 from superalg.cli import CliError, main, parse_element_expression
 from superalg.core import Element, bracket, equal_laws
 from superalg.families import (filiform_leibniz, model_filiform_lie,
@@ -356,6 +356,27 @@ def test_dimension_cap(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SUPERALG_MAX_DIM", "not-a-number")
     assert main(["gen", "--family", "L", "--even", "3", "--odd", "2"]) == 2
     capsys.readouterr()
+
+
+def test_cap_refuses_before_building(monkeypatch, capsys):
+    # any constructor call fails the test: the refusal must come first
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the member was built before the cap check")
+
+    for module in (cli, fixtures):
+        for name in ("model_filiform_lie", "filiform_leibniz",
+                     "model_nilpotent_lie", "model_nilpotent_leibniz"):
+            monkeypatch.setattr(module, name, refuse)
+    for argv in (["gen", "--family", "L", "--even", "200000", "--odd", "2"],
+                 ["gen", "--family", "SNP", "--even", "30", "--even", "30",
+                  "--odd", "4"],
+                 ["verify", "--theorem", "7.1", "--even", "200000", "--odd", "2"],
+                 ["verify", "--theorem", "6.1", "--even", "40", "--odd", "30"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceeds SUPERALG_MAX_DIM=64" in captured.err
+    assert main(["gen", "--family", "SL", "--even", "2", "--odd", "2"]) == 2
+    assert "n >= 3" in capsys.readouterr().err
 
 
 def test_usage_errors(tmp_path, capsys):
