@@ -138,8 +138,8 @@ def derivation_space(A, parity):
                 add((a, x, k), (b, x), -s2 * c)
 
     # distinct nonzero equations in (i, j, k) order, densified with the
-    # shared ZERO (Matrix would turn an int 0 into a new Fraction); a single
-    # zero row stands for an empty system and leaves every unknown free
+    # shared ZERO, which the elimination kernel skips by identity (Matrix
+    # would turn an int 0 into a new Fraction)
     dense = {}
     for eq in sorted(eqs):
         row = tuple(sorted((t, c) for t, c in eqs[eq].items() if c))
@@ -147,7 +147,7 @@ def derivation_space(A, parity):
             vec = dense[row] = [ZERO] * width
             for t, c in row:
                 vec[t] = c
-    solutions = nullspace(Matrix(list(dense.values()) or [[ZERO] * width]))
+    solutions = nullspace(Matrix(list(dense.values()), width))
     out = []
     for vec in solutions:
         entries = [[ZERO] * n for _ in range(n)]

@@ -154,9 +154,7 @@ def right_annihilator(A):
     rows = []
     for b in A.combined_basis:
         rows.extend(multiplication_matrix(A, b, "left").entries)
-    if not rows:
-        return whole_space(A)
-    kernel = nullspace(Matrix(rows))
+    kernel = nullspace(Matrix(rows, A.dim))
     return Subspace(A, kernel)
 
 

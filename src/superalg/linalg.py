@@ -1,11 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of Fraction, matrices are dense and immutable.  All
-results are computed exactly, and anything that returns a basis returns it
-in a canonical form so that two equal subspaces compare equal entrywise.
+Vectors are tuples of Fraction and matrices are immutable tuples of such
+rows; both are stored dense.  Every elimination goes through one sparse,
+fraction-free kernel, _reduce, which works on integer rows held as dicts
+and converts back to Fraction only when it emits its canonical result.
+All results are exact, and anything that returns a basis returns it in a
+canonical form so that two equal subspaces compare equal entrywise.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -26,11 +31,11 @@ def _frac(v):
 
 
 class Matrix:
-    """Dense rational matrix; entries are immutable after construction."""
+    """Dense rational matrix, immutable; `cols` is needed only without rows."""
 
-    def __init__(self, entries):
+    def __init__(self, entries, cols=None):
         rows = tuple(tuple(_frac(v) for v in row) for row in entries)
-        width = len(rows[0]) if rows else 0
+        width = cols if cols is not None else len(rows[0]) if rows else 0
         for row in rows:
             if len(row) != width:
                 raise ValueError("ragged rows")
@@ -40,7 +45,7 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls([[ZERO] * cols for _ in range(rows)])
+        return cls([[ZERO] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n):
@@ -58,7 +63,7 @@ class Matrix:
         for c in cols:
             if len(c) != rows:
                 raise ValueError("column length mismatch")
-        return cls([[c[i] for c in cols] for i in range(rows)])
+        return cls([[c[i] for c in cols] for i in range(rows)], len(cols))
 
     def entry(self, i, j):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -84,17 +89,19 @@ class Matrix:
 
     def transpose(self):
         return Matrix([[self.entries[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
+                       for j in range(self.cols)], self.rows)
 
     def submatrix(self, row_range, col_range):
-        return Matrix([[self.entries[i][j] for j in col_range] for i in row_range])
+        return Matrix([[self.entries[i][j] for j in col_range] for i in row_range],
+                      len(col_range))
 
     def flatten(self):
         """Row-major tuple of all entries."""
         return tuple(v for row in self.entries for v in row)
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.entries == other.entries
+        return (isinstance(other, Matrix) and self.cols == other.cols
+                and self.entries == other.entries)
 
     def __hash__(self):
         return hash(self.entries)
@@ -103,20 +110,20 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         return Matrix([[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)])
+                       for ra, rb in zip(self.entries, other.entries)], self.cols)
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         return Matrix([[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)])
+                       for ra, rb in zip(self.entries, other.entries)], self.cols)
 
     def __neg__(self):
-        return Matrix([[-v for v in row] for row in self.entries])
+        return Matrix([[-v for v in row] for row in self.entries], self.cols)
 
     def scale(self, a):
         a = _frac(a)
-        return Matrix([[a * v for v in row] for row in self.entries])
+        return Matrix([[a * v for v in row] for row in self.entries], self.cols)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -125,7 +132,7 @@ class Matrix:
             raise ValueError("shape mismatch in product")
         bt = other.transpose().entries
         return Matrix([[sum((a * b for a, b in zip(row, col) if a and b), ZERO)
-                        for col in bt] for row in self.entries])
+                        for col in bt] for row in self.entries], other.cols)
 
     def apply(self, vec):
         """Matrix-vector product; vec is a coordinate sequence."""
@@ -141,39 +148,92 @@ class Matrix:
 
 
 def _reduce(rows, cols):
-    """Reduced row echelon form of a list of row lists, in place.
+    """Canonical reduced row echelon form of a sequence of rows.
 
-    Returns (reduced nonzero rows, pivot column list).  Pivots are chosen
-    left to right, which fixes the canonical form used everywhere below.
+    Returns (reduced nonzero rows as dense tuples of Fraction, with the
+    shared ZERO for every zero entry; ascending list of pivot columns).
+    Pivots are the leading columns of the row space, which fixes the
+    canonical form used everywhere below.
+
+    The elimination is sparse and fraction-free.  Each nonzero row becomes
+    a dict {column: int}, scaled once by the lcm of its denominators and
+    divided by its content (the gcd of its entries); a row equal to an
+    earlier one up to a scalar is dropped.  The rest are reduced against
+    the pivot rows found so far, smallest pivot column first, by integer
+    row operations a*row - b*pivot_row; the result is divided by its
+    content and, unless it is zero, kept as the pivot row of its smallest
+    column.  Back-substitution clears the other pivot columns the same way,
+    and only the emitted rows are divided by their leading entries.
     """
-    work = [list(r) for r in rows if any(r)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
+    pivot_rows = {}
+    seen = set()
+    for row in rows:
+        nz = [(j, v) for j, v in enumerate(row) if v is not ZERO and v]
+        if not nz:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        lead = work[r][c]
-        if lead != 1:
-            work[r] = [v / lead for v in work[r]]
-        prow = work[r]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                ri = work[i]
-                for j in range(c, cols):
-                    if prow[j]:
-                        ri[j] -= f * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return [tuple(row) for row in work[:r]], pivots
+        scale = lcm(*[v.denominator for _, v in nz])
+        ints = [v.numerator * (scale // v.denominator) for _, v in nz]
+        g = gcd(*ints)
+        if ints[0] < 0:
+            g = -g
+        key = tuple([(j, v // g) for (j, _), v in zip(nz, ints)])
+        if key in seen:
+            continue
+        seen.add(key)
+        r = dict(key)
+        todo = [j for j in r if j in pivot_rows]
+        heapify(todo)
+        while todo:
+            c = heappop(todo)
+            b = r.get(c)
+            if b is None:  # cancelled by an earlier row operation
+                continue
+            p = pivot_rows[c]
+            for j in p:
+                if j not in r and j in pivot_rows:
+                    heappush(todo, j)
+            _eliminate(r, p, c, b)
+        if r:
+            _divide_content(r)
+            pivot_rows[min(r)] = r
+    pivots = sorted(pivot_rows)
+    reduced = []
+    for c in reversed(pivots):
+        r = pivot_rows[c]
+        for j in [j for j in r if j != c and j in pivot_rows]:
+            _eliminate(r, pivot_rows[j], j, r[j])
+        _divide_content(r)
+        lead = r[c]
+        out = [ZERO] * cols
+        for j, v in r.items():
+            out[j] = Fraction(v, lead)
+        reduced.append(tuple(out))
+    reduced.reverse()
+    return reduced, pivots
+
+
+def _eliminate(r, p, c, b):
+    """r <- a*r - b'*p with r[c] cleared; a, b' are p[c], r[c] over their gcd."""
+    a = p[c]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    if a != 1:
+        for j in r:
+            r[j] *= a
+    for j, v in p.items():
+        w = r.get(j, 0) - b * v
+        if w:
+            r[j] = w
+        else:
+            del r[j]
+
+
+def _divide_content(r):
+    g = gcd(*r.values())
+    if g != 1:
+        for j in r:
+            r[j] //= g
 
 
 def rref(M):
@@ -182,7 +242,7 @@ def rref(M):
     Returns (Matrix of nonzero reduced rows, tuple of pivot columns).
     """
     reduced, pivots = _reduce(M.entries, M.cols)
-    return Matrix(reduced) if reduced else Matrix.zero(0, M.cols), tuple(pivots)
+    return Matrix(reduced, M.cols), tuple(pivots)
 
 
 def rank(M):
@@ -206,7 +266,7 @@ def nullspace(M):
         v = [ZERO] * M.cols
         v[f] = ONE
         for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f]
+            v[p] = -reduced[r][f] or ZERO
         basis.append(tuple(v))
     return basis
 
@@ -257,30 +317,27 @@ def invert(M):
     reduced, pivots = _reduce(rows, 2 * n)
     if list(pivots) != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix([row[n:] for row in reduced])
+    return Matrix([row[n:] for row in reduced], n)
 
 
 def nilpotent_jordan_blocks(M):
     """Jordan block sizes of a nilpotent matrix, descending.
 
-    The number of blocks of size at least k is rank(M^(k-1)) - rank(M^k).
-    Raises NotNilpotent when M^dim is nonzero.
+    The number of blocks of size at least k is rank(M^(k-1)) - rank(M^k),
+    where rank(M^k) = dim Im M^k and Im M^k = M(Im M^(k-1)).  Raises
+    NotNilpotent when M^dim is nonzero, i.e. when an image stops shrinking.
     """
     if not M.is_square():
         raise ValueError("Jordan profile of a non-square matrix")
     n = M.rows
-    if n == 0:
-        return ()
     ranks = [n]
-    power = Matrix.identity(n)
-    for k in range(1, n + 1):
-        power = power * M
-        r = rank(power)
-        ranks.append(r)
-        if r == 0:
-            break
-    if ranks[-1] != 0:
-        raise NotNilpotent("matrix power %d has rank %d" % (n, ranks[-1]))
+    image = M.transpose().entries
+    while ranks[-1]:
+        image, _ = _reduce(image, n)
+        if len(image) == ranks[-1]:
+            raise NotNilpotent("matrix power %d has rank %d" % (n, len(image)))
+        ranks.append(len(image))
+        image = [M.apply(v) for v in image]
     at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
     blocks = []
     top = len(at_least)

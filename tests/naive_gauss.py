@@ -72,3 +72,33 @@ def naive_nullspace(rows, ncols):
             vec[c] = -s / work[k][c]
         basis.append(tuple(vec))
     return basis
+
+
+def naive_solve(columns, v):
+    """Coefficients c with sum c[j] * columns[j] == v, free ones set to 0.
+
+    Returns None when v is not in the span.  Forward elimination of the
+    augmented system, then back substitution over the pivot columns.
+    """
+    k = len(columns)
+    rows = [[col[i] for col in columns] + [v[i]] for i in range(len(v))]
+    work, pivots = naive_forward(rows)
+    if k in pivots:
+        return None
+    coeffs = [Fraction(0)] * k
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        s = work[r][k] - sum(work[r][j] * coeffs[j] for j in range(c + 1, k))
+        coeffs[c] = s / work[r][c]
+    return tuple(coeffs)
+
+
+def naive_inverse(rows):
+    """Inverse by solving M x = e_i column by column; None when singular."""
+    n = len(rows)
+    if naive_rank(rows) < n:
+        return None
+    columns = [tuple(rows[i][j] for i in range(n)) for j in range(n)]
+    inverse_columns = [naive_solve(columns, [Fraction(int(i == j)) for j in range(n)])
+                       for i in range(n)]
+    return [tuple(inverse_columns[j][i] for j in range(n)) for i in range(n)]

@@ -162,3 +162,13 @@ def test_trivial_odd_space_when_no_odd_part():
     flat = SuperAlgebra(LIE, ["a", "b"], [], {})
     assert derivation_space(flat, EVEN).dim == 4
     assert derivation_space(flat, ODD).dim == 0
+
+
+def test_empty_system_leaves_every_unknown_free():
+    # no structure constants: the system has no equations, and every map of
+    # the right parity is a derivation (a -> a, b -> b even; a -> b, b -> a odd)
+    flat = SuperAlgebra(LIE, ["a"], ["b"], {})
+    for parity in (EVEN, ODD):
+        space = derivation_space(flat, parity)
+        assert space.dim == 2
+        assert all(is_superderivation(flat, D)[0] for D in space)
