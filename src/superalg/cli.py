@@ -121,8 +121,6 @@ FAMILIES = ("L", "SL", "N", "SN", "LP", "SLP", "NP", "SNP")
 
 def _build_family(family, even, odd):
     """Build a family member, refusing it over the cap before any work."""
-    if family in ("L", "SL", "LP", "SLP") and (len(even) != 1 or len(odd) != 1):
-        raise CliError("family %s takes one --even and one --odd value" % family)
     try:
         _check_cap(member_dim(family, even, odd))
         if family in ("L", "SL"):
@@ -303,10 +301,7 @@ def cmd_inner(args):
 def cmd_extend(args):
     nil = _load(args.nilradical)
     spec = load_extension_spec(nil, args.actions)
-    cap = _max_dim()
-    if nil.dim + len(spec.torus_labels) > cap:
-        raise CliError("extension dimension %d exceeds SUPERALG_MAX_DIM=%d"
-                       % (nil.dim + len(spec.torus_labels), cap))
+    _check_cap(nil.dim + len(spec.torus_labels))
     try:
         extended = semidirect_extension(spec)
     except IdentityViolation as exc:

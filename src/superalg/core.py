@@ -315,11 +315,13 @@ def validate(A, kind=None):
     if kind == LIE:
         for i, j in sorted({(min(i, j), max(i, j)) for i, j in law}):
             # [a,b] + (-1)^{|a||b|} [b,a] must vanish
-            a, b = basis[i], basis[j]
             sign = -1 if (par[i] and par[j]) else 1
-            residual = A.basis_bracket(a, b) + A.basis_bracket(b, a).scale(sign)
+            res = dict(law.get((i, j), {}))
+            for k, c in law.get((j, i), {}).items():
+                res[k] = res.get(k, ZERO) + sign * c
+            residual = Element((basis[k], c) for k, c in res.items())
             if not residual.is_zero():
-                violations.append(Violation("skew", (a, b), residual))
+                violations.append(Violation("skew", (basis[i], basis[j]), residual))
     identity = "jacobi" if kind == LIE else "leibniz"
     for triple in sorted(residuals):
         residual = Element((basis[k], c) for k, c in sorted(residuals[triple].items()))

@@ -14,8 +14,8 @@ from .linalg import Matrix, NotNilpotent, nilpotent_jordan_blocks, rank, span_co
 from .core import EVEN, LIE, Element, SuperAlgebra, multiplication_matrix, validate
 from .derivations import _check_parity_blocks
 from .invariants import product_space, whole_space
-from .families import (_check_blocks, _check_filiform, _partial_sums,
-                       filiform_leibniz, model_nilpotent_leibniz)
+from .families import (_check_blocks, _check_filiform, _filiform, _partial_sums,
+                       model_nilpotent_leibniz, model_nilpotent_lie)
 
 
 class IdentityViolation(Exception):
@@ -230,25 +230,20 @@ def _diag(labels, values, combined):
     return Matrix.diagonal(diag)
 
 
+def _filiform_spec(spec, n, m, family):
+    """The one-block spec `spec` on the filiform nilradical `family`^{n,m}."""
+    return ExtensionSpec(_filiform(spec.nilradical, "%s^{%d,%d}" % (family, n, m)),
+                         _filiform(spec.torus_labels), _filiform(spec.actions))
+
+
 def filiform_lie_torus_spec(n, m):
     """The diagonal torus acting on L^{n,m} whose extension is SL^{n,m}."""
-    from .families import model_filiform_lie
-
-    nil = model_filiform_lie(n, m)
-    basis = nil.combined_basis
-    xs = ["x%d" % i for i in range(1, n + 1)]
-    ys = ["y%d" % j for j in range(1, m + 1)]
-    t1 = _diag(xs + ys, list(range(1, n + 1)) + list(range(1, m + 1)), basis)
-    t2 = _diag(xs[1:], [1] * (n - 1), basis)
-    t3 = _diag(ys, [1] * m, basis)
-    return ExtensionSpec(nil, ["t1", "t2", "t3"],
-                         {"t1": t1, "t2": t2, "t3": t3})
+    _check_filiform(n, m)
+    return _filiform_spec(model_nilpotent_lie_torus_spec((n - 1,), (m,)), n, m, "L")
 
 
 def model_nilpotent_lie_torus_spec(even_blocks, odd_blocks):
     """The diagonal torus on N(...) whose extension is SN(...)."""
-    from .families import model_nilpotent_lie
-
     even_blocks, odd_blocks = _check_blocks(even_blocks, odd_blocks)
     k, p = len(even_blocks), len(odd_blocks)
     N = _partial_sums(even_blocks)
@@ -276,26 +271,13 @@ def filiform_leibniz_torus_spec(n, m, b):
 
     The right actions are the solvable family's; the left actions carry the
     undetermined coefficients (b1 - 1) on x1, (b2 - 1) on x2..xn and
-    (b3 - 1) on the odd part.  The extension validates only at (0, 1, 1),
-    which reproduces SLP^{n,m}.
+    (b3 - 1) on the odd part, which is the block spec at 1 - b.  The
+    extension validates only at (0, 1, 1), which reproduces SLP^{n,m}.
     """
     _check_filiform(n, m)
-    b1, b2, b3 = b
-    nil = filiform_leibniz(n, m)
-    basis = nil.combined_basis
-    xs = ["x%d" % i for i in range(1, n + 1)]
-    ys = ["y%d" % j for j in range(1, m + 1)]
-    left1 = _diag(["x1"], [Fraction(b1) - 1], basis)
-    right1 = _diag(["x1"] + xs[2:] + ys[1:],
-                   [1] + [i - 2 for i in range(3, n + 1)]
-                   + [j - 1 for j in range(2, m + 1)], basis)
-    left2 = _diag(xs[1:], [Fraction(b2) - 1] * (n - 1), basis)
-    right2 = _diag(xs[1:], [1] * (n - 1), basis)
-    left3 = _diag(ys, [Fraction(b3) - 1] * m, basis)
-    right3 = _diag(ys, [1] * m, basis)
-    return ExtensionSpec(nil, ["t1", "t2", "t3"],
-                         {"t1": (left1, right1), "t2": (left2, right2),
-                          "t3": (left3, right3)})
+    c1, c2, c3 = (1 - Fraction(v) for v in b)
+    spec = model_nilpotent_leibniz_torus_spec((n - 1,), (m,), (c1, c2), (c3,))
+    return _filiform_spec(spec, n, m, "LP")
 
 
 def model_nilpotent_leibniz_torus_spec(even_blocks, odd_blocks, b, bp):

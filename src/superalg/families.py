@@ -6,10 +6,11 @@ part always carries one extra generator x1 on top of the blocks, so the
 display name shows a trailing 1 in the even block list, e.g.
 N(2,1|2) = model_nilpotent_lie((2,), (2,)).
 
-Solvable variants append a torus: t1..t3 in the filiform case, t1..t_{k+1}
-and tp1..tp_p in the block case.  The alternate z-basis presentations come
-with the canonical label map sending t's to combinations of z's, for replay
-through change_of_basis.
+Solvable variants append a torus, t1..t_{k+1} and tp1..tp_p.  The filiform
+families are the one-block members, L^{n,m} = N(n-1,1|m) and LP^{n,m} =
+NP(n-1,1|m), with tp1 and zp1 called t3 and z3.  The alternate z-basis
+presentations come with the canonical label map sending t's to
+combinations of z's, for replay through change_of_basis.
 """
 
 from .core import LIE, LEIBNIZ, Element, SuperAlgebra
@@ -25,6 +26,32 @@ def _check_filiform(n, m):
         raise ValueError("the even chain needs n >= 3, got %d" % n)
     if m < 2:
         raise ValueError("the odd chain needs m >= 2, got %d" % m)
+
+
+_FILIFORM_LABELS = {"tp1": "t3", "zp1": "z3"}
+
+
+def _filiform(obj, name=None):
+    """A one-block model member in the filiform labels: tp1 is t3, zp1 is z3.
+
+    obj is a label, a tuple, an Element, a dict (keys and values renamed)
+    or an algebra, which is renamed to `name`; anything else, such as an
+    action matrix, is returned as it is.
+    """
+    if isinstance(obj, str):
+        return _FILIFORM_LABELS.get(obj, obj)
+    if isinstance(obj, tuple):
+        return tuple(map(_filiform, obj))
+    if isinstance(obj, Element):
+        if _FILIFORM_LABELS.keys().isdisjoint(obj.labels()):
+            return obj
+        return Element((_filiform(l), c) for l, c in obj.items())
+    if isinstance(obj, dict):
+        return {_filiform(k): _filiform(v) for k, v in obj.items()}
+    if isinstance(obj, SuperAlgebra):
+        return SuperAlgebra(obj.kind, _filiform(obj.even_basis), obj.odd_basis,
+                            _filiform(dict(obj.brackets)), name=name)
+    return obj
 
 
 def _check_blocks(even_blocks, odd_blocks):
@@ -59,27 +86,10 @@ def member_dim(family, even, odd):
 
 
 def model_filiform_lie(n, m, solvable=False):
-    """L^{n,m}, or SL^{n,m} with the three-dimensional torus appended."""
+    """L^{n,m} = N(n-1,1|m), or SL^{n,m} with the torus t1, t2, t3."""
     _check_filiform(n, m)
-    xs = ["x%d" % i for i in range(1, n + 1)]
-    ys = ["y%d" % j for j in range(1, m + 1)]
-    table = {}
-    for i in range(2, n):
-        table[("x1", "x%d" % i)] = Element.basis("x%d" % (i + 1))
-    for j in range(1, m):
-        table[("x1", "y%d" % j)] = Element.basis("y%d" % (j + 1))
-    if not solvable:
-        return SuperAlgebra(LIE, xs, ys, table, name="L^{%d,%d}" % (n, m))
-    for i in range(1, n + 1):
-        table[("t1", "x%d" % i)] = Element({"x%d" % i: i})
-    for j in range(1, m + 1):
-        table[("t1", "y%d" % j)] = Element({"y%d" % j: j})
-    for i in range(2, n + 1):
-        table[("t2", "x%d" % i)] = Element.basis("x%d" % i)
-    for j in range(1, m + 1):
-        table[("t3", "y%d" % j)] = Element.basis("y%d" % j)
-    return SuperAlgebra(LIE, xs + ["t1", "t2", "t3"], ys, table,
-                        name="SL^{%d,%d}" % (n, m))
+    return _filiform(model_nilpotent_lie((n - 1,), (m,), solvable),
+                     "%sL^{%d,%d}" % ("S" if solvable else "", n, m))
 
 
 def model_nilpotent_lie(even_blocks, odd_blocks, solvable=False):
@@ -124,29 +134,10 @@ def model_nilpotent_lie(even_blocks, odd_blocks, solvable=False):
 
 
 def filiform_leibniz(n, m, solvable=False):
-    """LP^{n,m}, or SLP^{n,m}; one-sided brackets, no skew completion."""
+    """LP^{n,m} = NP(n-1,1|m), or SLP^{n,m}; one-sided brackets."""
     _check_filiform(n, m)
-    xs = ["x%d" % i for i in range(1, n + 1)]
-    ys = ["y%d" % j for j in range(1, m + 1)]
-    table = {}
-    for i in range(2, n):
-        table[("x%d" % i, "x1")] = Element.basis("x%d" % (i + 1))
-    for j in range(1, m):
-        table[("y%d" % j, "x1")] = Element.basis("y%d" % (j + 1))
-    if not solvable:
-        return SuperAlgebra(LEIBNIZ, xs, ys, table, name="LP^{%d,%d}" % (n, m))
-    table[("t1", "x1")] = Element({"x1": -1})
-    table[("x1", "t1")] = Element.basis("x1")
-    for i in range(3, n + 1):
-        table[("x%d" % i, "t1")] = Element({"x%d" % i: i - 2})
-    for j in range(2, m + 1):
-        table[("y%d" % j, "t1")] = Element({"y%d" % j: j - 1})
-    for i in range(2, n + 1):
-        table[("x%d" % i, "t2")] = Element.basis("x%d" % i)
-    for j in range(1, m + 1):
-        table[("y%d" % j, "t3")] = Element.basis("y%d" % j)
-    return SuperAlgebra(LEIBNIZ, xs + ["t1", "t2", "t3"], ys, table,
-                        name="SLP^{%d,%d}" % (n, m))
+    return _filiform(model_nilpotent_leibniz((n - 1,), (m,), solvable),
+                     "%sLP^{%d,%d}" % ("S" if solvable else "", n, m))
 
 
 def model_nilpotent_leibniz(even_blocks, odd_blocks, solvable=False):
@@ -200,27 +191,9 @@ def z_basis_filiform_lie(n, m):
     Returns (algebra, map); pushing the algebra through change_of_basis
     with the map reproduces SL^{n,m} on the nose.
     """
-    nil = model_filiform_lie(n, m)
-    xs, ys = list(nil.even_basis), list(nil.odd_basis)
-    table = dict(nil.brackets)
-    table[("z1", "x1")] = Element.basis("x1")
-    for i in range(3, n + 1):
-        table[("z1", "x%d" % i)] = Element({"x%d" % i: i - 2})
-    for j in range(2, m + 1):
-        table[("z1", "y%d" % j)] = Element({"y%d" % j: j - 1})
-    for i in range(2, n + 1):
-        table[("z2", "x%d" % i)] = Element.basis("x%d" % i)
-    for j in range(1, m + 1):
-        table[("z3", "y%d" % j)] = Element.basis("y%d" % j)
-    alg = SuperAlgebra(LIE, xs + ["z1", "z2", "z3"], ys, table,
-                       name="SL^{%d,%d} (z basis)" % (n, m))
-    mapping = {l: Element.basis(l) for l in xs}
-    mapping["t1"] = Element({"z1": 1, "z2": 2, "z3": 1})
-    mapping["t2"] = Element.basis("z2")
-    mapping["t3"] = Element.basis("z3")
-    for l in ys:
-        mapping[l] = Element.basis(l)
-    return alg, mapping
+    _check_filiform(n, m)
+    alg, mapping = z_basis_nilpotent_lie((n - 1,), (m,))
+    return _filiform(alg, "SL^{%d,%d} (z basis)" % (n, m)), _filiform(mapping)
 
 
 def z_basis_nilpotent_lie(even_blocks, odd_blocks):

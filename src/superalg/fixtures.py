@@ -21,21 +21,15 @@ from .extension import (IdentityViolation, filiform_lie_torus_spec,
                         model_nilpotent_leibniz_torus_spec,
                         nil_independence_check, nilradical_verdict,
                         semidirect_extension)
-from .families import (filiform_leibniz, model_filiform_lie,
+from .families import (filiform_leibniz, member_dim, model_filiform_lie,
                        model_nilpotent_leibniz, model_nilpotent_lie,
                        z_basis_filiform_lie, z_basis_nilpotent_lie)
 from .invariants import span_of_labels
 
 
-def _filiform_params(even, odd):
-    if len(even) != 1 or len(odd) != 1:
-        raise ValueError("this theorem takes one even and one odd value")
-    return even[0], odd[0]
-
-
 def _lie_construction(family, even, odd):
     if family == "SL":
-        n, m = _filiform_params(even, odd)
+        (n,), (m,) = even, odd
         nil = model_filiform_lie(n, m)
         solvable = model_filiform_lie(n, m, solvable=True)
         spec = filiform_lie_torus_spec(n, m)
@@ -76,7 +70,7 @@ def _lie_construction(family, even, odd):
 
 def _leibniz_sweep(family, even, odd):
     if family == "SLP":
-        n, m = _filiform_params(even, odd)
+        (n,), (m,) = even, odd
         solvable = filiform_leibniz(n, m, solvable=True)
         points = list(itertools.product((0, 1), repeat=3))
         expected = {(0, 1, 1)}
@@ -117,7 +111,7 @@ def _leibniz_sweep(family, even, odd):
 
 def _derivations(family, even, odd):
     if family in ("SL", "SLP"):
-        n, m = _filiform_params(even, odd)
+        (n,), (m,) = even, odd
         if family == "SL":
             A = model_filiform_lie(n, m, solvable=True)
             want_even, want_odd = n + 3, m
@@ -170,9 +164,11 @@ def prepare(theorem, even, odd):
     """Build the instance of `theorem` at the given even and odd sizes.
 
     Filiform theorems (3.1, 5.1, 7.1, 7.3) take one even and one odd size,
-    n and m; block theorems take the even and odd block lengths.  Returns
-    (algebra, run), where run() performs the checks and returns them as a
-    list of (name, ok, detail) triples.
+    n and m; block theorems take the even and odd block lengths.  Sizes the
+    family refuses raise ValueError, as in member_dim.  Returns (algebra,
+    run), where run() performs the checks and returns them as a list of
+    (name, ok, detail) triples.
     """
     fixture, family = THEOREMS[theorem]
+    member_dim(family, even, odd)
     return fixture(family, tuple(even), tuple(odd))

@@ -1,6 +1,7 @@
 import pytest
 
-from superalg.core import Element, change_of_basis, equal_laws, validate
+from superalg.core import (LEIBNIZ, LIE, Element, change_of_basis, equal_laws,
+                           validate)
 from superalg.families import (filiform_leibniz, member_dim, model_filiform_lie,
                                model_nilpotent_leibniz, model_nilpotent_lie,
                                z_basis_filiform_lie, z_basis_nilpotent_lie)
@@ -70,7 +71,56 @@ def test_parameter_validation():
         model_nilpotent_leibniz((2,), ())
 
 
+def _filiform_law(n, m, leibniz, solvable):
+    """The whole table of L, SL, LP or SLP^{n,m}, by labels, from the
+    theorems' formulas; the Lie kind lists both sides, [b,a] = -[a,b]."""
+    x = ["x%d" % i for i in range(1, n + 1)]
+    y = ["y%d" % j for j in range(1, m + 1)]
+    law = {}
+    if leibniz:
+        # [x_i,x1] = x_{i+1}, [y_j,x1] = y_{j+1}
+        law.update({(x[i], "x1"): {x[i + 1]: 1} for i in range(1, n - 1)})
+        law.update({(y[j], "x1"): {y[j + 1]: 1} for j in range(m - 1)})
+    else:
+        # [x1,x_i] = x_{i+1}, [x1,y_j] = y_{j+1}
+        law.update({("x1", x[i]): {x[i + 1]: 1} for i in range(1, n - 1)})
+        law.update({("x1", y[j]): {y[j + 1]: 1} for j in range(m - 1)})
+    if solvable and leibniz:
+        # [t1,x1] = -x1, [x1,t1] = x1, [x_i,t1] = (i-2) x_i, [y_j,t1] = (j-1) y_j,
+        # [x_i,t2] = x_i for i >= 2, [y_j,t3] = y_j
+        law[("t1", "x1")] = {"x1": -1}
+        law[("x1", "t1")] = {"x1": 1}
+        law.update({(x[i - 1], "t1"): {x[i - 1]: i - 2} for i in range(3, n + 1)})
+        law.update({(y[j - 1], "t1"): {y[j - 1]: j - 1} for j in range(2, m + 1)})
+        law.update({(l, "t2"): {l: 1} for l in x[1:]})
+        law.update({(l, "t3"): {l: 1} for l in y})
+    elif solvable:
+        # [t1,x_i] = i x_i, [t1,y_j] = j y_j, [t2,x_i] = x_i for i >= 2,
+        # [t3,y_j] = y_j
+        law.update({("t1", x[i - 1]): {x[i - 1]: i} for i in range(1, n + 1)})
+        law.update({("t1", y[j - 1]): {y[j - 1]: j} for j in range(1, m + 1)})
+        law.update({("t2", l): {l: 1} for l in x[1:]})
+        law.update({("t3", l): {l: 1} for l in y})
+    if not leibniz:
+        law.update({(b, a): {l: -c for l, c in v.items()}
+                    for (a, b), v in list(law.items())})
+    return {k: Element(v) for k, v in law.items()}
+
+
 def test_bracket_tables_spot_checks():
+    # the filiform families in full, at every grid size
+    for n, m in GRID_FILIFORM:
+        for family, build in (("L", model_filiform_lie), ("LP", filiform_leibniz)):
+            for solvable in (False, True):
+                A = build(n, m, solvable=solvable)
+                name = ("S" if solvable else "") + family
+                assert A.name == "%s^{%d,%d}" % (name, n, m)
+                assert A.kind == (LEIBNIZ if family == "LP" else LIE)
+                assert A.even_basis == tuple(["x%d" % i for i in range(1, n + 1)]
+                                             + (["t1", "t2", "t3"] if solvable else []))
+                assert A.odd_basis == tuple("y%d" % j for j in range(1, m + 1))
+                assert dict(A.brackets) == _filiform_law(n, m, family == "LP",
+                                                         solvable), (name, n, m)
     SL = model_filiform_lie(4, 3, solvable=True)
     assert SL.basis_bracket("x1", "x2") == Element.basis("x3")
     assert SL.basis_bracket("t1", "x3") == Element({"x3": 3})

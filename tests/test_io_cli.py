@@ -317,6 +317,32 @@ def test_extend_rejects_malformed_actions(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_extend_refuses_over_the_cap(tmp_path, monkeypatch, capsys):
+    nil = _gen(tmp_path, "nil.json", ["--family", "L", "--even", "3", "--odd", "2"])
+    actions = {"torus_labels": ["t1"],
+               "actions": {"t1": {"left": _diag([1, 2, 3, 1, 2])}}}
+    act_path = tmp_path / "act.json"
+    act_path.write_text(json.dumps(actions))
+    out_path = tmp_path / "ext.json"
+    # L^{3,2} has dimension 5, its extension by t1 dimension 6
+    monkeypatch.setenv("SUPERALG_MAX_DIM", "5")
+    monkeypatch.setattr(cli, "semidirect_extension", None)
+    assert main(["extend", nil, str(act_path), "-o", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds SUPERALG_MAX_DIM=5" in captured.err
+    assert not out_path.exists()
+
+
+def test_filiform_families_take_one_size_each(capsys):
+    assert main(["gen", "--family", "SL", "--even", "3", "--even", "4",
+                 "--odd", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "family SL takes one even and one odd size" in captured.err
+    with pytest.raises(ValueError, match="takes one even and one odd size"):
+        fixtures.prepare("3.1", (3, 4), (2,))
+
+
 def test_iso_detects_law_mismatch(tmp_path, capsys):
     a = _gen(tmp_path, "a.json", ["--family", "L", "--even", "3", "--odd", "2"])
     mapping = {"map": {"x1": {"x1": "1"}, "x2": {"x2": "1"},
