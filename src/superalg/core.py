@@ -10,12 +10,13 @@ kept as given so that validate() can report contradictions.
 `brackets` holds the table by labels, for files, constructors and
 equal_laws; `law` holds it by combined-basis index, (i, j) -> {k: c}, with
 `parities` by index, and every computation reads it (product() for
-coordinate vectors).
+coordinate vectors, through `left_index`, the law grouped by left index).
 """
 
+from functools import cached_property
 from types import MappingProxyType
 
-from .linalg import Matrix, ZERO, _frac
+from .linalg import Matrix, ZERO, _frac, sparse_rows
 
 EVEN = 0
 ODD = 1
@@ -178,6 +179,14 @@ class SuperAlgebra:
         self.law = MappingProxyType({(idx[l], idx[r]): {idx[k]: c for k, c in el.items()}
                                      for (l, r), el in table.items()})
 
+    @cached_property
+    def left_index(self):
+        """The law by left index: entry i lists (j, {k: c}) per nonzero [e_i, e_j]."""
+        rows = [[] for _ in self.combined_basis]
+        for (i, j), cell in self.law.items():
+            rows[i].append((j, cell))
+        return rows
+
     # ---- basic queries -------------------------------------------------
 
     @property
@@ -244,20 +253,31 @@ class SuperAlgebra:
         return alg
 
 
-def product(A, u, v):
-    """Coordinates of [u, v] for coordinate vectors u and v."""
-    law = A.law
-    out = [ZERO] * A.dim
-    vs = [(j, b) for j, b in enumerate(v) if b]
-    for i, a in enumerate(u):
-        if a:
-            for j, b in vs:
-                cell = law.get((i, j))
-                if cell:
+def _products(A, us, vs):
+    """Yield, for each u in us, {t: [u, vs[t]]} with each bracket a sparse
+    {k: c} dict; u and v are lists of nonzero (index, value) coordinates.
+    Only law cells (i, j) with u[i] and v[j] nonzero are visited, and a pair
+    that meets none is left out, its bracket being zero."""
+    by_col = {}
+    for t, v in enumerate(vs):
+        for j, b in v:
+            by_col.setdefault(j, []).append((t, b))
+    for u in us:
+        ws = {}
+        for i, a in u:
+            for j, cell in A.left_index[i]:
+                for t, b in by_col.get(j, ()):
+                    w = ws.setdefault(t, {})
                     f = a * b
                     for k, c in cell.items():
-                        out[k] += f * c
-    return tuple(out)
+                        w[k] = w.get(k, ZERO) + f * c
+        yield ws
+
+
+def product(A, u, v):
+    """Coordinates of [u, v] for coordinate vectors u and v."""
+    w = next(_products(A, sparse_rows([u]), sparse_rows([v]))).get(0, {})
+    return tuple(w.get(k, ZERO) for k in range(A.dim))
 
 
 def bracket(A, u, v):
@@ -386,15 +406,14 @@ def change_of_basis(A, mapping):
     except ValueError:
         raise ValueError("the change-of-basis map is singular") from None
 
+    rows = sparse_rows(cols)
     table = {}
-    for u, cu in zip(new_combined, cols):
-        for v, cv in zip(new_combined, cols):
-            w = product(A, cu, cv)
-            if not any(w):
-                continue
+    for u, ws in zip(new_combined, _products(A, rows, rows)):
+        for t in sorted(ws):
+            w = [ws[t].get(k, ZERO) for k in range(A.dim)]
             el = Element(zip(new_combined, Pinv.apply(w)))
             if not el.is_zero():
-                table[(u, v)] = el
+                table[(u, new_combined[t])] = el
     return SuperAlgebra(A.kind, new_even, new_odd, table, name=A.name)
 
 

@@ -14,7 +14,8 @@ two per parity.
 
 from fractions import Fraction
 
-from .linalg import ZERO, Matrix, nullspace, row_space_basis, span_contains
+from .linalg import (ZERO, Matrix, nullspace, pivot_coefficients, row_space_basis,
+                     sparse_rows)
 from .core import EVEN, ODD, LIE, multiplication_matrix, product
 
 
@@ -194,25 +195,14 @@ def innerness_report(A):
     tuple over the canonical inner basis, or None when it is outer.
     """
     report = {"expressions": {}}
-    all_inner = True
     for parity, tag in ((EVEN, "even"), (ODD, "odd")):
         der = derivation_space(A, parity)
         inner = inner_space(A, parity)
-        inner_flat = tuple(D.matrix.flatten() for D in inner.basis)
-        exprs = []
-        outer = 0
-        for D in der.basis:
-            ok, coeffs = span_contains(inner_flat, D.matrix.flatten())
-            if ok:
-                exprs.append(coeffs)
-            else:
-                exprs.append(None)
-                outer += 1
+        rows = sparse_rows(D.matrix.flatten() for D in inner.basis)
+        exprs = [pivot_coefficients(rows, D.matrix.flatten()) for D in der.basis]
         report["dim_der_%s" % tag] = der.dim
         report["dim_inner_%s" % tag] = inner.dim
-        report["outer_%s" % tag] = outer
+        report["outer_%s" % tag] = exprs.count(None)
         report["expressions"][tag] = exprs
-        if outer:
-            all_inner = False
-    report["all_inner"] = all_inner
+    report["all_inner"] = not (report["outer_even"] or report["outer_odd"])
     return report

@@ -5,9 +5,9 @@ super-nilindex, nilpotency and solvability flags, the right annihilator,
 the characteristic sequence, and the generator count.
 """
 
-from .linalg import (Matrix, NotNilpotent, nilpotent_jordan_blocks, nullspace,
-                     row_space_basis, span_contains)
-from .core import EVEN, LIE, multiplication_matrix, product
+from .linalg import (ZERO, Matrix, NotNilpotent, _frac, nilpotent_jordan_blocks,
+                     nullspace, pivot_coefficients, row_space_basis, sparse_rows)
+from .core import EVEN, LIE, _products, multiplication_matrix
 
 DESCENDING_CENTRAL = "descending_central"
 DERIVED = "derived"
@@ -17,7 +17,7 @@ SERIES_KINDS = (DESCENDING_CENTRAL, DERIVED, GRADED_EVEN, GRADED_ODD)
 
 
 class Subspace:
-    """Subspace of the algebra's underlying space, held as canonical RREF rows.
+    """Subspace held as canonical RREF rows, dense in `basis`, sparse in `rows`.
 
     Two subspaces of the same algebra are equal exactly when their basis
     tuples are equal.
@@ -26,14 +26,16 @@ class Subspace:
     def __init__(self, algebra, vectors):
         self.algebra = algebra
         self.basis = row_space_basis(vectors, algebra.dim)
+        self.rows = sparse_rows(self.basis)
 
     @property
     def dim(self):
         return len(self.basis)
 
     def contains(self, vec):
-        ok, _ = span_contains(self.basis, vec)
-        return ok
+        if len(vec) != self.algebra.dim:
+            raise ValueError("dimension mismatch")
+        return pivot_coefficients(self.rows, tuple(map(_frac, vec))) is not None
 
     def contains_element(self, el):
         return self.contains(self.algebra.coords(el))
@@ -79,12 +81,9 @@ def product_space(A, S, T):
     """Span of all brackets [s, t] with s, t running over the two bases."""
     if S.algebra is not A or T.algebra is not A:
         raise ValueError("subspace of a different algebra")
-    vectors = []
-    for s in S.basis:
-        for t in T.basis:
-            w = product(A, s, t)
-            if any(w):
-                vectors.append(w)
+    vectors = [tuple(w.get(k, ZERO) for k in range(A.dim))
+               for ws in _products(A, S.rows, T.rows) for w in ws.values()
+               if any(w.values())]
     return Subspace(A, vectors)
 
 
@@ -150,12 +149,13 @@ def classify(A):
 
 
 def right_annihilator(A):
-    """All x with [A, x] = 0, as one stacked nullspace computation."""
-    rows = []
-    for b in A.combined_basis:
-        rows.extend(multiplication_matrix(A, b, "left").entries)
-    kernel = nullspace(Matrix(rows, A.dim))
-    return Subspace(A, kernel)
+    """All x with [A, x] = 0, as one nullspace computation; equation (b, k),
+    coordinate k of [e_b, x], has c at column j for each [e_b, e_j] = c e_k."""
+    rows = {}
+    for (b, j), cell in A.law.items():
+        for k, c in cell.items():
+            rows.setdefault((b, k), [ZERO] * A.dim)[j] += c
+    return Subspace(A, nullspace(Matrix(list(rows.values()), A.dim)))
 
 
 class CharacteristicSequence:
@@ -208,8 +208,7 @@ def characteristic_sequence(A, candidates=None):
     even basis vectors outside [g0, g0] and their pairwise sums are used
     and the result is flagged as a lower bound.
     """
-    cls = classify(A)
-    if not cls["is_nilpotent"]:
+    if series(A, DESCENDING_CENTRAL)[-1].dim:
         raise NotNilpotent("characteristic sequence of a non-nilpotent algebra")
     g0 = even_part(A)
     derived_even = product_space(A, g0, g0)
@@ -254,8 +253,7 @@ def characteristic_sequence(A, candidates=None):
 
 def generator_count(A):
     """dim(A) - dim([A, A]) for a nilpotent algebra."""
-    cls = classify(A)
-    if not cls["is_nilpotent"]:
+    if series(A, DESCENDING_CENTRAL)[-1].dim:
         raise NotNilpotent("generator count of a non-nilpotent algebra")
     whole = whole_space(A)
     return A.dim - product_space(A, whole, whole).dim

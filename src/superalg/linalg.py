@@ -307,6 +307,25 @@ def span_contains(basis, v):
     return True, tuple(coeffs)
 
 
+def sparse_rows(rows):
+    """Each row as the list of its nonzero (column, value) pairs."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+
+
+def pivot_coefficients(rows, v):
+    """Coefficients of v over canonical RREF rows, as sparse_rows gives them,
+    or None outside their span.  A row is 1 at its pivot (its first entry)
+    and 0 at the other pivots, so the coefficients are v at the pivots, and
+    v is in the span exactly when v minus that combination is zero."""
+    coeffs = tuple(v[row[0][0]] or ZERO for row in rows)
+    rest = {j: x for j, x in enumerate(v) if x}
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, a in row:
+                rest[j] = rest.get(j, ZERO) - c * a
+    return None if any(rest.values()) else coeffs
+
+
 def invert(M):
     """Inverse matrix; raises ValueError when M is singular."""
     if not M.is_square():
@@ -332,12 +351,15 @@ def nilpotent_jordan_blocks(M):
     n = M.rows
     ranks = [n]
     image = M.transpose().entries
+    nonzeros = sparse_rows(M.entries)
     while ranks[-1]:
         image, _ = _reduce(image, n)
         if len(image) == ranks[-1]:
             raise NotNilpotent("matrix power %d has rank %d" % (n, len(image)))
         ranks.append(len(image))
-        image = [M.apply(v) for v in image]
+        # M v over the nonzero entries of M's rows; _reduce emits the shared ZERO
+        image = [[sum([a * v[j] for j, a in row if v[j] is not ZERO], ZERO)
+                  for row in nonzeros] for v in image]
     at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
     blocks = []
     top = len(at_least)
