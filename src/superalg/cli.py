@@ -13,7 +13,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import fixtures
 from .core import EVEN, ODD, Element, change_of_basis, equal_laws, validate
@@ -21,7 +20,7 @@ from .derivations import derivation_space, innerness_report
 from .extension import IdentityViolation, semidirect_extension
 from .families import (filiform_leibniz, member_dim, model_filiform_lie,
                        model_nilpotent_leibniz, model_nilpotent_lie)
-from .fileformat import (ParseError, ValidationError, dump_algebra,
+from .fileformat import (ParseError, ValidationError, _parse_coeff, dump_algebra,
                          load_algebra, load_basis_map, load_extension_spec)
 from .invariants import (DERIVED, DESCENDING_CENTRAL, GRADED_EVEN, GRADED_ODD,
                          characteristic_sequence, classify, right_annihilator,
@@ -105,7 +104,7 @@ def parse_element_expression(A, text):
             A.parity(label)
         except ValueError:
             raise CliError("unknown basis label %r in %r" % (label, text))
-        c = Fraction(coeff) if coeff else Fraction(1)
+        c = _parse_coeff(coeff or "1")
         if sign == "-":
             c = -c
         pairs.append((label, c))

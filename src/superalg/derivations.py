@@ -14,8 +14,8 @@ two per parity.
 
 from fractions import Fraction
 
-from .linalg import (ZERO, Matrix, nullspace, pivot_coefficients, row_space_basis,
-                     sparse_rows)
+from .linalg import (ZERO, Matrix, dense_rows, nullspace, pivot_coefficients,
+                     row_space_basis, sparse_rows)
 from .core import EVEN, ODD, LIE, multiplication_matrix, product
 
 
@@ -138,17 +138,11 @@ def derivation_space(A, parity):
                 add((x, b, k), (a, x), -s1 * c)
                 add((a, x, k), (b, x), -s2 * c)
 
-    # distinct nonzero equations in (i, j, k) order, densified with the
-    # shared ZERO, which the elimination kernel skips by identity (Matrix
-    # would turn an int 0 into a new Fraction)
-    dense = {}
-    for eq in sorted(eqs):
-        row = tuple(sorted((t, c) for t, c in eqs[eq].items() if c))
-        if row and row not in dense:
-            vec = dense[row] = [ZERO] * width
-            for t, c in row:
-                vec[t] = c
-    solutions = nullspace(Matrix(list(dense.values()), width))
+    # distinct nonzero equations in (i, j, k) order
+    rows = dict.fromkeys(tuple(sorted((t, c) for t, c in eqs[eq].items() if c))
+                         for eq in sorted(eqs))
+    rows.pop((), None)
+    solutions = nullspace(Matrix(dense_rows(rows, width), width))
     out = []
     for vec in solutions:
         entries = [[ZERO] * n for _ in range(n)]

@@ -10,7 +10,8 @@ actions and verifies nilradical candidates.
 
 from fractions import Fraction
 
-from .linalg import Matrix, NotNilpotent, nilpotent_jordan_blocks, rank, span_contains
+from .linalg import (Matrix, NotNilpotent, nilpotent_jordan_blocks, pivot_coefficients,
+                     rank)
 from .core import EVEN, LIE, Element, SuperAlgebra, multiplication_matrix, validate
 from .derivations import _check_parity_blocks
 from .invariants import product_space, whole_space
@@ -143,14 +144,8 @@ def _restricted_operator(A, direction, candidate):
     """
     side = "left" if A.kind == LIE else "right"
     M = multiplication_matrix(A, direction, side)
-    cols = []
-    for v in candidate.basis:
-        w = M.apply(v)
-        ok, coeffs = span_contains(candidate.basis, w)
-        if not ok:
-            return None
-        cols.append(coeffs)
-    return Matrix.from_columns(cols, candidate.dim)
+    cols = [pivot_coefficients(candidate.rows, M.apply(v)) for v in candidate.basis]
+    return None if None in cols else Matrix.from_columns(cols, candidate.dim)
 
 
 def nilradical_verdict(A, candidate):
@@ -178,16 +173,8 @@ def nilradical_verdict(A, candidate):
             break
         chain.append(nxt)
 
-    pivot_cols = set()
-    for row in candidate.basis:
-        for j, v in enumerate(row):
-            if v:
-                pivot_cols.add(j)
-                break
-    directions = []
-    for j, label in enumerate(A.combined_basis):
-        if j not in pivot_cols:
-            directions.append(label)
+    pivot_cols = {row[0][0] for row in candidate.rows}
+    directions = [l for j, l in enumerate(A.combined_basis) if j not in pivot_cols]
     per_direction = {}
     diagonals = []
     for label in directions:

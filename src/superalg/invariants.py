@@ -5,8 +5,9 @@ super-nilindex, nilpotency and solvability flags, the right annihilator,
 the characteristic sequence, and the generator count.
 """
 
-from .linalg import (ZERO, Matrix, NotNilpotent, _frac, nilpotent_jordan_blocks,
-                     nullspace, pivot_coefficients, row_space_basis, sparse_rows)
+from .linalg import (ZERO, Matrix, NotNilpotent, _frac, _reduce, dense_rows,
+                     nilpotent_jordan_blocks, nullspace, pivot_coefficients,
+                     sparse_rows)
 from .core import EVEN, LIE, _products, multiplication_matrix
 
 DESCENDING_CENTRAL = "descending_central"
@@ -24,9 +25,16 @@ class Subspace:
     """
 
     def __init__(self, algebra, vectors):
+        vectors = [tuple(map(_frac, v)) for v in vectors]
+        if any(len(v) != algebra.dim for v in vectors):
+            raise ValueError("vector length mismatch")
+        self._span(algebra, sparse_rows(vectors))
+
+    def _span(self, algebra, rows):
+        """Hold the span of sparse rows, each in column order."""
         self.algebra = algebra
-        self.basis = row_space_basis(vectors, algebra.dim)
-        self.rows = sparse_rows(self.basis)
+        self.rows = _reduce(rows)[0]
+        self.basis = dense_rows(self.rows, algebra.dim)
 
     @property
     def dim(self):
@@ -43,7 +51,7 @@ class Subspace:
     def __le__(self, other):
         if self.algebra is not other.algebra:
             raise ValueError("subspaces of different algebras")
-        return row_space_basis(other.basis + self.basis, self.algebra.dim) == other.basis
+        return all(pivot_coefficients(other.rows, v) is not None for v in self.basis)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.algebra is other.algebra
@@ -81,10 +89,10 @@ def product_space(A, S, T):
     """Span of all brackets [s, t] with s, t running over the two bases."""
     if S.algebra is not A or T.algebra is not A:
         raise ValueError("subspace of a different algebra")
-    vectors = [tuple(w.get(k, ZERO) for k in range(A.dim))
-               for ws in _products(A, S.rows, T.rows) for w in ws.values()
-               if any(w.values())]
-    return Subspace(A, vectors)
+    span = Subspace.__new__(Subspace)
+    span._span(A, [sorted(w.items())
+                   for ws in _products(A, S.rows, T.rows) for w in ws.values()])
+    return span
 
 
 def series(A, which):

@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Vectors are tuples of Fraction and matrices are immutable tuples of such
-rows; both are stored dense.  Every elimination goes through one sparse,
-fraction-free kernel, _reduce, which works on integer rows held as dicts
-and converts back to Fraction only when it emits its canonical result.
-All results are exact, and anything that returns a basis returns it in a
-canonical form so that two equal subspaces compare equal entrywise.
+rows; the public functions take and return them dense.  Every elimination
+goes through one fraction-free kernel, _reduce, which reads and writes
+sparse rows: lists of nonzero (column, value) pairs in column order.
+sparse_rows and dense_rows convert at the public boundary.  All results
+are exact, and anything that returns a basis returns it in a canonical
+form so that two equal subspaces compare equal entrywise.
 """
 
 from fractions import Fraction
@@ -147,28 +148,29 @@ class Matrix:
             [[str(v) for v in row] for row in self.entries],)
 
 
-def _reduce(rows, cols):
-    """Canonical reduced row echelon form of a sequence of rows.
+def _reduce(rows):
+    """Canonical reduced row echelon form of sparse rows.
 
-    Returns (reduced nonzero rows as dense tuples of Fraction, with the
-    shared ZERO for every zero entry; ascending list of pivot columns).
-    Pivots are the leading columns of the row space, which fixes the
-    canonical form used everywhere below.
+    Each row lists (column, value) pairs in column order; zero values are
+    skipped.  Returns (the nonzero reduced rows in the same form, each
+    starting with (its pivot, 1); ascending list of pivot columns).  Pivots
+    are the leading columns of the row space, which fixes the canonical
+    form used everywhere below.
 
-    The elimination is sparse and fraction-free.  Each nonzero row becomes
-    a dict {column: int}, scaled once by the lcm of its denominators and
-    divided by its content (the gcd of its entries); a row equal to an
-    earlier one up to a scalar is dropped.  The rest are reduced against
-    the pivot rows found so far, smallest pivot column first, by integer
-    row operations a*row - b*pivot_row; the result is divided by its
-    content and, unless it is zero, kept as the pivot row of its smallest
-    column.  Back-substitution clears the other pivot columns the same way,
-    and only the emitted rows are divided by their leading entries.
+    The elimination is fraction-free.  Each nonzero row becomes a dict
+    {column: int}, scaled once by the lcm of its denominators and divided
+    by its content (the gcd of its entries); a row equal to an earlier one
+    up to a scalar is dropped.  The rest are reduced against the pivot rows
+    found so far, smallest pivot column first, by integer row operations
+    a*row - b*pivot_row; the result is divided by its content and, unless
+    it is zero, kept as the pivot row of its smallest column.
+    Back-substitution clears the other pivot columns the same way, and only
+    the emitted rows are divided by their leading entries.
     """
     pivot_rows = {}
     seen = set()
     for row in rows:
-        nz = [(j, v) for j, v in enumerate(row) if v is not ZERO and v]
+        nz = [(j, v) for j, v in row if v]
         if not nz:
             continue
         scale = lcm(*[v.denominator for _, v in nz])
@@ -204,10 +206,7 @@ def _reduce(rows, cols):
             _eliminate(r, pivot_rows[j], j, r[j])
         _divide_content(r)
         lead = r[c]
-        out = [ZERO] * cols
-        for j, v in r.items():
-            out[j] = Fraction(v, lead)
-        reduced.append(tuple(out))
+        reduced.append([(j, Fraction(v, lead)) for j, v in sorted(r.items())])
     reduced.reverse()
     return reduced, pivots
 
@@ -236,19 +235,35 @@ def _divide_content(r):
             r[j] //= g
 
 
+def sparse_rows(rows):
+    """Each dense row as the list of its nonzero (column, value) pairs."""
+    return [[(j, v) for j, v in enumerate(row) if v is not ZERO and v] for row in rows]
+
+
+def dense_rows(rows, cols):
+    """Sparse rows as dense tuples; every zero entry is the shared ZERO,
+    which sparse_rows skips by identity."""
+    out = []
+    for row in rows:
+        vec = [ZERO] * cols
+        for j, v in row:
+            vec[j] = v
+        out.append(tuple(vec))
+    return tuple(out)
+
+
 def rref(M):
     """Reduced row echelon form with the zero rows dropped.
 
     Returns (Matrix of nonzero reduced rows, tuple of pivot columns).
     """
-    reduced, pivots = _reduce(M.entries, M.cols)
-    return Matrix(reduced, M.cols), tuple(pivots)
+    reduced, pivots = _reduce(sparse_rows(M.entries))
+    return Matrix(dense_rows(reduced, M.cols), M.cols), tuple(pivots)
 
 
 def rank(M):
     """Rank over the rationals."""
-    _, pivots = _reduce(M.entries, M.cols)
-    return len(pivots)
+    return len(_reduce(sparse_rows(M.entries))[1])
 
 
 def nullspace(M):
@@ -257,28 +272,23 @@ def nullspace(M):
     Each basis vector sets exactly one free variable to 1 and the other
     free variables to 0; vectors are ordered by free column index.
     """
-    reduced, pivots = _reduce(M.entries, M.cols)
+    reduced, pivots = _reduce(sparse_rows(M.entries))
     pivotset = set(pivots)
-    basis = []
-    for f in range(M.cols):
-        if f in pivotset:
-            continue
-        v = [ZERO] * M.cols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f] or ZERO
-        basis.append(tuple(v))
-    return basis
+    kernel = {f: [(f, ONE)] for f in range(M.cols) if f not in pivotset}
+    # past its pivot, a reduced row has entries only in free columns
+    for row in reduced:
+        p = row[0][0]
+        for f, a in row[1:]:
+            kernel[f].append((p, -a))
+    return list(dense_rows(kernel.values(), M.cols))
 
 
 def row_space_basis(vectors, cols):
     """Canonical (RREF) basis of the span of the given row vectors."""
-    vectors = [tuple(_frac(v) for v in row) for row in vectors]
-    for row in vectors:
-        if len(row) != cols:
-            raise ValueError("vector length mismatch")
-    reduced, _ = _reduce(vectors, cols)
-    return tuple(reduced)
+    vectors = [tuple(map(_frac, row)) for row in vectors]
+    if any(len(row) != cols for row in vectors):
+        raise ValueError("vector length mismatch")
+    return dense_rows(_reduce(sparse_rows(vectors))[0], cols)
 
 
 def span_contains(basis, v):
@@ -288,32 +298,26 @@ def span_contains(basis, v):
     is the canonical solution with all free coefficients set to 0; for a
     linearly independent basis it is the unique one.
     """
-    v = tuple(_frac(x) for x in v)
-    n = len(v)
-    cols = []
-    for b in basis:
-        b = tuple(_frac(x) for x in b)
-        if len(b) != n:
-            raise ValueError("dimension mismatch")
-        cols.append(b)
+    v = tuple(map(_frac, v))
+    cols = [tuple(map(_frac, b)) for b in basis]
+    if any(len(b) != len(v) for b in cols):
+        raise ValueError("dimension mismatch")
     k = len(cols)
-    rows = [[cols[j][i] for j in range(k)] + [v[i]] for i in range(n)]
-    reduced, pivots = _reduce(rows, k + 1)
+    # the system has the basis vectors and v as its columns
+    rows = [[] for _ in v]
+    for j, col in enumerate(sparse_rows(cols + [v])):
+        for i, a in col:
+            rows[i].append((j, a))
+    reduced, pivots = _reduce(rows)
     if k in pivots:
         return False, None
-    coeffs = [ZERO] * k
-    for r, p in enumerate(pivots):
-        coeffs[p] = reduced[r][k]
-    return True, tuple(coeffs)
-
-
-def sparse_rows(rows):
-    """Each row as the list of its nonzero (column, value) pairs."""
-    return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+    # the coefficient at each pivot is the row's entry in the last column
+    coeffs = [(row[0][0], row[-1][1]) for row in reduced if row[-1][0] == k]
+    return True, dense_rows([coeffs], k)[0]
 
 
 def pivot_coefficients(rows, v):
-    """Coefficients of v over canonical RREF rows, as sparse_rows gives them,
+    """Coefficients of v over canonical RREF rows, as _reduce gives them,
     or None outside their span.  A row is 1 at its pivot (its first entry)
     and 0 at the other pivots, so the coefficients are v at the pivots, and
     v is in the span exactly when v minus that combination is zero."""
@@ -331,12 +335,12 @@ def invert(M):
     if not M.is_square():
         raise ValueError("inverse of a non-square matrix")
     n = M.rows
-    rows = [list(M.entries[i]) + [ONE if i == j else ZERO for j in range(n)]
-            for i in range(n)]
-    reduced, pivots = _reduce(rows, 2 * n)
-    if list(pivots) != list(range(n)):
+    rows = [row + [(n + i, ONE)] for i, row in enumerate(sparse_rows(M.entries))]
+    reduced, pivots = _reduce(rows)
+    if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix([row[n:] for row in reduced], n)
+    inverse = [[(j - n, v) for j, v in row[1:]] for row in reduced]
+    return Matrix(dense_rows(inverse, n), n)
 
 
 def nilpotent_jordan_blocks(M):
@@ -350,16 +354,21 @@ def nilpotent_jordan_blocks(M):
         raise ValueError("Jordan profile of a non-square matrix")
     n = M.rows
     ranks = [n]
-    image = M.transpose().entries
-    nonzeros = sparse_rows(M.entries)
+    image = columns = sparse_rows(M.transpose().entries)
     while ranks[-1]:
-        image, _ = _reduce(image, n)
+        image, _ = _reduce(image)
         if len(image) == ranks[-1]:
             raise NotNilpotent("matrix power %d has rank %d" % (n, len(image)))
         ranks.append(len(image))
-        # M v over the nonzero entries of M's rows; _reduce emits the shared ZERO
-        image = [[sum([a * v[j] for j, a in row if v[j] is not ZERO], ZERO)
-                  for row in nonzeros] for v in image]
+        # M v as the sum of v_j times column j of M
+        products = []
+        for v in image:
+            w = {}
+            for j, a in v:
+                for i, b in columns[j]:
+                    w[i] = w.get(i, ZERO) + a * b
+            products.append(sorted(w.items()))
+        image = products
     at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
     blocks = []
     top = len(at_least)

@@ -24,6 +24,9 @@ def test_subspace_basics():
     assert span_of_elements(A, [Element({"x3": 1, "y2": 1})]).dim == 1
     # canonical basis makes equality structural
     assert span_of_labels(A, ["y2", "x3"]) == S
+    for wrong in ([(1, 0, 0, 0)], [(1, 0, 0, 0, 0, 0)]):
+        with pytest.raises(ValueError):
+            Subspace(A, wrong)
 
 
 def test_product_space_and_ambient_check():

@@ -235,6 +235,15 @@ def test_charseq_text_and_candidates(tmp_path, capsys):
     assert main(["charseq", path, "--candidate", "x1 +"]) == 2
 
 
+def test_charseq_refuses_a_zero_denominator(tmp_path, capsys):
+    path = _gen(tmp_path, "l.json", ["--family", "L", "--even", "4", "--odd", "3"])
+    capsys.readouterr()
+    assert main(["charseq", path, "--candidate", "1/0 x1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "'1/0'" in captured.err and "Traceback" not in captured.err
+
+
 def test_ann_dim(tmp_path, capsys):
     path = _gen(tmp_path, "lp.json", ["--family", "LP", "--even", "3", "--odd", "2"])
     assert main(["ann", path]) == 0

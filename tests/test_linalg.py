@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from superalg.linalg import (Matrix, NotNilpotent, invert,
+from superalg.linalg import (ZERO, Matrix, NotNilpotent, invert,
                              nilpotent_jordan_blocks, nullspace, rank,
                              row_space_basis, rref, span_contains)
 
@@ -90,6 +90,9 @@ def test_row_space_basis_is_canonical():
     b1 = row_space_basis([(2, 2), (1, 0)], 2)
     b2 = row_space_basis([(1, 1), (0, 3), (1, 4)], 2)
     assert b1 == b2 == ((F(1), F(0)), (F(0), F(1)))
+    for wrong in ([(1, 2, 3)], [(1, 0), (1,)]):
+        with pytest.raises(ValueError):
+            row_space_basis(wrong, 2)
 
 
 def test_span_contains():
@@ -277,6 +280,11 @@ def _all_fractions(values):
     return all(type(v) is Fraction for v in values)
 
 
+def _zeros_shared(values):
+    """Every zero entry is the shared ZERO, which sparse_rows skips by identity."""
+    return all(v is ZERO for v in values if not v)
+
+
 def test_kernel_matches_oracle_on_rref_rank_nullspace():
     seen = set()
     for kind, entries, cols in _cases():
@@ -286,11 +294,13 @@ def test_kernel_matches_oracle_on_rref_rank_nullspace():
         nR, npivots = naive_rref(entries)
         assert (kind, list(pivots)) == (kind, list(npivots))
         assert R.cols == cols and [tuple(r) for r in R.entries] == nR
-        assert _all_fractions(R.flatten())
+        assert _all_fractions(R.flatten()) and _zeros_shared(R.flatten())
+        basis = row_space_basis(entries, cols)
+        assert list(basis) == nR and all(_zeros_shared(v) for v in basis)
         assert rank(M) == naive_rank(entries) == len(pivots)
         ker = nullspace(M)
         assert ker == naive_nullspace(entries, cols)
-        assert all(len(v) == cols and _all_fractions(v) for v in ker)
+        assert all(len(v) == cols and _all_fractions(v) and _zeros_shared(v) for v in ker)
     assert seen == {"tall sparse", "_mixed_denominators", "_huge", "_with_zero_rows",
                     "empty shape"}
 
@@ -315,6 +325,7 @@ def test_kernel_matches_oracle_on_span_contains():
                 misses += 1
             else:
                 assert ok and coeffs == expected and _all_fractions(coeffs)
+                assert _zeros_shared(coeffs)
                 hits += 1
     assert hits and misses
 
@@ -336,5 +347,5 @@ def test_kernel_matches_oracle_on_invert():
         else:
             inv = invert(Matrix(square, n))
             assert [tuple(r) for r in inv.entries] == expected
-            assert _all_fractions(inv.flatten())
+            assert _all_fractions(inv.flatten()) and _zeros_shared(inv.flatten())
     assert outcomes == {True, False}
