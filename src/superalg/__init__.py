@@ -18,7 +18,7 @@ from .invariants import (CharacteristicSequence, DERIVED, DESCENDING_CENTRAL,
                          right_annihilator, series, series_dims,
                          span_of_elements, span_of_labels, whole_space,
                          zero_space)
-from .families import (filiform_leibniz, model_filiform_lie,
+from .families import (filiform_leibniz, member, member_dim, model_filiform_lie,
                        model_nilpotent_leibniz, model_nilpotent_lie,
                        z_basis_filiform_lie, z_basis_nilpotent_lie)
 from .extension import (ExtensionSpec, IdentityViolation, NonDiagonalAction,

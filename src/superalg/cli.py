@@ -18,8 +18,7 @@ from . import fixtures
 from .core import EVEN, ODD, Element, change_of_basis, equal_laws, validate
 from .derivations import derivation_space, innerness_report
 from .extension import IdentityViolation, semidirect_extension
-from .families import (filiform_leibniz, member_dim, model_filiform_lie,
-                       model_nilpotent_leibniz, model_nilpotent_lie)
+from .families import FAMILIES, member, member_dim
 from .fileformat import (ParseError, ValidationError, _parse_coeff, dump_algebra,
                          load_algebra, load_basis_map, load_extension_spec)
 from .invariants import (DERIVED, DESCENDING_CENTRAL, GRADED_EVEN, GRADED_ODD,
@@ -115,31 +114,12 @@ def parse_element_expression(A, text):
     return Element(pairs)
 
 
-FAMILIES = ("L", "SL", "N", "SN", "LP", "SLP", "NP", "SNP")
-
-
-def _build_family(family, even, odd):
-    """Build a family member, refusing it over the cap before any work."""
-    try:
-        _check_cap(member_dim(family, even, odd))
-        if family in ("L", "SL"):
-            return model_filiform_lie(even[0], odd[0], solvable=family == "SL")
-        if family in ("LP", "SLP"):
-            return filiform_leibniz(even[0], odd[0], solvable=family == "SLP")
-        if family in ("N", "SN"):
-            return model_nilpotent_lie(tuple(even), tuple(odd),
-                                       solvable=family == "SN")
-        return model_nilpotent_leibniz(tuple(even), tuple(odd),
-                                       solvable=family == "SNP")
-    except ValueError as exc:
-        raise CliError(str(exc))
-
-
 def cmd_gen(args):
     if not args.even or not args.odd:
         raise CliError("gen needs at least one --even and one --odd value")
-    dump_algebra(_build_family(args.family, args.even, args.odd),
-                 args.output or sys.stdout)
+    # refuse an over-cap member before any work
+    _check_cap(member_dim(args.family, args.even, args.odd))
+    dump_algebra(member(args.family, args.even, args.odd), args.output or sys.stdout)
     return 0
 
 
@@ -316,7 +296,8 @@ def cmd_extend(args):
         return 1
     if args.output:
         dump_algebra(extended, args.output)
-        print("extension ok: dim %d, written to %s" % (extended.dim, args.output))
+        _emit(args, {"ok": True, "dim": extended.dim, "output": args.output},
+              ["extension ok: dim %d, written to %s" % (extended.dim, args.output)])
     else:
         dump_algebra(extended, sys.stdout)
     return 0

@@ -15,7 +15,7 @@ from .linalg import (Matrix, NotNilpotent, nilpotent_jordan_blocks, pivot_coeffi
 from .core import EVEN, LIE, Element, SuperAlgebra, multiplication_matrix, validate
 from .derivations import _check_parity_blocks
 from .invariants import product_space, whole_space
-from .families import (_check_blocks, _check_filiform, _filiform, _partial_sums,
+from .families import (_chains, _filiform, _member_blocks, _places, _torus_labels,
                        model_nilpotent_leibniz, model_nilpotent_lie)
 
 
@@ -209,12 +209,9 @@ def nilradical_verdict(A, candidate):
     }
 
 
-def _diag(labels, values, combined):
-    idx = {l: i for i, l in enumerate(combined)}
-    diag = [Fraction(0)] * len(combined)
-    for l, v in zip(labels, values):
-        diag[idx[l]] = Fraction(v)
-    return Matrix.diagonal(diag)
+def _diag(weights, combined):
+    """The diagonal matrix on `combined` with the given label weights."""
+    return Matrix.diagonal([weights.get(l, 0) for l in combined])
 
 
 def _filiform_spec(spec, n, m, family):
@@ -225,32 +222,24 @@ def _filiform_spec(spec, n, m, family):
 
 def filiform_lie_torus_spec(n, m):
     """The diagonal torus acting on L^{n,m} whose extension is SL^{n,m}."""
-    _check_filiform(n, m)
-    return _filiform_spec(model_nilpotent_lie_torus_spec((n - 1,), (m,)), n, m, "L")
+    spec = model_nilpotent_lie_torus_spec(*_member_blocks("L", (n,), (m,)))
+    return _filiform_spec(spec, n, m, "L")
 
 
 def model_nilpotent_lie_torus_spec(even_blocks, odd_blocks):
-    """The diagonal torus on N(...) whose extension is SN(...)."""
-    even_blocks, odd_blocks = _check_blocks(even_blocks, odd_blocks)
-    k, p = len(even_blocks), len(odd_blocks)
-    N = _partial_sums(even_blocks)
-    M = _partial_sums(odd_blocks)
+    """The diagonal torus on N(...) whose extension is SN(...).
+
+    t1 weighs each label by its number; every other torus label is the
+    identity on its chain.
+    """
+    even_chains, odd_chains = _chains(even_blocks, odd_blocks)
     nil = model_nilpotent_lie(even_blocks, odd_blocks)
     basis = nil.combined_basis
-    xs = ["x%d" % i for i in range(1, N[k] + 2)]
-    ys = ["y%d" % j for j in range(1, M[p] + 1)]
-    actions = {"t1": _diag(xs + ys,
-                           list(range(1, N[k] + 2)) + list(range(1, M[p] + 1)), basis)}
-    labels = ["t1"]
-    for j in range(k):
-        block = ["x%d" % (N[j] + i) for i in range(2, even_blocks[j] + 2)]
-        labels.append("t%d" % (j + 2))
-        actions["t%d" % (j + 2)] = _diag(block, [1] * len(block), basis)
-    for j in range(p):
-        block = ["y%d" % (M[j] + i) for i in range(1, odd_blocks[j] + 1)]
-        labels.append("tp%d" % (j + 1))
-        actions["tp%d" % (j + 1)] = _diag(block, [1] * len(block), basis)
-    return ExtensionSpec(nil, labels, actions)
+    torus = _torus_labels("t", even_chains, odd_chains)
+    actions = {"t1": _diag({l: int(l[1:]) for l in basis}, basis)}
+    for t, c in zip(torus[1:], even_chains + odd_chains):
+        actions[t] = _diag(dict.fromkeys(c, 1), basis)
+    return ExtensionSpec(nil, torus, actions)
 
 
 def filiform_leibniz_torus_spec(n, m, b):
@@ -261,9 +250,9 @@ def filiform_leibniz_torus_spec(n, m, b):
     (b3 - 1) on the odd part, which is the block spec at 1 - b.  The
     extension validates only at (0, 1, 1), which reproduces SLP^{n,m}.
     """
-    _check_filiform(n, m)
+    blocks = _member_blocks("LP", (n,), (m,))
     c1, c2, c3 = (1 - Fraction(v) for v in b)
-    spec = model_nilpotent_leibniz_torus_spec((n - 1,), (m,), (c1, c2), (c3,))
+    spec = model_nilpotent_leibniz_torus_spec(*blocks, (c1, c2), (c3,))
     return _filiform_spec(spec, n, m, "LP")
 
 
@@ -271,43 +260,25 @@ def model_nilpotent_leibniz_torus_spec(even_blocks, odd_blocks, b, bp):
     """Candidate torus actions on NP(...) with sign parameters b, bp.
 
     b has one entry per torus label t1..t_{k+1}, bp one per tp1..tp_p.  The
-    right actions are the solvable family's; the left actions are -b1 on
+    right actions are the solvable family's: t1 weighs x1 by 1 and each
+    chain label by its place in the chain, counted from 0, and every other
+    torus label is the identity on its chain.  The left actions are -b1 on
     x1 for t1, -b_{j+2} on even block j+1 for t_{j+2}, and -bp_j on odd
     block j for tp_j.  The extension validates exactly at b1 = 1 with all
     other parameters 0 (when every block is long enough to force its
     parameter), which reproduces SNP(...).
     """
-    even_blocks, odd_blocks = _check_blocks(even_blocks, odd_blocks)
-    k, p = len(even_blocks), len(odd_blocks)
-    if len(b) != k + 1 or len(bp) != p:
-        raise ValueError("need %d even and %d odd parameters" % (k + 1, p))
-    N = _partial_sums(even_blocks)
-    M = _partial_sums(odd_blocks)
+    even_chains, odd_chains = _chains(even_blocks, odd_blocks)
+    chains = even_chains + odd_chains
+    if len(b) != len(even_chains) + 1 or len(bp) != len(odd_chains):
+        raise ValueError("need %d even and %d odd parameters"
+                         % (len(even_chains) + 1, len(odd_chains)))
     nil = model_nilpotent_leibniz(even_blocks, odd_blocks)
     basis = nil.combined_basis
-
-    labels = ["t%d" % i for i in range(1, k + 2)] + ["tp%d" % i for i in range(1, p + 1)]
-    actions = {}
-
-    right1_labels, right1_vals = ["x1"], [Fraction(1)]
-    for j in range(k):
-        for i in range(3, even_blocks[j] + 2):
-            right1_labels.append("x%d" % (N[j] + i))
-            right1_vals.append(Fraction(i - 2))
-    for j in range(p):
-        for i in range(2, odd_blocks[j] + 1):
-            right1_labels.append("y%d" % (M[j] + i))
-            right1_vals.append(Fraction(i - 1))
-    actions["t1"] = (_diag(["x1"], [-Fraction(b[0])], basis),
-                     _diag(right1_labels, right1_vals, basis))
-    for j in range(k):
-        block = ["x%d" % (N[j] + i) for i in range(2, even_blocks[j] + 2)]
-        actions["t%d" % (j + 2)] = (
-            _diag(block, [-Fraction(b[j + 1])] * len(block), basis),
-            _diag(block, [1] * len(block), basis))
-    for j in range(p):
-        block = ["y%d" % (M[j] + i) for i in range(1, odd_blocks[j] + 1)]
-        actions["tp%d" % (j + 1)] = (
-            _diag(block, [-Fraction(bp[j])] * len(block), basis),
-            _diag(block, [1] * len(block), basis))
-    return ExtensionSpec(nil, labels, actions)
+    torus = _torus_labels("t", even_chains, odd_chains)
+    actions = {"t1": (_diag({"x1": -Fraction(b[0])}, basis),
+                      _diag(dict([("x1", 1)] + _places(chains)), basis))}
+    for t, c, v in zip(torus[1:], chains, list(b[1:]) + list(bp)):
+        actions[t] = (_diag(dict.fromkeys(c, -Fraction(v)), basis),
+                      _diag(dict.fromkeys(c, 1), basis))
+    return ExtensionSpec(nil, torus, actions)

@@ -1,31 +1,100 @@
 """Constructors for the model nilpotent and solvable families.
 
-Filiform families take a pair (n, m) with n >= 3, m >= 2.  Model nilpotent
-families take even blocks (n_1..n_k) and odd blocks (m_1..m_p); the even
-part always carries one extra generator x1 on top of the blocks, so the
-display name shows a trailing 1 in the even block list, e.g.
-N(2,1|2) = model_nilpotent_lie((2,), (2,)).
+Model nilpotent families take even blocks (n_1..n_k) and odd blocks
+(m_1..m_p).  Each block is a chain of labels, and _chains lays them out
+once for every builder: even block j is x_{N_j+2} .. x_{N_{j+1}+1} and odd
+block j is y_{M_j+1} .. y_{M_{j+1}}, where N_j and M_j add up the blocks
+before j.  The generator x1 lies on no chain, so the display name shows a
+trailing 1 in the even block list, e.g. N(2,1|2) =
+model_nilpotent_lie((2,), (2,)).
 
-Solvable variants append a torus, t1..t_{k+1} and tp1..tp_p.  The filiform
-families are the one-block members, L^{n,m} = N(n-1,1|m) and LP^{n,m} =
-NP(n-1,1|m), with tp1 and zp1 called t3 and z3.  The alternate z-basis
-presentations come with the canonical label map sending t's to
-combinations of z's, for replay through change_of_basis.
+Solvable variants append a torus, t1..t_{k+1} and tp1..tp_p: t1 weighs the
+whole nilradical, and each other torus label is the identity on one chain.
+Filiform families take a pair (n, m) with n >= 3, m >= 2 and are the
+one-block members, L^{n,m} = N(n-1,1|m) and LP^{n,m} = NP(n-1,1|m), with
+tp1 and zp1 called t3 and z3.  member(family, even, odd) builds any of the
+eight families by name; member_dim gives its dimension without building it.
+The alternate z-basis presentations come with the canonical label map
+sending t's to combinations of z's, for replay through change_of_basis.
 """
 
 from .core import LIE, LEIBNIZ, Element, SuperAlgebra
 
+FAMILIES = ("L", "SL", "N", "SN", "LP", "SLP", "NP", "SNP")
 
-def _blocks_name(even_blocks, odd_blocks):
-    return "%s,1|%s" % (",".join(map(str, even_blocks)),
-                        ",".join(map(str, odd_blocks)))
+_FILIFORM_FAMILIES = ("L", "SL", "LP", "SLP")
 
 
-def _check_filiform(n, m):
+def _check_blocks(even_blocks, odd_blocks):
+    even_blocks = tuple(int(v) for v in even_blocks)
+    odd_blocks = tuple(int(v) for v in odd_blocks)
+    if not even_blocks or not odd_blocks:
+        raise ValueError("need at least one even and one odd block")
+    if any(v < 1 for v in even_blocks + odd_blocks):
+        raise ValueError("block sizes must be positive")
+    return even_blocks, odd_blocks
+
+
+def _member_blocks(family, even, odd):
+    """The checked block sizes of the member of `family` with these sizes.
+
+    A filiform family takes one even and one odd size, n and m; its member
+    is the one with blocks ((n-1,), (m,)).
+    """
+    if family not in FAMILIES:
+        raise ValueError("unknown family %r" % (family,))
+    if family not in _FILIFORM_FAMILIES:
+        return _check_blocks(even, odd)
+    if len(even) != 1 or len(odd) != 1:
+        raise ValueError("family %s takes one even and one odd size" % family)
+    (n,), (m,) = even, odd
     if n < 3:
         raise ValueError("the even chain needs n >= 3, got %d" % n)
     if m < 2:
         raise ValueError("the odd chain needs m >= 2, got %d" % m)
+    return (n - 1,), (m,)
+
+
+def _chains(even_blocks, odd_blocks):
+    """The even and odd chains of N(n_1..n_k,1|m_1..m_p), as label lists."""
+    even_blocks, odd_blocks = _check_blocks(even_blocks, odd_blocks)
+
+    def cut(prefix, first, blocks):
+        chains = []
+        for size in blocks:
+            chains.append(["%s%d" % (prefix, i) for i in range(first, first + size)])
+            first += size
+        return chains
+
+    return cut("x", 2, even_blocks), cut("y", 1, odd_blocks)
+
+
+def _torus_labels(prefix, even_chains, odd_chains):
+    """prefix1, then one label per chain: prefix2.. for the even chains and
+    prefix + "p1".. for the odd ones, so labels[1:] pairs with the chains."""
+    return (["%s%d" % (prefix, i) for i in range(1, len(even_chains) + 2)]
+            + ["%sp%d" % (prefix, i) for i in range(1, len(odd_chains) + 1)])
+
+
+def _places(chains):
+    """(a, place of a in its chain) for the chain labels past the first."""
+    return [(a, i) for c in chains for i, a in enumerate(c) if i]
+
+
+def _chain_law(kind, even_chains, odd_chains):
+    """The bases, the nilpotent table and the block list of the name.
+
+    Along each chain a -> b, [x1, a] = b for the Lie kind and [a, x1] = b
+    for the Leibniz kind.
+    """
+    xs = ["x1"] + [a for c in even_chains for a in c]
+    ys = [a for c in odd_chains for a in c]
+    table = {}
+    for c in even_chains + odd_chains:
+        for a, b in zip(c, c[1:]):
+            table[("x1", a) if kind == LIE else (a, "x1")] = Element.basis(b)
+    sizes = [",".join(str(len(c)) for c in chains) for chains in (even_chains, odd_chains)]
+    return xs, ys, table, "%s,1|%s" % tuple(sizes)
 
 
 _FILIFORM_LABELS = {"tp1": "t3", "zp1": "z3"}
@@ -54,135 +123,69 @@ def _filiform(obj, name=None):
     return obj
 
 
-def _check_blocks(even_blocks, odd_blocks):
-    even_blocks = tuple(int(v) for v in even_blocks)
-    odd_blocks = tuple(int(v) for v in odd_blocks)
-    if not even_blocks or not odd_blocks:
-        raise ValueError("need at least one even and one odd block")
-    if any(v < 1 for v in even_blocks + odd_blocks):
-        raise ValueError("block sizes must be positive")
-    return even_blocks, odd_blocks
-
-
-def _partial_sums(blocks):
-    sums = [0]
-    for b in blocks:
-        sums.append(sums[-1] + b)
-    return sums
-
-
 def member_dim(family, even, odd):
-    """Dimension of the member of family L, SL, N, SN, LP, SLP, NP or SNP
-    with these sizes, without building it; sizes its constructor refuses
-    raise the same ValueError."""
-    solvable = family.startswith("S")
-    if family in ("L", "SL", "LP", "SLP"):
-        if len(even) != 1 or len(odd) != 1:
-            raise ValueError("family %s takes one even and one odd size" % family)
-        _check_filiform(even[0], odd[0])
-        return even[0] + odd[0] + (3 if solvable else 0)
-    even, odd = _check_blocks(even, odd)
-    return sum(even) + 1 + sum(odd) + (len(even) + 1 + len(odd) if solvable else 0)
+    """Dimension of member(family, even, odd), without building it; sizes
+    member refuses raise the same ValueError."""
+    even, odd = _member_blocks(family, even, odd)
+    torus = len(even) + 1 + len(odd) if family.startswith("S") else 0
+    return sum(even) + 1 + sum(odd) + torus
+
+
+def member(family, even, odd):
+    """The member of family L, SL, N, SN, LP, SLP, NP or SNP with these sizes.
+
+    even and odd are (n,) and (m,) for the filiform families, whose members
+    are the one-block members in the filiform labels, and the block sizes
+    for the others.
+    """
+    blocks = _member_blocks(family, even, odd)
+    build = model_nilpotent_leibniz if family.endswith("P") else model_nilpotent_lie
+    A = build(*blocks, solvable=family.startswith("S"))
+    if family in _FILIFORM_FAMILIES:
+        return _filiform(A, "%s^{%d,%d}" % (family, even[0], odd[0]))
+    return A
 
 
 def model_filiform_lie(n, m, solvable=False):
     """L^{n,m} = N(n-1,1|m), or SL^{n,m} with the torus t1, t2, t3."""
-    _check_filiform(n, m)
-    return _filiform(model_nilpotent_lie((n - 1,), (m,), solvable),
-                     "%sL^{%d,%d}" % ("S" if solvable else "", n, m))
+    return member("SL" if solvable else "L", (n,), (m,))
 
 
 def model_nilpotent_lie(even_blocks, odd_blocks, solvable=False):
     """N(n_1..n_k,1|m_1..m_p), or SN(...) with its torus appended."""
-    even_blocks, odd_blocks = _check_blocks(even_blocks, odd_blocks)
-    k, p = len(even_blocks), len(odd_blocks)
-    N = _partial_sums(even_blocks)
-    M = _partial_sums(odd_blocks)
-    xs = ["x%d" % i for i in range(1, N[k] + 2)]
-    ys = ["y%d" % j for j in range(1, M[p] + 1)]
-    table = {}
-    for j in range(k):
-        # chain inside even block j+1: x_{N_j+2} .. x_{N_{j+1}+1}
-        for i in range(2, even_blocks[j] + 1):
-            src = N[j] + i
-            table[("x1", "x%d" % src)] = Element.basis("x%d" % (src + 1))
-    for j in range(p):
-        # chain inside odd block j+1: y_{M_j+1} .. y_{M_{j+1}}
-        for i in range(1, odd_blocks[j]):
-            src = M[j] + i
-            table[("x1", "y%d" % src)] = Element.basis("y%d" % (src + 1))
-    name = "N(%s)" % _blocks_name(even_blocks, odd_blocks)
+    even_chains, odd_chains = _chains(even_blocks, odd_blocks)
+    xs, ys, table, blocks = _chain_law(LIE, even_chains, odd_chains)
     if not solvable:
-        return SuperAlgebra(LIE, xs, ys, table, name=name)
-    ts = ["t%d" % i for i in range(1, k + 2)]
-    tps = ["tp%d" % i for i in range(1, p + 1)]
-    for i in range(1, N[k] + 2):
-        table[("t1", "x%d" % i)] = Element({"x%d" % i: i})
-    for j in range(1, M[p] + 1):
-        table[("t1", "y%d" % j)] = Element({"y%d" % j: j})
-    for j in range(k):
-        t = "t%d" % (j + 2)
-        for i in range(2, even_blocks[j] + 2):
-            lbl = "x%d" % (N[j] + i)
-            table[(t, lbl)] = Element.basis(lbl)
-    for j in range(p):
-        tp = "tp%d" % (j + 1)
-        for i in range(1, odd_blocks[j] + 1):
-            lbl = "y%d" % (M[j] + i)
-            table[(tp, lbl)] = Element.basis(lbl)
-    return SuperAlgebra(LIE, xs + ts + tps, ys, table, name="S" + name)
+        return SuperAlgebra(LIE, xs, ys, table, name="N(%s)" % blocks)
+    torus = _torus_labels("t", even_chains, odd_chains)
+    for a in xs + ys:
+        table[("t1", a)] = Element({a: int(a[1:])})
+    for t, c in zip(torus[1:], even_chains + odd_chains):
+        for a in c:
+            table[(t, a)] = Element.basis(a)
+    return SuperAlgebra(LIE, xs + torus, ys, table, name="SN(%s)" % blocks)
 
 
 def filiform_leibniz(n, m, solvable=False):
     """LP^{n,m} = NP(n-1,1|m), or SLP^{n,m}; one-sided brackets."""
-    _check_filiform(n, m)
-    return _filiform(model_nilpotent_leibniz((n - 1,), (m,), solvable),
-                     "%sLP^{%d,%d}" % ("S" if solvable else "", n, m))
+    return member("SLP" if solvable else "LP", (n,), (m,))
 
 
 def model_nilpotent_leibniz(even_blocks, odd_blocks, solvable=False):
     """NP(n_1..n_k,1|m_1..m_p), or SNP(...); one-sided brackets."""
-    even_blocks, odd_blocks = _check_blocks(even_blocks, odd_blocks)
-    k, p = len(even_blocks), len(odd_blocks)
-    N = _partial_sums(even_blocks)
-    M = _partial_sums(odd_blocks)
-    xs = ["x%d" % i for i in range(1, N[k] + 2)]
-    ys = ["y%d" % j for j in range(1, M[p] + 1)]
-    table = {}
-    for j in range(k):
-        for i in range(2, even_blocks[j] + 1):
-            src = N[j] + i
-            table[("x%d" % src, "x1")] = Element.basis("x%d" % (src + 1))
-    for j in range(p):
-        for i in range(1, odd_blocks[j]):
-            src = M[j] + i
-            table[("y%d" % src, "x1")] = Element.basis("y%d" % (src + 1))
-    name = "NP(%s)" % _blocks_name(even_blocks, odd_blocks)
+    even_chains, odd_chains = _chains(even_blocks, odd_blocks)
+    xs, ys, table, blocks = _chain_law(LEIBNIZ, even_chains, odd_chains)
     if not solvable:
-        return SuperAlgebra(LEIBNIZ, xs, ys, table, name=name)
-    ts = ["t%d" % i for i in range(1, k + 2)]
-    tps = ["tp%d" % i for i in range(1, p + 1)]
+        return SuperAlgebra(LEIBNIZ, xs, ys, table, name="NP(%s)" % blocks)
+    torus = _torus_labels("t", even_chains, odd_chains)
     table[("t1", "x1")] = Element({"x1": -1})
     table[("x1", "t1")] = Element.basis("x1")
-    for j in range(k):
-        for i in range(3, even_blocks[j] + 2):
-            lbl = "x%d" % (N[j] + i)
-            table[(lbl, "t1")] = Element({lbl: i - 2})
-    for j in range(p):
-        for i in range(2, odd_blocks[j] + 1):
-            lbl = "y%d" % (M[j] + i)
-            table[(lbl, "t1")] = Element({lbl: i - 1})
-    for j in range(k):
-        t = "t%d" % (j + 2)
-        for i in range(2, even_blocks[j] + 2):
-            lbl = "x%d" % (N[j] + i)
-            table[(lbl, t)] = Element.basis(lbl)
-    for j in range(p):
-        tp = "tp%d" % (j + 1)
-        for i in range(1, odd_blocks[j] + 1):
-            lbl = "y%d" % (M[j] + i)
-            table[(lbl, tp)] = Element.basis(lbl)
-    return SuperAlgebra(LEIBNIZ, xs + ts + tps, ys, table, name="S" + name)
+    for a, i in _places(even_chains + odd_chains):
+        table[(a, "t1")] = Element({a: i})
+    for t, c in zip(torus[1:], even_chains + odd_chains):
+        for a in c:
+            table[(a, t)] = Element.basis(a)
+    return SuperAlgebra(LEIBNIZ, xs + torus, ys, table, name="SNP(%s)" % blocks)
 
 
 def z_basis_filiform_lie(n, m):
@@ -191,59 +194,38 @@ def z_basis_filiform_lie(n, m):
     Returns (algebra, map); pushing the algebra through change_of_basis
     with the map reproduces SL^{n,m} on the nose.
     """
-    _check_filiform(n, m)
-    alg, mapping = z_basis_nilpotent_lie((n - 1,), (m,))
+    alg, mapping = z_basis_nilpotent_lie(*_member_blocks("SL", (n,), (m,)))
     return _filiform(alg, "SL^{%d,%d} (z basis)" % (n, m)), _filiform(mapping)
 
 
 def z_basis_nilpotent_lie(even_blocks, odd_blocks):
     """The z-basis presentation of the solvable model nilpotent Lie family.
 
-    Returns (algebra, map) as in the filiform case; the map sends
-    t1 to z1 + 2 z2 + sum (N_j + 2) z_{j+2} + zp1 + sum (M_j + 1) zp_{j+1}
+    z1 acts like the Leibniz t1 but on the left, with [z1, x1] = x1, and
+    each other z is the identity on its chain.  Returns (algebra, map) as in
+    the filiform case; the map sends t1 to z1 plus, for each chain, the
+    number of its first label times the chain's z, so
+    t1 = z1 + 2 z2 + sum (N_j + 2) z_{j+2} + zp1 + sum (M_j + 1) zp_{j+1},
     and every other t to its z.
     """
-    even_blocks, odd_blocks = _check_blocks(even_blocks, odd_blocks)
-    k, p = len(even_blocks), len(odd_blocks)
-    N = _partial_sums(even_blocks)
-    M = _partial_sums(odd_blocks)
+    even_chains, odd_chains = _chains(even_blocks, odd_blocks)
+    chains = even_chains + odd_chains
     nil = model_nilpotent_lie(even_blocks, odd_blocks)
     xs, ys = list(nil.even_basis), list(nil.odd_basis)
-    zs = ["z%d" % i for i in range(1, k + 2)]
-    zps = ["zp%d" % i for i in range(1, p + 1)]
+    zs = _torus_labels("z", even_chains, odd_chains)
     table = dict(nil.brackets)
     table[("z1", "x1")] = Element.basis("x1")
-    for j in range(k):
-        for i in range(3, even_blocks[j] + 2):
-            lbl = "x%d" % (N[j] + i)
-            table[("z1", lbl)] = Element({lbl: i - 2})
-    for j in range(p):
-        for i in range(2, odd_blocks[j] + 1):
-            lbl = "y%d" % (M[j] + i)
-            table[("z1", lbl)] = Element({lbl: i - 1})
-    for j in range(k):
-        z = "z%d" % (j + 2)
-        for i in range(2, even_blocks[j] + 2):
-            lbl = "x%d" % (N[j] + i)
-            table[(z, lbl)] = Element.basis(lbl)
-    for j in range(p):
-        zp = "zp%d" % (j + 1)
-        for i in range(1, odd_blocks[j] + 1):
-            lbl = "y%d" % (M[j] + i)
-            table[(zp, lbl)] = Element.basis(lbl)
-    alg = SuperAlgebra(LIE, xs + zs + zps, ys, table,
-                       name="SN(%s) (z basis)" % _blocks_name(even_blocks, odd_blocks))
+    for a, i in _places(chains):
+        table[("z1", a)] = Element({a: i})
+    for z, c in zip(zs[1:], chains):
+        for a in c:
+            table[(z, a)] = Element.basis(a)
+    alg = SuperAlgebra(LIE, xs + zs, ys, table, name="S%s (z basis)" % nil.name)
     mapping = {l: Element.basis(l) for l in xs}
-    t1 = {"z1": 1, "z2": 2, "zp1": 1}
-    for j in range(1, k):
-        t1["z%d" % (j + 2)] = N[j] + 2
-    for j in range(1, p):
-        t1["zp%d" % (j + 1)] = M[j] + 1
-    mapping["t1"] = Element(t1)
-    for i in range(2, k + 2):
-        mapping["t%d" % i] = Element.basis("z%d" % i)
-    for i in range(1, p + 1):
-        mapping["tp%d" % i] = Element.basis("zp%d" % i)
+    mapping["t1"] = Element([("z1", 1)]
+                            + [(z, int(c[0][1:])) for z, c in zip(zs[1:], chains)])
+    for t, z in zip(_torus_labels("t", even_chains, odd_chains)[1:], zs[1:]):
+        mapping[t] = Element.basis(z)
     for l in ys:
         mapping[l] = Element.basis(l)
     return alg, mapping

@@ -21,26 +21,23 @@ from .extension import (IdentityViolation, filiform_lie_torus_spec,
                         model_nilpotent_leibniz_torus_spec,
                         nil_independence_check, nilradical_verdict,
                         semidirect_extension)
-from .families import (filiform_leibniz, member_dim, model_filiform_lie,
-                       model_nilpotent_leibniz, model_nilpotent_lie,
-                       z_basis_filiform_lie, z_basis_nilpotent_lie)
+from .families import (_member_blocks, member, z_basis_filiform_lie,
+                       z_basis_nilpotent_lie)
 from .invariants import span_of_labels
 
 
 def _lie_construction(family, even, odd):
+    solvable = member(family, even, odd)
+    nil = member(family[1:], even, odd)
     if family == "SL":
         (n,), (m,) = even, odd
-        nil = model_filiform_lie(n, m)
-        solvable = model_filiform_lie(n, m, solvable=True)
         spec = filiform_lie_torus_spec(n, m)
         zalg, zmap = z_basis_filiform_lie(n, m)
-        codim = 3
     else:
-        nil = model_nilpotent_lie(even, odd)
-        solvable = model_nilpotent_lie(even, odd, solvable=True)
         spec = model_nilpotent_lie_torus_spec(even, odd)
         zalg, zmap = z_basis_nilpotent_lie(even, odd)
-        codim = len(even) + 1 + len(odd)
+    even_blocks, odd_blocks = _member_blocks(family, even, odd)
+    codim = len(even_blocks) + 1 + len(odd_blocks)
 
     def run():
         checks = []
@@ -69,14 +66,13 @@ def _lie_construction(family, even, odd):
 
 
 def _leibniz_sweep(family, even, odd):
+    solvable = member(family, even, odd)
     if family == "SLP":
         (n,), (m,) = even, odd
-        solvable = filiform_leibniz(n, m, solvable=True)
         points = list(itertools.product((0, 1), repeat=3))
         expected = {(0, 1, 1)}
         make = lambda b: filiform_leibniz_torus_spec(n, m, b)
     else:
-        solvable = model_nilpotent_leibniz(even, odd, solvable=True)
         k, p = len(even), len(odd)
         points = [(b, bp)
                   for b in itertools.product((0, 1), repeat=k + 1)
@@ -110,22 +106,15 @@ def _leibniz_sweep(family, even, odd):
 
 
 def _derivations(family, even, odd):
-    if family in ("SL", "SLP"):
-        (n,), (m,) = even, odd
-        if family == "SL":
-            A = model_filiform_lie(n, m, solvable=True)
-            want_even, want_odd = n + 3, m
-        else:
-            A = filiform_leibniz(n, m, solvable=True)
-            want_even, want_odd = 4, 0
+    A = member(family, even, odd)
+    even_blocks, odd_blocks = _member_blocks(family, even, odd)
+    k, p = len(even_blocks), len(odd_blocks)
+    if family in ("SL", "SN"):
+        # 7.1 and 7.2: SL^{n,m} gives n + 3 and m
+        want_even, want_odd = sum(even_blocks) + 1 + k + 1 + p, sum(odd_blocks)
     else:
-        k, p = len(even), len(odd)
-        if family == "SN":
-            A = model_nilpotent_lie(even, odd, solvable=True)
-            want_even, want_odd = (sum(even) + 1) + k + 1 + p, sum(odd)
-        else:
-            A = model_nilpotent_leibniz(even, odd, solvable=True)
-            want_even, want_odd = k + p + 2, 0
+        # 7.3 and 7.4: SLP^{n,m} gives 4 and 0
+        want_even, want_odd = k + p + 2, 0
 
     def run():
         rep = innerness_report(A)
@@ -165,10 +154,9 @@ def prepare(theorem, even, odd):
 
     Filiform theorems (3.1, 5.1, 7.1, 7.3) take one even and one odd size,
     n and m; block theorems take the even and odd block lengths.  Sizes the
-    family refuses raise ValueError, as in member_dim.  Returns (algebra,
+    family refuses raise ValueError, as in families.member.  Returns (algebra,
     run), where run() performs the checks and returns them as a list of
     (name, ok, detail) triples.
     """
     fixture, family = THEOREMS[theorem]
-    member_dim(family, even, odd)
     return fixture(family, tuple(even), tuple(odd))

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -86,6 +87,86 @@ def test_size_one_odd_block_leaves_its_parameter_free():
             except IdentityViolation:
                 continue
     assert survivors == {((1, 0, 0), (0, 0)), ((1, 0, 0), (1, 0))}
+
+
+def _diagonal_of(M):
+    assert not any(v for i, row in enumerate(M.entries)
+                   for j, v in enumerate(row) if i != j)
+    return [M.entries[i][i] for i in range(M.rows)]
+
+
+def _block_layout(even, odd):
+    """Basis, torus and, per chain label, (its block's torus label, its
+    place in the block counted from 0), from the theorems' block layout."""
+    layout = {}
+    for prefix, first, sizes, torus in (("x", 2, even, "t%d"), ("y", 1, odd, "tp%d")):
+        for j, size in enumerate(sizes, 1):
+            for i in range(first, first + size):
+                layout["%s%d" % (prefix, i)] = (torus % (j + 1 if prefix == "x" else j),
+                                                i - first)
+            first += size
+    basis = (["x%d" % i for i in range(1, sum(even) + 2)]
+             + ["y%d" % i for i in range(1, sum(odd) + 1)])
+    torus = (["t%d" % i for i in range(1, len(even) + 2)]
+             + ["tp%d" % i for i in range(1, len(odd) + 1)])
+    return basis, torus, layout
+
+
+def test_spec_actions_are_the_theorems_diagonals():
+    values = [Fraction(1, 2), -3, 2, Fraction(-5, 3), 7, 0, 1]
+    for even, odd in (((2,), (2,)), ((2, 2), (1, 2)), ((3,), (3,)), ((1,), (1,)),
+                      ((1, 3), (2, 1)), ((3, 1, 2), (1, 2, 3))):
+        basis, torus, layout = _block_layout(even, odd)
+        on_block = lambda t, v: [v if layout.get(l, (None,))[0] == t else 0 for l in basis]
+        # Lie: [t1, x_i] = i x_i, [t1, y_i] = i y_i; the other t are the
+        # identity on their block; the right action is minus the left one
+        spec = model_nilpotent_lie_torus_spec(even, odd)
+        assert spec.nilradical.combined_basis == tuple(basis)
+        assert spec.torus_labels == tuple(torus)
+        for t in torus:
+            left, right = spec.actions[t]
+            want = ([int(l[1:]) for l in basis] if t == "t1" else on_block(t, 1))
+            assert _diagonal_of(left) == want, (even, odd, t)
+            assert right == -left
+        # Leibniz: left -b1 on x1 for t1, -b_j (-bp_j) on the block of t;
+        # right 1 on x1 and the place in the block for t1, 1 on the block
+        k, p = len(even), len(odd)
+        for params in (values, [1] + [0] * 6):
+            b, bp = params[:k + 1], params[k + 1:k + 1 + p]
+            spec = model_nilpotent_leibniz_torus_spec(even, odd, b, bp)
+            assert spec.nilradical.combined_basis == tuple(basis)
+            assert spec.torus_labels == tuple(torus)
+            for t, v in zip(torus, list(b) + list(bp)):
+                left, right = spec.actions[t]
+                if t == "t1":
+                    want_left = [-v if l == "x1" else 0 for l in basis]
+                    want_right = [1 if l == "x1" else layout[l][1] for l in basis]
+                else:
+                    want_left, want_right = on_block(t, -v), on_block(t, 1)
+                assert _diagonal_of(left) == want_left, (even, odd, t, v)
+                assert _diagonal_of(right) == want_right, (even, odd, t)
+    # the filiform specs: t2 on x2..xn, t3 on the odd part; the Leibniz
+    # left actions carry b - 1
+    for n, m in ((3, 2), (5, 4)):
+        basis = (["x%d" % i for i in range(1, n + 1)]
+                 + ["y%d" % j for j in range(1, m + 1)])
+        spec = filiform_lie_torus_spec(n, m)
+        assert spec.torus_labels == ("t1", "t2", "t3")
+        assert [_diagonal_of(spec.actions[t][0]) for t in spec.torus_labels] == [
+            [int(l[1:]) for l in basis],
+            [int(l[0] == "x" and l != "x1") for l in basis],
+            [int(l[0] == "y") for l in basis]]
+        b = (Fraction(1, 2), -3, 2)
+        spec = filiform_leibniz_torus_spec(n, m, b)
+        assert spec.torus_labels == ("t1", "t2", "t3")
+        assert [_diagonal_of(spec.actions[t][0]) for t in spec.torus_labels] == [
+            [b[0] - 1 if l == "x1" else 0 for l in basis],
+            [b[1] - 1 if l[0] == "x" and l != "x1" else 0 for l in basis],
+            [b[2] - 1 if l[0] == "y" else 0 for l in basis]]
+        assert [_diagonal_of(spec.actions[t][1]) for t in spec.torus_labels] == [
+            [1] + [i - 2 for i in range(2, n + 1)] + [j - 1 for j in range(1, m + 1)],
+            [int(l[0] == "x" and l != "x1") for l in basis],
+            [int(l[0] == "y") for l in basis]]
 
 
 def test_extension_spec_validation():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from superalg import cli, fixtures
+from superalg import cli, families, fixtures
 from superalg.cli import CliError, main, parse_element_expression
 from superalg.core import Element, bracket, equal_laws
 from superalg.families import (filiform_leibniz, model_filiform_lie,
@@ -301,6 +301,25 @@ def test_extend_round_trip(tmp_path, capsys):
     assert "laws equal: yes" in capsys.readouterr().out
 
 
+def test_extend_to_a_file_reports_in_json(tmp_path, capsys):
+    nil = _gen(tmp_path, "nil.json", ["--family", "L", "--even", "3", "--odd", "2"])
+    actions = {"torus_labels": ["t1"],
+               "actions": {"t1": {"left": _diag([1, 2, 3, 1, 2])}}}
+    act_path = tmp_path / "act.json"
+    act_path.write_text(json.dumps(actions))
+    out_path = tmp_path / "ext.json"
+    capsys.readouterr()
+    assert main(["extend", nil, str(act_path), "-o", str(out_path),
+                 "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"ok": True, "dim": 6, "output": str(out_path)}
+    assert load_algebra(str(out_path)).dim == 6
+    # text mode is unchanged
+    assert main(["extend", nil, str(act_path), "-o", str(out_path)]) == 0
+    assert capsys.readouterr().out == ("extension ok: dim 6, written to %s\n"
+                                       % out_path)
+
+
 def test_extend_rejects_non_derivation(tmp_path, capsys):
     nil = _gen(tmp_path, "nil.json", ["--family", "L", "--even", "3", "--odd", "2"])
     actions = {
@@ -394,14 +413,13 @@ def test_dimension_cap(tmp_path, monkeypatch, capsys):
 
 
 def test_cap_refuses_before_building(monkeypatch, capsys):
-    # any constructor call fails the test: the refusal must come first
+    # any constructor call fails the test: the refusal must come first; every
+    # member, filiform or not, is built through the two block constructors
     def refuse(*args, **kwargs):
         raise RuntimeError("the member was built before the cap check")
 
-    for module in (cli, fixtures):
-        for name in ("model_filiform_lie", "filiform_leibniz",
-                     "model_nilpotent_lie", "model_nilpotent_leibniz"):
-            monkeypatch.setattr(module, name, refuse)
+    for name in ("model_nilpotent_lie", "model_nilpotent_leibniz"):
+        monkeypatch.setattr(families, name, refuse)
     for argv in (["gen", "--family", "L", "--even", "200000", "--odd", "2"],
                  ["gen", "--family", "SNP", "--even", "30", "--even", "30",
                   "--odd", "4"],
