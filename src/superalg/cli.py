@@ -27,28 +27,21 @@ from .invariants import (DERIVED, DESCENDING_CENTRAL, GRADED_EVEN, GRADED_ODD,
 from .linalg import NotNilpotent
 
 
-class CliError(Exception):
-    def __init__(self, message, code=2):
-        self.message = message
-        self.code = code
-        super().__init__(message)
-
-
 def _max_dim():
     raw = os.environ.get("SUPERALG_MAX_DIM", "64")
     try:
         cap = int(raw)
     except ValueError:
-        raise CliError("SUPERALG_MAX_DIM must be an integer, got %r" % (raw,))
+        raise ValueError("SUPERALG_MAX_DIM must be an integer, got %r" % (raw,)) from None
     if cap < 1:
-        raise CliError("SUPERALG_MAX_DIM must be positive, got %d" % cap)
+        raise ValueError("SUPERALG_MAX_DIM must be positive, got %d" % cap)
     return cap
 
 
 def _check_cap(dim):
     cap = _max_dim()
     if dim > cap:
-        raise CliError("dimension %d exceeds SUPERALG_MAX_DIM=%d" % (dim, cap))
+        raise ValueError("dimension %d exceeds SUPERALG_MAX_DIM=%d" % (dim, cap))
 
 
 def _load(path, skip_validate=False):
@@ -94,15 +87,15 @@ def parse_element_expression(A, text):
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if not m or m.end() == pos:
-            raise CliError("cannot parse element expression %r at offset %d"
-                           % (text, pos))
+            raise ValueError("cannot parse element expression %r at offset %d"
+                             % (text, pos))
         sign, coeff, label = m.groups()
         if sign is None and not first:
-            raise CliError("missing sign before %r in %r" % (label, text))
+            raise ValueError("missing sign before %r in %r" % (label, text))
         try:
             A.parity(label)
         except ValueError:
-            raise CliError("unknown basis label %r in %r" % (label, text))
+            raise ValueError("unknown basis label %r in %r" % (label, text)) from None
         c = _parse_coeff(coeff or "1")
         if sign == "-":
             c = -c
@@ -110,13 +103,13 @@ def parse_element_expression(A, text):
         pos = m.end()
         first = False
     if first:
-        raise CliError("empty element expression")
+        raise ValueError("empty element expression")
     return Element(pairs)
 
 
 def cmd_gen(args):
     if not args.even or not args.odd:
-        raise CliError("gen needs at least one --even and one --odd value")
+        raise ValueError("gen needs at least one --even and one --odd value")
     # refuse an over-cap member before any work
     _check_cap(member_dim(args.family, args.even, args.odd))
     dump_algebra(member(args.family, args.even, args.odd), args.output or sys.stdout)
@@ -307,11 +300,7 @@ def cmd_iso(args):
     A = _load(args.file_a, skip_validate=args.skip_validate)
     B = _load(args.file_b, skip_validate=args.skip_validate)
     mapping = load_basis_map(args.map)
-    try:
-        transformed = change_of_basis(A, mapping)
-        same = equal_laws(transformed, B)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    same = equal_laws(change_of_basis(A, mapping), B)
     obj = {"equal_laws": same}
     lines = ["laws equal: %s" % ("yes" if same else "no")]
     _emit(args, obj, lines)
@@ -322,8 +311,7 @@ def cmd_verify(args):
     default_even, default_odd = fixtures.default_sizes(args.theorem)
     even, odd = args.even or default_even, args.odd or default_odd
     _check_cap(member_dim(fixtures.THEOREMS[args.theorem][1], even, odd))
-    instance, run = fixtures.prepare(args.theorem, even, odd)
-    checks = run()
+    instance, checks = fixtures.verify(args.theorem, even, odd)
     ok = all(c[1] for c in checks)
     obj = {
         "theorem": args.theorem,
@@ -425,19 +413,13 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except CliError as exc:
-        print("error: %s" % exc.message, file=sys.stderr)
-        return exc.code
     except ValidationError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         for v in exc.report.violations[:5]:
             print("  %s on (%s)" % (v.identity, ", ".join(v.labels)),
                   file=sys.stderr)
         return 2
-    except (ParseError, NotNilpotent, ValueError) as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, NotNilpotent, ValueError, OSError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
 

@@ -7,16 +7,16 @@ table are zero.  For the Lie kind a missing transpose entry is filled in by
 super skew-symmetry at construction time; entries present on both sides are
 kept as given so that validate() can report contradictions.
 
-`brackets` holds the table by labels, for files, constructors and
-equal_laws; `law` holds it by combined-basis index, (i, j) -> {k: c}, with
-`parities` by index, and every computation reads it (product() for
+`brackets` holds the table by labels, for files and constructors; `law`
+holds it by combined-basis index, (i, j) -> {k: c}, with `parities` by
+index, and every computation reads it (equal_laws too, and product() for
 coordinate vectors, through `left_index`, the law grouped by left index).
 """
 
 from functools import cached_property
 from types import MappingProxyType
 
-from .linalg import Matrix, ZERO, _frac, sparse_rows
+from .linalg import Matrix, ZERO, _frac, invert, sparse_rows
 
 EVEN = 0
 ODD = 1
@@ -381,8 +381,6 @@ def change_of_basis(A, mapping):
     new label inherits the parity of its image, the law becomes
     P^{-1}[P(u), P(v)], and the kind is unchanged.
     """
-    from .linalg import invert
-
     images = {}
     new_even = []
     new_odd = []
@@ -418,10 +416,9 @@ def change_of_basis(A, mapping):
 
 
 def equal_laws(A, B):
-    """Entrywise comparison of two bracket tables over the same basis."""
+    """Entrywise comparison of two laws over the same basis."""
     if A.kind != B.kind:
         raise ValueError("kind mismatch")
     if A.even_basis != B.even_basis or A.odd_basis != B.odd_basis:
         raise ValueError("basis mismatch")
-    keys = set(A.brackets) | set(B.brackets)
-    return all(A.basis_bracket(*k) == B.basis_bracket(*k) for k in keys)
+    return A.law == B.law

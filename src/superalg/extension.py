@@ -11,7 +11,7 @@ actions and verifies nilradical candidates.
 from fractions import Fraction
 
 from .linalg import (Matrix, NotNilpotent, nilpotent_jordan_blocks, pivot_coefficients,
-                     rank)
+                     rank, sparse_rows)
 from .core import EVEN, LIE, Element, SuperAlgebra, multiplication_matrix, validate
 from .derivations import _check_parity_blocks
 from .invariants import product_space, whole_space
@@ -82,20 +82,22 @@ def semidirect_extension(spec):
     """Assemble the extension and validate it.
 
     The result has basis (nilradical even labels, torus labels | nilradical
-    odd labels), the inherited nilradical law, [t, x] = left action,
-    [x, t] = right action, and the given brackets among torus labels.
+    odd labels), the inherited nilradical law, [t, e_j] = left action and
+    [e_j, t] = right action, read from each matrix's nonzero entries (entry
+    (i, j) is the coefficient of e_i in the image of e_j), and the given
+    brackets among torus labels.
     """
     nil = spec.nilradical
+    basis = nil.combined_basis
     table = dict(nil.brackets)
     for t in spec.torus_labels:
         left, right = spec.actions[t]
-        for j, b in enumerate(nil.combined_basis):
-            lcol = nil.element_from_coords(left.column(j))
-            rcol = nil.element_from_coords(right.column(j))
-            if not lcol.is_zero():
-                table[(t, b)] = lcol
-            if not rcol.is_zero():
-                table[(b, t)] = rcol
+        for i, (lrow, rrow) in enumerate(zip(sparse_rows(left.entries),
+                                             sparse_rows(right.entries))):
+            for j, v in lrow:
+                table.setdefault((t, basis[j]), {})[basis[i]] = v
+            for j, v in rrow:
+                table.setdefault((basis[j], t), {})[basis[i]] = v
     for key, el in spec.torus_brackets.items():
         el = el if isinstance(el, Element) else Element(el)
         if not el.is_zero():
@@ -162,16 +164,14 @@ def nilradical_verdict(A, candidate):
     is_ideal = (product_space(A, whole, candidate) <= candidate
                 and product_space(A, candidate, whole) <= candidate)
 
-    chain = [candidate]
-    restriction_nilpotent = False
+    # the lower central series of the candidate, until it vanishes or stops shrinking
+    term = candidate
     for _ in range(A.dim + 1):
-        nxt = product_space(A, chain[-1], candidate)
-        if nxt.dim == 0:
-            restriction_nilpotent = True
+        nxt = product_space(A, term, candidate)
+        if nxt.dim == 0 or nxt == term:
             break
-        if nxt == chain[-1]:
-            break
-        chain.append(nxt)
+        term = nxt
+    restriction_nilpotent = nxt.dim == 0
 
     pivot_cols = {row[0][0] for row in candidate.rows}
     directions = [l for j, l in enumerate(A.combined_basis) if j not in pivot_cols]

@@ -5,10 +5,8 @@ by their diagonal tori; 5.1 and 6.1 sweep the torus sign parameters of the
 Leibniz analogues SLP and SNP; 7.1 to 7.4 compute the superderivation
 spaces of the four solvable families and check that all of them are inner.
 
-prepare(theorem, even, odd) builds the instance and returns it together
-with a function that runs the checks.  Building is cheap; the caller can
-look at the instance (its dimension, say) before any validation or
-derivation work starts.  Each check is a triple (name, ok, detail).
+verify(theorem, even, odd) builds the instance, runs the checks and returns
+both.  Each check is a triple (name, ok, detail).
 """
 
 import itertools
@@ -38,31 +36,25 @@ def _lie_construction(family, even, odd):
         zalg, zmap = z_basis_nilpotent_lie(even, odd)
     even_blocks, odd_blocks = _member_blocks(family, even, odd)
     codim = len(even_blocks) + 1 + len(odd_blocks)
-
-    def run():
-        checks = []
-        try:
-            ext = semidirect_extension(spec)
-            checks.append(("extension satisfies the identities", True, ""))
-            checks.append(("extension matches the solvable law",
-                           equal_laws(ext, solvable), ""))
-        except IdentityViolation as exc:
-            checks.append(("extension satisfies the identities", False,
-                           "%d violations" % len(exc.report.violations)))
-        checks.append(("torus is nil-independent",
-                       nil_independence_check(spec), ""))
-        replay = change_of_basis(zalg, zmap)
-        checks.append(("z-basis replay matches the solvable law",
-                       equal_laws(replay, solvable), ""))
-        verdict = nilradical_verdict(
-            solvable, span_of_labels(solvable, nil.combined_basis))
-        checks.append(("nilradical verdict", verdict["verdict"], ""))
-        checks.append(("nilradical codimension = %d" % codim,
-                       verdict["codimension"] == codim,
-                       "got %d" % verdict["codimension"]))
-        return checks
-
-    return solvable, run
+    checks = []
+    try:
+        ext = semidirect_extension(spec)
+        checks.append(("extension satisfies the identities", True, ""))
+        checks.append(("extension matches the solvable law",
+                       equal_laws(ext, solvable), ""))
+    except IdentityViolation as exc:
+        checks.append(("extension satisfies the identities", False,
+                       "%d violations" % len(exc.report.violations)))
+    checks.append(("torus is nil-independent", nil_independence_check(spec), ""))
+    replay = change_of_basis(zalg, zmap)
+    checks.append(("z-basis replay matches the solvable law",
+                   equal_laws(replay, solvable), ""))
+    verdict = nilradical_verdict(solvable, span_of_labels(solvable, nil.combined_basis))
+    checks.append(("nilradical verdict", verdict["verdict"], ""))
+    checks.append(("nilradical codimension = %d" % codim,
+                   verdict["codimension"] == codim,
+                   "got %d" % verdict["codimension"]))
+    return solvable, checks
 
 
 def _leibniz_sweep(family, even, odd):
@@ -70,39 +62,36 @@ def _leibniz_sweep(family, even, odd):
     if family == "SLP":
         (n,), (m,) = even, odd
         points = list(itertools.product((0, 1), repeat=3))
-        expected = {(0, 1, 1)}
+        expected = (0, 1, 1)
         make = lambda b: filiform_leibniz_torus_spec(n, m, b)
     else:
         k, p = len(even), len(odd)
         points = [(b, bp)
                   for b in itertools.product((0, 1), repeat=k + 1)
                   for bp in itertools.product((0, 1), repeat=p)]
-        expected = {((1,) + (0,) * k, (0,) * p)}
+        expected = ((1,) + (0,) * k, (0,) * p)
         make = lambda pt: model_nilpotent_leibniz_torus_spec(even, odd, *pt)
-
-    def run():
-        successes = set()
-        witness = None
-        for pt in points:
-            spec = make(pt)
-            try:
-                ext = semidirect_extension(spec)
-            except IdentityViolation:
-                continue
-            successes.add(pt)
+    successes = set()
+    witness = None
+    for pt in points:
+        spec = make(pt)
+        try:
+            ext = semidirect_extension(spec)
+        except IdentityViolation:
+            continue
+        successes.add(pt)
+        if pt == expected:
             witness = (spec, ext)
-        checks = [("sweep succeeds exactly on the expected parameters",
-                   successes == expected,
-                   "got {%s}" % ", ".join(map(str, sorted(successes))))]
-        if witness is not None:
-            spec, ext = witness
-            checks.append(("surviving extension matches the solvable law",
-                           equal_laws(ext, solvable), ""))
-            checks.append(("torus is nil-independent",
-                           nil_independence_check(spec), ""))
-        return checks
-
-    return solvable, run
+    checks = [("sweep succeeds exactly on the expected parameters",
+               successes == {expected},
+               "got {%s}" % ", ".join(map(str, sorted(successes))))]
+    if witness is not None:
+        # the theorem's own point, whether or not others extend too
+        spec, ext = witness
+        checks.append(("surviving extension matches the solvable law",
+                       equal_laws(ext, solvable), ""))
+        checks.append(("torus is nil-independent", nil_independence_check(spec), ""))
+    return solvable, checks
 
 
 def _derivations(family, even, odd):
@@ -115,18 +104,14 @@ def _derivations(family, even, odd):
     else:
         # 7.3 and 7.4: SLP^{n,m} gives 4 and 0
         want_even, want_odd = k + p + 2, 0
-
-    def run():
-        rep = innerness_report(A)
-        return [
-            ("dim Der_even = %d" % want_even, rep["dim_der_even"] == want_even,
-             "got %d" % rep["dim_der_even"]),
-            ("dim Der_odd = %d" % want_odd, rep["dim_der_odd"] == want_odd,
-             "got %d" % rep["dim_der_odd"]),
-            ("all superderivations inner", rep["all_inner"], ""),
-        ]
-
-    return A, run
+    rep = innerness_report(A)
+    return A, [
+        ("dim Der_even = %d" % want_even, rep["dim_der_even"] == want_even,
+         "got %d" % rep["dim_der_even"]),
+        ("dim Der_odd = %d" % want_odd, rep["dim_der_odd"] == want_odd,
+         "got %d" % rep["dim_der_odd"]),
+        ("all superderivations inner", rep["all_inner"], ""),
+    ]
 
 
 # theorem id -> (fixture, family)
@@ -149,14 +134,13 @@ def default_sizes(theorem):
     return (2,), (2,)
 
 
-def prepare(theorem, even, odd):
-    """Build the instance of `theorem` at the given even and odd sizes.
+def verify(theorem, even, odd):
+    """Check `theorem` on its family member at the given even and odd sizes.
 
     Filiform theorems (3.1, 5.1, 7.1, 7.3) take one even and one odd size,
     n and m; block theorems take the even and odd block lengths.  Sizes the
     family refuses raise ValueError, as in families.member.  Returns (algebra,
-    run), where run() performs the checks and returns them as a list of
-    (name, ok, detail) triples.
+    checks), the checks a list of (name, ok, detail) triples.
     """
     fixture, family = THEOREMS[theorem]
     return fixture(family, tuple(even), tuple(odd))

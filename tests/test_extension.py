@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from superalg.core import equal_laws, validate
+from superalg.core import Element, equal_laws, validate
 from superalg.extension import (ExtensionSpec, IdentityViolation,
                                 NonDiagonalAction, filiform_lie_torus_spec,
                                 filiform_leibniz_torus_spec,
@@ -283,3 +283,55 @@ def test_extension_with_torus_brackets():
     spec.torus_brackets[("t2", "t3")] = Element()
     ext = semidirect_extension(spec)
     assert validate(ext).ok
+
+
+def test_extension_reads_each_action_column_as_an_image():
+    # t acts on L^{3,2} as diag(1, 2, 3, 1, 2) + ad x1, a derivation that is
+    # not diagonal; column j of the matrix is the image of e_j
+    L = model_filiform_lie(3, 2)
+    D = Matrix([[1, 0, 0, 0, 0],
+                [0, 2, 0, 0, 0],
+                [0, 1, 3, 0, 0],
+                [0, 0, 0, 1, 0],
+                [0, 0, 0, 1, 2]])
+    ext = semidirect_extension(ExtensionSpec(L, ("t",), {"t": D}))
+    assert ext.combined_basis == ("x1", "x2", "x3", "t", "y1", "y2")
+    table = {("x1", "x2"): {"x3": 1}, ("x2", "x1"): {"x3": -1},
+             ("x1", "y1"): {"y2": 1}, ("y1", "x1"): {"y2": -1},
+             ("t", "x1"): {"x1": 1}, ("x1", "t"): {"x1": -1},
+             ("t", "x2"): {"x2": 2, "x3": 1}, ("x2", "t"): {"x2": -2, "x3": -1},
+             ("t", "x3"): {"x3": 3}, ("x3", "t"): {"x3": -3},
+             ("t", "y1"): {"y1": 1, "y2": 1}, ("y1", "t"): {"y1": -1, "y2": -1},
+             ("t", "y2"): {"y2": 2}, ("y2", "t"): {"y2": -2}}
+    assert dict(ext.brackets) == {k: Element(v) for k, v in table.items()}
+    with pytest.raises(IdentityViolation) as exc:
+        semidirect_extension(ExtensionSpec(L, ("t",), {"t": D.transpose()}))
+    assert len(exc.value.report.violations) == 24
+
+
+def test_leibniz_extension_reads_left_and_right_actions_apart():
+    # t acts on LP^{3,2} as t1 + x1 + x2 does in SLP^{3,2}: on the left
+    # x1 -> -x1 + x3, on the right x1 -> x1, x2 -> x3, x3 -> x3, y1 -> y2,
+    # y2 -> y2, and [t, t] = x3
+    LP = filiform_leibniz(3, 2)
+    left = Matrix([[-1, 0, 0, 0, 0],
+                   [0, 0, 0, 0, 0],
+                   [1, 0, 0, 0, 0],
+                   [0, 0, 0, 0, 0],
+                   [0, 0, 0, 0, 0]])
+    right = Matrix([[1, 0, 0, 0, 0],
+                    [0, 0, 0, 0, 0],
+                    [0, 1, 1, 0, 0],
+                    [0, 0, 0, 0, 0],
+                    [0, 0, 0, 1, 1]])
+    square = {("t", "t"): {"x3": 1}}
+    ext = semidirect_extension(ExtensionSpec(LP, ("t",), {"t": (left, right)}, square))
+    table = {("x2", "x1"): {"x3": 1}, ("y1", "x1"): {"y2": 1},
+             ("t", "x1"): {"x1": -1, "x3": 1}, ("x1", "t"): {"x1": 1},
+             ("x2", "t"): {"x3": 1}, ("x3", "t"): {"x3": 1},
+             ("y1", "t"): {"y2": 1}, ("y2", "t"): {"y2": 1},
+             ("t", "t"): {"x3": 1}}
+    assert dict(ext.brackets) == {k: Element(v) for k, v in table.items()}
+    for pair in ((left.transpose(), right), (left, right.transpose()), (right, left)):
+        with pytest.raises(IdentityViolation):
+            semidirect_extension(ExtensionSpec(LP, ("t",), {"t": pair}, square))

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from naive_identities import (naive_derivation_basis, naive_multiplication_matrix,
                               naive_validate)
-from superalg.core import (EVEN, LEIBNIZ, LIE, ODD, Element, SuperAlgebra,
+from superalg.core import (EVEN, LEIBNIZ, LIE, ODD, Element, SuperAlgebra, equal_laws,
                            multiplication_matrix, validate)
 from superalg.derivations import derivation_space
 
@@ -77,3 +77,32 @@ def test_index_law_matches_label_oracle():
                     (case, label, side)
     # the comparison must cover failing laws, not only valid ones
     assert violating > 100
+
+
+def _labelwise_equal(A, B):
+    """Oracle for equal_laws: compare the label tables pair by pair."""
+    keys = set(A.brackets) | set(B.brackets)
+    return all(dict(A.basis_bracket(*k).items()) == dict(B.basis_bracket(*k).items())
+               for k in keys)
+
+
+def test_equal_laws_matches_labelwise_comparison():
+    rng = random.Random(20261018)
+    outcomes = []
+    for case in range(200):
+        A = random_law(rng, LIE if case % 2 else LEIBNIZ)
+        basis = A.combined_basis
+        table = {key: dict(el.items()) for key, el in A.brackets.items()}
+        # the same table given in reverse order, then with one coefficient changed
+        copies = [dict(reversed(list(table.items())))]
+        key, label = (rng.choice(basis), rng.choice(basis)), rng.choice(basis)
+        cell = dict(table.get(key, {}))
+        cell[label] = cell.get(label, 0) + rng.choice(COEFFS)
+        copies.append({**table, key: cell})
+        for other in copies:
+            B = SuperAlgebra(A.kind, A.even_basis, A.odd_basis, other)
+            same = equal_laws(A, B)
+            assert same == _labelwise_equal(A, B), case
+            outcomes.append(same)
+    # both answers must occur, or the comparison could not fail
+    assert outcomes.count(True) >= 200 and outcomes.count(False) > 100

@@ -1,11 +1,12 @@
 import io
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 from superalg import cli, families, fixtures
-from superalg.cli import CliError, main, parse_element_expression
+from superalg.cli import main, parse_element_expression
 from superalg.core import Element, bracket, equal_laws
 from superalg.families import (filiform_leibniz, model_filiform_lie,
                                model_nilpotent_leibniz, model_nilpotent_lie)
@@ -368,7 +369,7 @@ def test_filiform_families_take_one_size_each(capsys):
     assert captured.out == ""
     assert "family SL takes one even and one odd size" in captured.err
     with pytest.raises(ValueError, match="takes one even and one odd size"):
-        fixtures.prepare("3.1", (3, 4), (2,))
+        fixtures.verify("3.1", (3, 4), (2,))
 
 
 def test_iso_detects_law_mismatch(tmp_path, capsys):
@@ -384,8 +385,8 @@ def test_iso_detects_law_mismatch(tmp_path, capsys):
 
 def test_verify_fixture_exit_codes(monkeypatch, capsys):
     for theorem in sorted(fixtures.THEOREMS):
-        instance, run = fixtures.prepare(theorem, *fixtures.default_sizes(theorem))
-        assert all(ok for _, ok, _ in run()), theorem
+        instance, checks = fixtures.verify(theorem, *fixtures.default_sizes(theorem))
+        assert all(ok for _, ok, _ in checks), theorem
         assert main(["verify", "--theorem", theorem]) == 0
         out = capsys.readouterr().out
         assert out.startswith("theorem %s on %s\n" % (theorem, instance.name))
@@ -451,6 +452,62 @@ def test_element_expression_parser():
     assert el == Element({"x1": 1, "x2": 2, "x3": Fraction(-1, 2)})
     assert parse_element_expression(A, "-y1") == Element({"y1": -1})
     assert parse_element_expression(A, "3x2") == Element({"x2": 3})
-    for bad in ("", "x1 x2", "x1 + ", "2*", "x9", "x1 ++ x2"):
-        with pytest.raises(CliError):
+    for bad, message in (("", "empty element expression"),
+                         ("x1 x2", "missing sign before 'x2' in 'x1 x2'"),
+                         ("x1 + ", "cannot parse element expression 'x1 + ' at offset 3"),
+                         ("2*", "cannot parse element expression '2*' at offset 0"),
+                         ("x9", "unknown basis label 'x9' in 'x9'"),
+                         ("x1 ++ x2",
+                          "cannot parse element expression 'x1 ++ x2' at offset 3")):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             parse_element_expression(A, bad)
+
+
+def test_leibniz_sweep_checks_the_theorems_point(capsys):
+    # on these members the sweep extends at more points than the theorem's;
+    # the law and nil-independence checks are still taken at the theorem's
+    # point ((1, 0, ...), (0, ...)), which extends to the member itself
+    for sizes in (["--even", "1", "--odd", "2"],
+                  ["--even", "2", "--even", "2", "--odd", "1", "--odd", "2"]):
+        assert main(["verify", "--theorem", "6.1", "--format", "json"] + sizes) == 1
+        checks = {c["name"]: c["ok"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks == {"sweep succeeds exactly on the expected parameters": False,
+                          "surviving extension matches the solvable law": True,
+                          "torus is nil-independent": True}, sizes
+
+
+# argv (with file placeholders), environment, and the one line on stderr
+ERROR_LINES = [
+    (["gen", "--family", "L", "--even", "3", "--odd", "2"], {"SUPERALG_MAX_DIM": "abc"},
+     "SUPERALG_MAX_DIM must be an integer, got 'abc'"),
+    (["gen", "--family", "L", "--even", "3", "--odd", "2"], {"SUPERALG_MAX_DIM": "0"},
+     "SUPERALG_MAX_DIM must be positive, got 0"),
+    (["classify", "{sl}"], {"SUPERALG_MAX_DIM": "5"}, "dimension 8 exceeds SUPERALG_MAX_DIM=5"),
+    (["charseq", "{l}", "--candidate", "x1 ++ x2"], {},
+     "cannot parse element expression 'x1 ++ x2' at offset 3"),
+    (["charseq", "{l}", "--candidate", "x1 x2"], {}, "missing sign before 'x2' in 'x1 x2'"),
+    (["charseq", "{l}", "--candidate", "x9"], {}, "unknown basis label 'x9' in 'x9'"),
+    (["charseq", "{l}", "--candidate", ""], {}, "empty element expression"),
+    (["gen", "--family", "L", "--even", "3"], {},
+     "gen needs at least one --even and one --odd value"),
+    (["iso", "{l}", "{l}", "{short}"], {},
+     "the map must cover the full dimension (1 labels for dim 5)"),
+    (["iso", "{l}", "{l}", "{singular}"], {}, "the change-of-basis map is singular"),
+]
+
+
+@pytest.mark.parametrize("argv, env, line", ERROR_LINES)
+def test_error_lines(argv, env, line, tmp_path, monkeypatch, capsys):
+    files = {"l": _gen(tmp_path, "l.json", ["--family", "L", "--even", "3", "--odd", "2"]),
+             "sl": _gen(tmp_path, "sl.json", ["--family", "SL", "--even", "3", "--odd", "2"])}
+    identity = {l: {l: "1"} for l in ("x1", "x2", "x3", "y1", "y2")}
+    for name, mapping in (("short", {"x1": {"x1": "1"}}),
+                          ("singular", dict(identity, x3={"x2": "2"}))):
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps({"map": mapping}))
+        files[name] = str(path)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main([a.format(**files) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: %s\n" % line)
