@@ -27,9 +27,8 @@ from .extension import (ExtensionSpec, IdentityViolation, NonDiagonalAction,
                         model_nilpotent_leibniz_torus_spec,
                         nil_independence_check, nilradical_verdict,
                         semidirect_extension)
-from .derivations import (DerivationSpace, SuperDerivation, derivation_space,
-                          inner_space, innerness_report, is_superderivation,
-                          super_commutator)
+from .derivations import (SuperDerivation, derivation_space, inner_space,
+                          innerness_report, is_superderivation, super_commutator)
 from .fileformat import (ParseError, ValidationError, dump_algebra,
                          emit_algebra, load_algebra, parse_algebra)
 

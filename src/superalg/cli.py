@@ -227,8 +227,8 @@ def cmd_ann(args):
 
 def _derivation_lines(A, D):
     images = []
-    for label in A.combined_basis:
-        img = D.apply(A, A.basis_element(label))
+    for j, label in enumerate(A.combined_basis):
+        img = A.element_from_coords(D.matrix.column(j))
         if not img.is_zero():
             images.append("%s -> %s" % (label, img))
     return "; ".join(images) or "0"
@@ -242,10 +242,10 @@ def cmd_der(args):
     for parity in parities:
         tag = "even" if parity == EVEN else "odd"
         space = derivation_space(A, parity)
-        obj[tag] = {"dim": space.dim,
-                    "basis": [_matrix_obj(D.matrix) for D in space.basis]}
-        lines.append("dim Der_%s: %d" % (tag, space.dim))
-        for idx, D in enumerate(space.basis, 1):
+        obj[tag] = {"dim": len(space),
+                    "basis": [_matrix_obj(D.matrix) for D in space]}
+        lines.append("dim Der_%s: %d" % (tag, len(space)))
+        for idx, D in enumerate(space, 1):
             lines.append("  D%d: %s" % (idx, _derivation_lines(A, D)))
     _emit(args, obj, lines)
     return 0

@@ -247,11 +247,6 @@ class SuperAlgebra:
     def basis_bracket(self, left, right):
         return self.brackets.get((left, right), ZERO_ELEMENT)
 
-    def with_name(self, name):
-        alg = SuperAlgebra(self.kind, self.even_basis, self.odd_basis,
-                           dict(self.brackets), name=name)
-        return alg
-
 
 def _products(A, us, vs):
     """Yield, for each u in us, {t: [u, vs[t]]} with each bracket a sparse

@@ -20,16 +20,13 @@ from .core import EVEN, ODD, LIE, multiplication_matrix, product
 
 
 class SuperDerivation:
-    """A homogeneous linear map, stored as its matrix on the combined basis."""
+    """A homogeneous linear map; column j of its matrix is D(e_j)."""
 
     def __init__(self, parity, matrix):
         if parity not in (EVEN, ODD):
             raise ValueError("parity must be 0 or 1")
         self.parity = parity
         self.matrix = matrix
-
-    def apply(self, A, el):
-        return A.element_from_coords(self.matrix.apply(A.coords(el)))
 
     def __eq__(self, other):
         return (isinstance(other, SuperDerivation)
@@ -38,24 +35,6 @@ class SuperDerivation:
 
     def __repr__(self):
         return "SuperDerivation(parity=%d, dim=%d)" % (self.parity, self.matrix.rows)
-
-
-class DerivationSpace:
-    """A basis of superderivations sharing one parity."""
-
-    def __init__(self, parity, basis):
-        self.parity = parity
-        self.basis = list(basis)
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def __iter__(self):
-        return iter(self.basis)
-
-    def __repr__(self):
-        return "DerivationSpace(parity=%d, dim=%d)" % (self.parity, self.dim)
 
 
 def _check_parity_blocks(A, parity, M):
@@ -109,7 +88,7 @@ def _unknown_positions(A, parity):
 
 
 def derivation_space(A, parity):
-    """All superderivations of the given parity, as a canonical basis.
+    """The superderivations of the given parity: a canonical basis, as a list.
 
     One linear equation per basis triple (i, j, k): coordinate k of the
     rule applied to the pair (e_i, e_j).  Each structure constant adds its
@@ -149,11 +128,11 @@ def derivation_space(A, parity):
         for t, (k, l) in enumerate(positions):
             entries[k][l] = vec[t]
         out.append(SuperDerivation(parity, Matrix(entries)))
-    return DerivationSpace(parity, out)
+    return out
 
 
 def inner_space(A, parity):
-    """Span of the multiplication operators of the given parity.
+    """The multiplication operators of the given parity: a basis, as a list.
 
     Left multiplications for the lie kind, right multiplications for the
     leibniz kind; the basis is canonicalized by row reduction of the
@@ -172,7 +151,7 @@ def inner_space(A, parity):
     for vec in reduced:
         entries = [list(vec[i * n:(i + 1) * n]) for i in range(n)]
         out.append(SuperDerivation(parity, Matrix(entries)))
-    return DerivationSpace(parity, out)
+    return out
 
 
 def super_commutator(D1, D2):
@@ -192,10 +171,10 @@ def innerness_report(A):
     for parity, tag in ((EVEN, "even"), (ODD, "odd")):
         der = derivation_space(A, parity)
         inner = inner_space(A, parity)
-        rows = sparse_rows(D.matrix.flatten() for D in inner.basis)
-        exprs = [pivot_coefficients(rows, D.matrix.flatten()) for D in der.basis]
-        report["dim_der_%s" % tag] = der.dim
-        report["dim_inner_%s" % tag] = inner.dim
+        rows = sparse_rows(D.matrix.flatten() for D in inner)
+        exprs = [pivot_coefficients(rows, D.matrix.flatten()) for D in der]
+        report["dim_der_%s" % tag] = len(der)
+        report["dim_inner_%s" % tag] = len(inner)
         report["outer_%s" % tag] = exprs.count(None)
         report["expressions"][tag] = exprs
     report["all_inner"] = not (report["outer_even"] or report["outer_odd"])

@@ -201,7 +201,7 @@ def load_basis_map(source):
     return mapping
 
 
-def emit_algebra(A, name=None):
+def emit_algebra(A):
     """Deterministic JSON-ready dict for an algebra."""
     brackets = []
     for (left, right) in sorted(A.brackets, key=lambda k: (A.index(k[0]), A.index(k[1]))):
@@ -213,7 +213,7 @@ def emit_algebra(A, name=None):
             "result": [{"basis": b, "coeff": str(c)} for b, c in terms],
         })
     return {
-        "name": A.name if name is None else name,
+        "name": A.name,
         "kind": A.kind,
         "even_basis": list(A.even_basis),
         "odd_basis": list(A.odd_basis),
@@ -221,9 +221,9 @@ def emit_algebra(A, name=None):
     }
 
 
-def dump_algebra(A, target, name=None):
+def dump_algebra(A, target):
     """Write the algebra to a path or stream as indented JSON."""
-    data = emit_algebra(A, name)
+    data = emit_algebra(A)
     if hasattr(target, "write"):
         json.dump(data, target, indent=2)
         target.write("\n")

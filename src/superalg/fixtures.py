@@ -26,7 +26,6 @@ from .invariants import span_of_labels
 
 def _lie_construction(family, even, odd):
     solvable = member(family, even, odd)
-    nil = member(family[1:], even, odd)
     if family == "SL":
         (n,), (m,) = even, odd
         spec = filiform_lie_torus_spec(n, m)
@@ -49,7 +48,8 @@ def _lie_construction(family, even, odd):
     replay = change_of_basis(zalg, zmap)
     checks.append(("z-basis replay matches the solvable law",
                    equal_laws(replay, solvable), ""))
-    verdict = nilradical_verdict(solvable, span_of_labels(solvable, nil.combined_basis))
+    nil = span_of_labels(solvable, spec.nilradical.combined_basis)
+    verdict = nilradical_verdict(solvable, nil)
     checks.append(("nilradical verdict", verdict["verdict"], ""))
     checks.append(("nilradical codimension = %d" % codim,
                    verdict["codimension"] == codim,

@@ -66,17 +66,6 @@ class Matrix:
                 raise ValueError("column length mismatch")
         return cls([[c[i] for c in cols] for i in range(rows)], len(cols))
 
-    def entry(self, i, j):
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError("entry (%d, %d) outside a %dx%d matrix"
-                             % (i, j, self.rows, self.cols))
-        return self.entries[i][j]
-
-    def row(self, i):
-        if not 0 <= i < self.rows:
-            raise IndexError("row %d outside a %dx%d matrix" % (i, self.rows, self.cols))
-        return self.entries[i]
-
     def column(self, j):
         if not 0 <= j < self.cols:
             raise IndexError("column %d outside a %dx%d matrix" % (j, self.rows, self.cols))
@@ -103,9 +92,6 @@ class Matrix:
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.cols == other.cols
                 and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):

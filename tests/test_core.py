@@ -154,4 +154,6 @@ def test_equal_laws_requires_matching_basis():
     B = filiform_leibniz(3, 2)
     with pytest.raises(ValueError):
         equal_laws(A, B)
-    assert equal_laws(A, A.with_name("other"))
+    renamed = SuperAlgebra(A.kind, A.even_basis, A.odd_basis, dict(A.brackets),
+                           name="other")
+    assert renamed.name == "other" and equal_laws(A, renamed)

@@ -4,10 +4,9 @@ import pytest
 
 from superalg.core import (EVEN, LIE, ODD, Element, SuperAlgebra,
                            change_of_basis)
-from superalg.derivations import (DerivationSpace, SuperDerivation,
-                                  derivation_space, inner_space,
-                                  innerness_report, is_superderivation,
-                                  super_commutator)
+from superalg.derivations import (SuperDerivation, derivation_space,
+                                  inner_space, innerness_report,
+                                  is_superderivation, super_commutator)
 from superalg.families import (filiform_leibniz, model_filiform_lie,
                                model_nilpotent_leibniz)
 from superalg.linalg import Matrix
@@ -55,16 +54,16 @@ def test_derivation_space_dimensions_lie():
     SL = model_filiform_lie(3, 2, solvable=True)
     even = derivation_space(SL, EVEN)
     odd = derivation_space(SL, ODD)
-    assert even.dim == 6 and odd.dim == 2
-    for D in list(even) + list(odd):
+    assert len(even) == 6 and len(odd) == 2
+    for D in even + odd:
         ok, _ = is_superderivation(SL, D)
         assert ok
 
 
 def test_derivation_space_dimensions_leibniz():
     SLP = filiform_leibniz(3, 2, solvable=True)
-    assert derivation_space(SLP, EVEN).dim == 4
-    assert derivation_space(SLP, ODD).dim == 0
+    assert len(derivation_space(SLP, EVEN)) == 4
+    assert len(derivation_space(SLP, ODD)) == 0
 
 
 def test_inner_space_members_are_derivations():
@@ -105,7 +104,7 @@ def test_innerness_report_solvable_vs_nilpotent():
 
 def test_super_commutator_closure():
     SL = model_filiform_lie(3, 2, solvable=True)
-    basis = list(derivation_space(SL, EVEN)) + list(derivation_space(SL, ODD))
+    basis = derivation_space(SL, EVEN) + derivation_space(SL, ODD)
     rng = random.Random(7)
     for _ in range(10):
         D1, D2 = rng.choice(basis), rng.choice(basis)
@@ -117,7 +116,7 @@ def test_super_commutator_closure():
 
 def test_odd_squares_to_even_derivation():
     SL = model_filiform_lie(3, 2, solvable=True)
-    odd = list(derivation_space(SL, ODD))
+    odd = derivation_space(SL, ODD)
     D = odd[0]
     # [D, D] = 2 D^2 for odd D
     sq = super_commutator(D, D)
@@ -128,11 +127,11 @@ def test_odd_squares_to_even_derivation():
 
 def test_dimension_invariant_under_basis_change():
     SL = model_filiform_lie(3, 2, solvable=True)
-    want = (derivation_space(SL, EVEN).dim, derivation_space(SL, ODD).dim)
+    want = (len(derivation_space(SL, EVEN)), len(derivation_space(SL, ODD)))
     rng = random.Random(20250817)
     for _ in range(3):
         B = _random_parity_preserving_change(SL, rng)
-        got = (derivation_space(B, EVEN).dim, derivation_space(B, ODD).dim)
+        got = (len(derivation_space(B, EVEN)), len(derivation_space(B, ODD)))
         assert got == want
 
 
@@ -157,11 +156,11 @@ def _random_parity_preserving_change(A, rng):
 
 def test_trivial_odd_space_when_no_odd_part():
     space = derivation_space(model_filiform_lie(3, 2, solvable=True), ODD)
-    assert isinstance(space, DerivationSpace)
+    assert isinstance(space, list)
     # abelian even-only algebra: every even matrix is a derivation, no odd maps
     flat = SuperAlgebra(LIE, ["a", "b"], [], {})
-    assert derivation_space(flat, EVEN).dim == 4
-    assert derivation_space(flat, ODD).dim == 0
+    assert len(derivation_space(flat, EVEN)) == 4
+    assert len(derivation_space(flat, ODD)) == 0
 
 
 def test_empty_system_leaves_every_unknown_free():
@@ -170,5 +169,5 @@ def test_empty_system_leaves_every_unknown_free():
     flat = SuperAlgebra(LIE, ["a"], ["b"], {})
     for parity in (EVEN, ODD):
         space = derivation_space(flat, parity)
-        assert space.dim == 2
+        assert len(space) == 2
         assert all(is_superderivation(flat, D)[0] for D in space)

@@ -67,7 +67,7 @@ def test_index_law_matches_label_oracle():
 
         for parity in (EVEN, ODD):
             got = [[list(row) for row in D.matrix.entries]
-                   for D in derivation_space(A, parity).basis]
+                   for D in derivation_space(A, parity)]
             assert got == naive_derivation_basis(A, parity), (case, parity)
 
         for label in basis:

@@ -145,9 +145,9 @@ def test_load_sources_and_dump(tmp_path):
     assert equal_laws(load_algebra(json.loads(path.read_text())), A)
 
     buf = io.StringIO()
-    dump_algebra(A, buf, name="renamed")
+    dump_algebra(A, buf)
     reloaded = load_algebra(json.loads(buf.getvalue()))
-    assert reloaded.name == "renamed" and equal_laws(reloaded, A)
+    assert equal_laws(reloaded, A)
 
     other = tmp_path / "again.json"
     dump_algebra(A, str(other))
@@ -260,6 +260,30 @@ def test_der_parity_selection(tmp_path, capsys):
     assert main(["der", path]) == 0
     out = capsys.readouterr().out
     assert "dim Der_even: 6" in out and "dim Der_odd: 2" in out
+
+
+def test_der_text_prints_each_image_as_its_column(tmp_path, capsys):
+    # entry (i, j) of a derivation matrix is the coefficient of e_i in D(e_j);
+    # on SL^{3,2} the matrices are not symmetric, so reading a row would differ
+    path = _gen(tmp_path, "sl.json", ["--family", "SL", "--even", "3", "--odd", "2"])
+    basis = load_algebra(path).combined_basis
+    assert main(["der", path, "--parity", "both", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert main(["der", path, "--parity", "both"]) == 0
+    text = capsys.readouterr().out.splitlines()
+    want = []
+    for tag in ("even", "odd"):
+        want.append("dim Der_%s: %d" % (tag, obj[tag]["dim"]))
+        for idx, rows in enumerate(obj[tag]["basis"], 1):
+            images = []
+            for j, label in enumerate(basis):
+                img = Element({basis[i]: Fraction(row[j]) for i, row in enumerate(rows)})
+                if not img.is_zero():
+                    images.append("%s -> %r" % (label, img))
+            want.append("  D%d: %s" % (idx, "; ".join(images) or "0"))
+    assert text == want
+    matrices = obj["even"]["basis"] + obj["odd"]["basis"]
+    assert any(rows != [list(col) for col in zip(*rows)] for rows in matrices)
 
 
 def test_inner_report(tmp_path, capsys):
