@@ -11,9 +11,13 @@ kept as given so that validate() can report contradictions.
 holds it by combined-basis index, (i, j) -> {k: c}, with `parities` by
 index, and every computation reads it (equal_laws too, and product() for
 coordinate vectors, through `left_index`, the law grouped by left index).
+`integer_law` is the same table times the lcm d of the denominators, so
+validation and the derivation equations run in integer arithmetic.
 """
 
+from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from types import MappingProxyType
 
 from .linalg import Matrix, ZERO, _frac, invert, sparse_rows
@@ -187,6 +191,13 @@ class SuperAlgebra:
             rows[i].append((j, cell))
         return rows
 
+    @cached_property
+    def integer_law(self):
+        """(d, the law times d) with d the lcm of the denominators: integer cells."""
+        d = lcm(*[c.denominator for cell in self.law.values() for c in cell.values()])
+        return d, {key: {k: c.numerator * (d // c.denominator) for k, c in cell.items()}
+                   for key, cell in self.law.items()}
+
     # ---- basic queries -------------------------------------------------
 
     @property
@@ -283,49 +294,57 @@ def bracket(A, u, v):
 def validate(A, kind=None):
     """Check the grading and the defining identity from the nonzero constants.
 
-    Only the nonzero double products [p,[q,r]] and [[q,r],p] are formed;
-    each is added into the residual of every basis triple whose identity
-    holds it, and the triples left nonzero are reported in index order.
-    Violations are report entries, never exceptions.  `kind` overrides the
-    algebra's own kind, so a Lie-kind table can be checked against the
-    Leibniz identity (it must also pass).
+    Only the nonzero double products [p,[q,r]] and [[q,r],p] are formed, in
+    integers from `A.integer_law` (d times the law): each is added into the
+    residual of every basis triple whose identity holds it, the triples
+    left nonzero are reported in index order, and a residual entry c is
+    reported as c / d^2.  Violations are report entries, never exceptions.
+    `kind` overrides the algebra's own kind, so a Lie-kind table can be
+    checked against the Leibniz identity (it must also pass).
     """
     kind = A.kind if kind is None else kind
     if kind not in KINDS:
         raise ValueError("unknown kind %r" % (kind,))
     basis, par, law = A.combined_basis, A.parities, A.law
+    d, ilaw = A.integer_law
     violations = []
     residuals = {}
 
     def add(triple, f, cell):
         res = residuals.setdefault(triple, {})
         for k, c in cell.items():
-            res[k] = res.get(k, ZERO) + f * c
+            res[k] = res.get(k, 0) + f * c
 
+    # the cells (p, k) by right index k, and (k, p) by left index k
+    by_right = [[] for _ in basis]
+    by_left = [[] for _ in basis]
+    for (i, j), cell in ilaw.items():
+        by_right[j].append((i, cell))
+        by_left[i].append((j, cell))
     for (q, r), cell in law.items():
         bad = {basis[k]: c for k, c in cell.items() if par[k] != par[q] ^ par[r]}
         if bad:
             violations.append(Violation("grading", (basis[q], basis[r]), Element(bad)))
-        # Jacobi residual of (x,y,z): (-1)^{|z||x|}[x,[y,z]]
-        #   + (-1)^{|x||y|}[y,[z,x]] + (-1)^{|y||z|}[z,[x,y]], which holds
-        #   [p,[q,r]] at each rotation of (p,q,r) with sign (-1)^{|p||r|}.
-        # Leibniz residual: [x,[y,z]] - [[x,y],z] + (-1)^{|y||z|}[[x,z],y],
-        #   which holds [p,[q,r]] at (p,q,r), and [[q,r],p] at (q,r,p) with
-        #   sign -1 and at (q,p,r) with sign (-1)^{|p||r|}.
+    # Jacobi residual of (x,y,z): (-1)^{|z||x|}[x,[y,z]]
+    #   + (-1)^{|x||y|}[y,[z,x]] + (-1)^{|y||z|}[z,[x,y]], which holds
+    #   [p,[q,r]] at each rotation of (p,q,r) with sign (-1)^{|p||r|}.
+    # Leibniz residual: [x,[y,z]] - [[x,y],z] + (-1)^{|y||z|}[[x,z],y],
+    #   which holds [p,[q,r]] at (p,q,r), and [[q,r],p] at (q,r,p) with
+    #   sign -1 and at (q,p,r) with sign (-1)^{|p||r|}.
+    for (q, r), cell in ilaw.items():
         for k, c in cell.items():
-            for p in range(A.dim):
-                sc = -c if par[p] and par[r] else c
-                outer = law.get((p, k))
-                if outer and kind == LIE:
+            for p, outer in by_right[k]:
+                if kind == LIE:
+                    sc = -c if par[p] and par[r] else c
                     add((p, q, r), sc, outer)
                     add((r, p, q), sc, outer)
                     add((q, r, p), sc, outer)
-                elif outer:
+                else:
                     add((p, q, r), c, outer)
-                outer = law.get((k, p))
-                if outer and kind == LEIBNIZ:
+            if kind == LEIBNIZ:
+                for p, outer in by_left[k]:
                     add((q, r, p), -c, outer)
-                    add((q, p, r), sc, outer)
+                    add((q, p, r), -c if par[p] and par[r] else c, outer)
 
     if kind == LIE:
         for i, j in sorted({(min(i, j), max(i, j)) for i, j in law}):
@@ -338,11 +357,11 @@ def validate(A, kind=None):
             if not residual.is_zero():
                 violations.append(Violation("skew", (basis[i], basis[j]), residual))
     identity = "jacobi" if kind == LIE else "leibniz"
-    for triple in sorted(residuals):
-        residual = Element((basis[k], c) for k, c in sorted(residuals[triple].items()))
-        if not residual.is_zero():
-            violations.append(Violation(identity, tuple(basis[i] for i in triple),
-                                        residual))
+    dd = d * d
+    for triple in sorted(t for t, res in residuals.items() if any(res.values())):
+        residual = Element((basis[k], Fraction(c, dd))
+                           for k, c in sorted(residuals[triple].items()))
+        violations.append(Violation(identity, tuple(basis[i] for i in triple), residual))
     return ValidationReport(kind, violations)
 
 

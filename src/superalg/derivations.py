@@ -7,15 +7,16 @@ homogeneous a, b
     leibniz kind:  D([a,b]) = (-1)^(s|b|) [D(a),b] + [a,D(b)]
 
 derivation_space solves the rule as a linear system over the matrix
-entries of D; inner_space spans the multiplication operators (left for
-the lie kind, right for the leibniz kind); innerness_report compares the
-two per parity.
+entries of D, with integer coefficients from A.integer_law, handed to the
+kernel as sparse rows; inner_space spans the multiplication operators
+(left for the lie kind, right for the leibniz kind); innerness_report
+compares the two per parity.
 """
 
 from fractions import Fraction
 
-from .linalg import (ZERO, Matrix, dense_rows, nullspace, pivot_coefficients,
-                     row_space_basis, sparse_rows)
+from .linalg import (ZERO, Matrix, _kernel, pivot_coefficients, row_space_basis,
+                     sparse_rows)
 from .core import EVEN, ODD, LIE, multiplication_matrix, product
 
 
@@ -91,15 +92,17 @@ def derivation_space(A, parity):
     """The superderivations of the given parity: a canonical basis, as a list.
 
     One linear equation per basis triple (i, j, k): coordinate k of the
-    rule applied to the pair (e_i, e_j).  Each structure constant adds its
-    terms to the equations it occurs in; zero and duplicate equations are
-    dropped, and the canonical nullspace of the system, which does not
-    depend on the order of the equations, is reshaped into matrices.
+    rule applied to the pair (e_i, e_j).  Each structure constant of
+    `A.integer_law` (the law times the lcm of its denominators, which
+    leaves the solutions unchanged) adds its integer terms to the
+    equations it occurs in; zero and duplicate equations are dropped, and
+    the sparse rows go straight to the kernel.  Its canonical basis, which
+    does not depend on the order of the equations, is reshaped into
+    matrices.
     """
     n = A.dim
     positions = _unknown_positions(A, parity)
     pos_index = {pos: t for t, pos in enumerate(positions)}
-    width = len(positions)
 
     eqs = {}
 
@@ -107,9 +110,9 @@ def derivation_space(A, parity):
         t = pos_index.get(pos)
         if t is not None:
             row = eqs.setdefault(eq, {})
-            row[t] = row.get(t, ZERO) + c
+            row[t] = row.get(t, 0) + c
 
-    for (a, b), cell in A.law.items():
+    for (a, b), cell in A.integer_law[1].items():
         s1, s2 = _rule_signs(A, parity, a, b)
         for k, c in cell.items():
             for x in range(n):
@@ -121,12 +124,12 @@ def derivation_space(A, parity):
     rows = dict.fromkeys(tuple(sorted((t, c) for t, c in eqs[eq].items() if c))
                          for eq in sorted(eqs))
     rows.pop((), None)
-    solutions = nullspace(Matrix(dense_rows(rows, width), width))
     out = []
-    for vec in solutions:
+    for vec in _kernel(rows, len(positions)):
         entries = [[ZERO] * n for _ in range(n)]
-        for t, (k, l) in enumerate(positions):
-            entries[k][l] = vec[t]
+        for t, v in vec:
+            k, l = positions[t]
+            entries[k][l] = v
         out.append(SuperDerivation(parity, Matrix(entries)))
     return out
 

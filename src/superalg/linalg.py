@@ -252,21 +252,28 @@ def rank(M):
     return len(_reduce(sparse_rows(M.entries))[1])
 
 
-def nullspace(M):
-    """Canonical basis of the right kernel of M.
+def _kernel(rows, cols):
+    """Canonical kernel basis of sparse rows over `cols` unknowns.
 
-    Each basis vector sets exactly one free variable to 1 and the other
-    free variables to 0; vectors are ordered by free column index.
+    The rows may hold int or Fraction values.  Each basis vector sets
+    exactly one free variable to 1 and the other free variables to 0;
+    vectors are ordered by free column index, each a list of its nonzero
+    (column, value) pairs, the free column first.
     """
-    reduced, pivots = _reduce(sparse_rows(M.entries))
+    reduced, pivots = _reduce(rows)
     pivotset = set(pivots)
-    kernel = {f: [(f, ONE)] for f in range(M.cols) if f not in pivotset}
+    kernel = {f: [(f, ONE)] for f in range(cols) if f not in pivotset}
     # past its pivot, a reduced row has entries only in free columns
     for row in reduced:
         p = row[0][0]
         for f, a in row[1:]:
             kernel[f].append((p, -a))
-    return list(dense_rows(kernel.values(), M.cols))
+    return list(kernel.values())
+
+
+def nullspace(M):
+    """Canonical basis of the right kernel of M, as dense tuples (see _kernel)."""
+    return list(dense_rows(_kernel(sparse_rows(M.entries), M.cols), M.cols))
 
 
 def row_space_basis(vectors, cols):

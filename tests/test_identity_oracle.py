@@ -10,14 +10,18 @@ from fractions import Fraction
 
 from naive_identities import (naive_derivation_basis, naive_multiplication_matrix,
                               naive_validate)
-from superalg.core import (EVEN, LEIBNIZ, LIE, ODD, Element, SuperAlgebra, equal_laws,
-                           multiplication_matrix, validate)
+from superalg.core import (EVEN, LEIBNIZ, LIE, ODD, Element, SuperAlgebra,
+                           change_of_basis, equal_laws, multiplication_matrix, validate)
 from superalg.derivations import derivation_space
+from superalg.families import member
 
 COEFFS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(3))
+# denominators 3 and 7, so the integer law's d is often 21
+THIRDS_AND_SEVENTHS = (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 3), Fraction(3, 7),
+                       Fraction(-4, 21), Fraction(2))
 
 
-def random_law(rng, kind):
+def random_law(rng, kind, coeffs=COEFFS):
     """1-3 even and 1-3 odd labels; about 10% of the terms break the grading."""
     even = ["x%d" % i for i in range(1, rng.randint(1, 3) + 1)]
     odd = ["y%d" % i for i in range(1, rng.randint(1, 3) + 1)]
@@ -32,7 +36,7 @@ def random_law(rng, kind):
             terms = {}
             for _ in range(rng.randint(1, 2)):
                 label = rng.choice(basis if rng.random() < 0.1 else graded)
-                terms[label] = rng.choice(COEFFS)
+                terms[label] = rng.choice(coeffs)
             table[(a, b)] = Element(terms)
     return SuperAlgebra(kind, even, odd, table)
 
@@ -77,6 +81,42 @@ def test_index_law_matches_label_oracle():
                     (case, label, side)
     # the comparison must cover failing laws, not only valid ones
     assert violating > 100
+
+
+def _check_against_oracle(A):
+    """validate for both kinds and derivation_space for both parities."""
+    for kind in (A.kind, LEIBNIZ):
+        assert _report(A, kind) == _split(A, naive_validate(A, kind)), kind
+    for parity in (EVEN, ODD):
+        got = [[list(row) for row in D.matrix.entries]
+               for D in derivation_space(A, parity)]
+        assert got == naive_derivation_basis(A, parity), parity
+
+
+def test_integer_law_matches_label_oracle_with_thirds_and_sevenths():
+    rng = random.Random(3721)
+    scales = set()
+    denominators = set()
+    for case in range(120):
+        A = random_law(rng, LIE if case % 2 else LEIBNIZ, THIRDS_AND_SEVENTHS)
+        d, law = A.integer_law
+        assert {key: {k: Fraction(c, d) for k, c in cell.items()}
+                for key, cell in law.items()} == A.law, case
+        assert all(type(c) is int for cell in law.values() for c in cell.values())
+        scales.add(d)
+        _check_against_oracle(A)
+        denominators |= {c.denominator for v in validate(A).violations
+                         for _, c in v.residual.items()}
+    # residuals are rescaled by d^2 = 441 and must come out in lowest terms
+    assert 21 in scales and {9, 49, 441} <= denominators
+
+    # valid laws with these denominators: members rescaled basis vector by vector
+    for family, even, odd in (("SL", (3,), (2,)), ("SLP", (3,), (2,))):
+        A = member(family, even, odd)
+        B = change_of_basis(A, {l: Element({l: THIRDS_AND_SEVENTHS[i % 4]})
+                                for i, l in enumerate(A.combined_basis)})
+        assert B.integer_law[0] % 21 == 0 and validate(B).ok, family
+        _check_against_oracle(B)
 
 
 def _labelwise_equal(A, B):

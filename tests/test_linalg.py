@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from superalg.linalg import (ZERO, Matrix, NotNilpotent, invert,
+from superalg.linalg import (ZERO, Matrix, NotNilpotent, _kernel, dense_rows, invert,
                              nilpotent_jordan_blocks, nullspace, rank,
                              row_space_basis, rref, span_contains)
 
@@ -346,3 +346,46 @@ def test_kernel_matches_oracle_on_invert():
             assert [tuple(r) for r in inv.entries] == expected
             assert _all_fractions(inv.flatten()) and _zeros_shared(inv.flatten())
     assert outcomes == {True, False}
+
+
+def _shared_kernel_cases():
+    rng = random.Random(1968)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        yield "int", [[rng.choice((0, 0, 0, 1, -1, 2, -3, 21)) for _ in range(cols)]
+                      for _ in range(rows)], cols
+        yield "fraction", [[Fraction(rng.randint(-9, 9), rng.choice((1, 3, 7)))
+                            if rng.random() < 0.5 else 0 for _ in range(cols)]
+                           for _ in range(rows)], cols
+    for cols in (0, 1, 6):
+        yield "no equations", [], cols
+    for n in (1, 4, 7):
+        # unitriangular, with a dependent row appended: rank n, empty kernel
+        square = [[rng.randint(-3, 3) if j > i else int(i == j) for j in range(n)]
+                  for i in range(n)]
+        yield "full rank", square + [[a + b for a, b in zip(square[0], square[-1])]], n
+
+
+def test_shared_kernel_helper_matches_oracle():
+    """_kernel, which derivation_space calls with integer rows, and nullspace,
+    which wraps it for a dense Matrix, give the oracle's canonical basis."""
+    seen = set()
+    for kind, entries, cols in _shared_kernel_cases():
+        seen.add(kind)
+        expected = naive_nullspace(entries, cols)
+        if kind == "full rank":
+            assert expected == []
+        if kind == "no equations":
+            assert len(expected) == cols
+        sparse = [[(j, v) for j, v in enumerate(row) if v] for row in entries]
+        ker = _kernel(sparse, cols)
+        assert all(type(v) is Fraction and v for vec in ker for _, v in vec), kind
+        # each vector starts with 1 at its free column, in free column order
+        free = [vec[0][0] for vec in ker]
+        assert free == sorted(free) and all(vec[0][1] == 1 for vec in ker)
+        assert list(dense_rows(ker, cols)) == expected, (kind, entries)
+        dense = nullspace(Matrix(entries, cols))
+        assert isinstance(dense, list) and dense == expected, (kind, entries)
+        assert all(type(v) is tuple and len(v) == cols and _all_fractions(v)
+                   and _zeros_shared(v) for v in dense)
+    assert seen == {"int", "fraction", "no equations", "full rank"}
