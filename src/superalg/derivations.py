@@ -95,35 +95,38 @@ def derivation_space(A, parity):
     rule applied to the pair (e_i, e_j).  Each structure constant of
     `A.integer_law` (the law times the lcm of its denominators, which
     leaves the solutions unchanged) adds its integer terms to the
-    equations it occurs in; zero and duplicate equations are dropped, and
-    the sparse rows go straight to the kernel.  Its canonical basis, which
+    equations it occurs in, visiting only the unknowns in its matrix
+    column or row.  The sparse rows go straight to the kernel, which drops
+    zero rows and rows equal up to a scalar.  Its canonical basis, which
     does not depend on the order of the equations, is reshaped into
     matrices.
     """
     n = A.dim
     positions = _unknown_positions(A, parity)
-    pos_index = {pos: t for t, pos in enumerate(positions)}
+    # the unknowns of each matrix row and of each matrix column
+    in_row = [[] for _ in range(n)]
+    in_col = [[] for _ in range(n)]
+    for t, (k, l) in enumerate(positions):
+        in_row[k].append((l, t))
+        in_col[l].append((k, t))
 
     eqs = {}
 
-    def add(eq, pos, c):
-        t = pos_index.get(pos)
-        if t is not None:
-            row = eqs.setdefault(eq, {})
-            row[t] = row.get(t, 0) + c
+    def add(eq, t, c):
+        row = eqs.setdefault(eq, {})
+        row[t] = row.get(t, 0) + c
 
     for (a, b), cell in A.integer_law[1].items():
         s1, s2 = _rule_signs(A, parity, a, b)
         for k, c in cell.items():
-            for x in range(n):
-                add((a, b, x), (x, k), c)
-                add((x, b, k), (a, x), -s1 * c)
-                add((a, x, k), (b, x), -s2 * c)
+            for x, t in in_col[k]:
+                add((a, b, x), t, c)
+            for x, t in in_row[a]:
+                add((x, b, k), t, -s1 * c)
+            for x, t in in_row[b]:
+                add((a, x, k), t, -s2 * c)
 
-    # distinct nonzero equations in (i, j, k) order
-    rows = dict.fromkeys(tuple(sorted((t, c) for t, c in eqs[eq].items() if c))
-                         for eq in sorted(eqs))
-    rows.pop((), None)
+    rows = [sorted(row.items()) for row in eqs.values()]
     out = []
     for vec in _kernel(rows, len(positions)):
         entries = [[ZERO] * n for _ in range(n)]

@@ -143,19 +143,22 @@ def _reduce(rows):
     are the leading columns of the row space, which fixes the canonical
     form used everywhere below.
 
-    The elimination is fraction-free.  Each nonzero row becomes a dict
-    {column: int}, scaled once by the lcm of its denominators and divided
-    by its content (the gcd of its entries); a row equal to an earlier one
-    up to a scalar is dropped.  The rest are reduced against the pivot rows
-    found so far, smallest pivot column first, by integer row operations
-    a*row - b*pivot_row; the result is divided by its content and, unless
-    it is zero, kept as the pivot row of its smallest column.
-    Back-substitution clears the other pivot columns the same way, and only
-    the emitted rows are divided by their leading entries.
+    The elimination is fraction-free.  Rows are taken shortest first, the
+    fill-reducing order (Markowitz 1957); the reduced row echelon form of a
+    row space is unique, so the order changes the work, never the output.
+    Each nonzero row becomes a dict {column: int}, scaled once by the lcm
+    of its denominators and divided by its content (the gcd of its
+    entries); a row equal to an earlier one up to a scalar is dropped.
+    The rest are reduced against the pivot rows found so far, smallest
+    pivot column first, by integer row operations a*row - b*pivot_row; the
+    result is divided by its content and, unless it is zero, kept as the
+    pivot row of its smallest column.  Back-substitution clears the other
+    pivot columns the same way, and only the emitted rows are divided by
+    their leading entries.
     """
     pivot_rows = {}
     seen = set()
-    for row in rows:
+    for row in sorted(rows, key=len):
         nz = [(j, v) for j, v in row if v]
         if not nz:
             continue

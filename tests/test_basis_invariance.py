@@ -11,7 +11,7 @@ still certified as the nilradical with the same codimension.
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import Phase, assume, given, settings, strategies as st  # noqa: E402
 
 from superalg.core import change_of_basis  # noqa: E402
 from superalg.derivations import innerness_report  # noqa: E402
@@ -87,7 +87,10 @@ def _reference(family, even, odd):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@settings(max_examples=2, deadline=None, database=None, derandomize=True)
+# no shrink phase: an example solves two derivation systems, and shrinking a
+# failing one took minutes; the failing example is reported as drawn
+@settings(max_examples=2, deadline=None, database=None, derandomize=True,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(data=st.data())
 def test_invariants_survive_a_change_of_basis(family, data):
     even, odd, blocks = data.draw(cases(family))

@@ -119,6 +119,38 @@ def test_integer_law_matches_label_oracle_with_thirds_and_sevenths():
         _check_against_oracle(B)
 
 
+def _unitriangular_change(A, rng):
+    """In each parity block, basis vector j becomes e_j plus c * e_i for
+    every earlier i in the block with (i + j) % 3 == 0, c drawn from
+    (-2, -1, 1, 2): the dense laws of the derivation benchmark."""
+    images = {}
+    for block in (A.even_basis, A.odd_basis):
+        for j, label in enumerate(block):
+            image = {label: 1}
+            for i in range(j):
+                if (i + j) % 3 == 0:
+                    image[block[i]] = rng.choice((-2, -1, 1, 2))
+            images[label] = Element(image)
+    return images
+
+
+def test_derivation_basis_of_dense_laws_matches_label_oracle():
+    """Many more equations than unknowns, most of them redundant, with
+    integer constants of both signs: the regime the kernel's row order is
+    chosen for."""
+    rng = random.Random(1968)
+    for family in ("SL", "SLP"):
+        A = member(family, (4,), (3,))
+        B = change_of_basis(A, _unitriangular_change(A, rng))
+        nnz = [sum(map(len, X.law.values())) for X in (A, B)]
+        assert validate(B).ok and nnz[1] > 2 * nnz[0], (family, nnz)
+        for parity in (EVEN, ODD):
+            got = [[list(row) for row in D.matrix.entries]
+                   for D in derivation_space(B, parity)]
+            assert got == naive_derivation_basis(B, parity), (family, parity)
+            assert len(got) == len(derivation_space(A, parity)), (family, parity)
+
+
 def _labelwise_equal(A, B):
     """Oracle for equal_laws: compare the label tables pair by pair."""
     keys = set(A.brackets) | set(B.brackets)

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from superalg.linalg import (ZERO, Matrix, NotNilpotent, _kernel, dense_rows, invert,
-                             nilpotent_jordan_blocks, nullspace, rank,
+from superalg.linalg import (ZERO, Matrix, NotNilpotent, _kernel, _reduce, dense_rows,
+                             invert, nilpotent_jordan_blocks, nullspace, rank,
                              row_space_basis, rref, span_contains)
 
 from naive_gauss import (naive_inverse, naive_nullspace, naive_rank, naive_rref,
@@ -389,3 +389,32 @@ def test_shared_kernel_helper_matches_oracle():
         assert all(type(v) is tuple and len(v) == cols and _all_fractions(v)
                    and _zeros_shared(v) for v in dense)
     assert seen == {"int", "fraction", "no equations", "full rank"}
+
+
+def _row_orders(entries):
+    """The rows reversed, shuffled with a fixed seed, and with exact
+    duplicates and the multiples by -2 and 3/7 appended."""
+    shuffled = list(entries)
+    random.Random(1957).shuffle(shuffled)
+    yield "reversed", entries[::-1]
+    yield "shuffled", shuffled
+    yield "repeated", (entries + entries[::-1] + [[-2 * v for v in row] for row in entries]
+                       + [[Fraction(3, 7) * v for v in row] for row in shuffled])
+
+
+def test_row_order_is_internal_to_the_kernel():
+    """_reduce takes its rows in an order of its own; whatever order they
+    come in, with repeats or without, the reduced rows, pivots and kernel
+    basis are the oracle's canonical ones."""
+    seen = set()
+    for kind, entries, cols in list(_cases()) + list(_shared_kernel_cases()):
+        expected = naive_rref(entries)
+        kernel = naive_nullspace(entries, cols)
+        for order, rows in _row_orders(entries):
+            seen.add(order)
+            sparse = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+            reduced, pivots = _reduce(sparse)
+            got = [tuple(r) for r in dense_rows(reduced, cols)], pivots
+            assert got == expected, (kind, order, entries)
+            assert list(dense_rows(_kernel(sparse, cols), cols)) == kernel, (kind, order)
+    assert seen == {"reversed", "shuffled", "repeated"}
