@@ -71,8 +71,12 @@ def _subspace_obj(S):
     return {"dim": S.dim, "basis": [_vec_strs(v) for v in S.basis]}
 
 
-def _matrix_obj(M):
-    return [_vec_strs(row) for row in M.entries]
+def _derivation_obj(D):
+    n = D.dim
+    flat = ["0"] * (n * n)
+    for t, v in D.entries:
+        flat[t] = str(v)
+    return [flat[k * n:(k + 1) * n] for k in range(n)]
 
 
 _TERM_RE = re.compile(r"\s*(?:([+-])\s*)?(?:(\d+(?:/\d+)?)\s*\*?\s*)?"
@@ -243,7 +247,7 @@ def cmd_der(args):
         tag = "even" if parity == EVEN else "odd"
         space = derivation_space(A, parity)
         obj[tag] = {"dim": len(space),
-                    "basis": [_matrix_obj(D.matrix) for D in space]}
+                    "basis": [_derivation_obj(D) for D in space]}
         lines.append("dim Der_%s: %d" % (tag, len(space)))
         if args.format != "json":  # the images are read only by the text form
             for idx, D in enumerate(space, 1):

@@ -9,33 +9,46 @@ homogeneous a, b
 derivation_space solves the rule as a linear system over the matrix
 entries of D, with integer coefficients from A.integer_law, handed to the
 kernel as sparse rows; inner_space spans the multiplication operators
-(left for the lie kind, right for the leibniz kind); innerness_report
-compares the two per parity.
+(left for the lie kind, right for the leibniz kind) read from A.law;
+innerness_report compares the two per parity, all on sparse rows.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
-from .linalg import (ZERO, Matrix, _kernel, pivot_coefficients, row_space_basis,
+from .linalg import (Matrix, _kernel, _reduce, dense_rows, pivot_coefficients,
                      sparse_rows)
-from .core import EVEN, ODD, LIE, multiplication_matrix, product
+from .core import EVEN, ODD, LIE, product
 
 
 class SuperDerivation:
-    """A homogeneous linear map; column j of its matrix is D(e_j)."""
+    """A homogeneous linear map: `entries` lists its nonzero matrix entries
+    row-major, as (k*dim + j, coefficient of e_k in D(e_j)) in index order,
+    the row form linalg._reduce emits; `matrix`, whose column j is D(e_j),
+    is built on first access.  Give a square `matrix`, or `dim` and `entries`."""
 
-    def __init__(self, parity, matrix):
+    def __init__(self, parity, matrix=None, dim=None, entries=None):
         if parity not in (EVEN, ODD):
             raise ValueError("parity must be 0 or 1")
         self.parity = parity
-        self.matrix = matrix
+        if matrix is not None:
+            self.matrix = matrix
+            dim, entries = matrix.rows, sparse_rows([matrix.flatten()])[0]
+        self.dim = dim
+        self.entries = entries
+
+    @cached_property
+    def matrix(self):
+        n = self.dim
+        flat = dense_rows([self.entries], n * n)[0]
+        return Matrix([flat[k * n:(k + 1) * n] for k in range(n)], n)
 
     def __eq__(self, other):
-        return (isinstance(other, SuperDerivation)
-                and self.parity == other.parity
-                and self.matrix == other.matrix)
+        return isinstance(other, SuperDerivation) and (
+            self.parity, self.dim, self.entries) == (other.parity, other.dim, other.entries)
 
     def __repr__(self):
-        return "SuperDerivation(parity=%d, dim=%d)" % (self.parity, self.matrix.rows)
+        return "SuperDerivation(parity=%d, dim=%d)" % (self.parity, self.dim)
 
 
 def _check_parity_blocks(A, parity, M):
@@ -96,12 +109,15 @@ def derivation_space(A, parity):
     `A.integer_law` (the law times the lcm of its denominators, which
     leaves the solutions unchanged) adds its integer terms to the
     equations it occurs in, visiting only the unknowns in its matrix
-    column or row.  The sparse rows go straight to the kernel, which drops
-    zero rows and rows equal up to a scalar.  Its canonical basis, which
-    does not depend on the order of the equations, is reshaped into
-    matrices.
+    column or row.  A lie-kind law that is super skew-symmetric cell by
+    cell makes the rule on (e_j, e_i) the rule on (e_i, e_j) times
+    -(-1)^(|i||j|), so only the equations with i <= j are assembled; the
+    row space is the same.  The sparse rows go straight to the kernel,
+    which drops zero rows and rows equal up to a scalar; its canonical
+    basis, which does not depend on the order of the equations, comes back
+    as the sparse entries of each matrix.
     """
-    n = A.dim
+    n, par = A.dim, A.parities
     positions = _unknown_positions(A, parity)
     # the unknowns of each matrix row and of each matrix column
     in_row = [[] for _ in range(n)]
@@ -110,13 +126,18 @@ def derivation_space(A, parity):
         in_row[k].append((l, t))
         in_col[l].append((k, t))
 
+    ilaw = A.integer_law[1]
+    half = A.kind == LIE and all(
+        ilaw.get((b, a)) == {k: c if par[a] and par[b] else -c for k, c in cell.items()}
+        for (a, b), cell in ilaw.items())
     eqs = {}
 
     def add(eq, t, c):
-        row = eqs.setdefault(eq, {})
-        row[t] = row.get(t, 0) + c
+        if eq[0] <= eq[1] or not half:
+            row = eqs.setdefault(eq, {})
+            row[t] = row.get(t, 0) + c
 
-    for (a, b), cell in A.integer_law[1].items():
+    for (a, b), cell in ilaw.items():
         s1, s2 = _rule_signs(A, parity, a, b)
         for k, c in cell.items():
             for x, t in in_col[k]:
@@ -127,37 +148,27 @@ def derivation_space(A, parity):
                 add((a, x, k), t, -s2 * c)
 
     rows = [sorted(row.items()) for row in eqs.values()]
-    out = []
-    for vec in _kernel(rows, len(positions)):
-        entries = [[ZERO] * n for _ in range(n)]
-        for t, v in vec:
-            k, l = positions[t]
-            entries[k][l] = v
-        out.append(SuperDerivation(parity, Matrix(entries)))
-    return out
+    flat = [k * n + l for k, l in positions]
+    return [SuperDerivation(parity, dim=n, entries=sorted((flat[t], v) for t, v in vec))
+            for vec in _kernel(rows, len(positions))]
 
 
 def inner_space(A, parity):
     """The multiplication operators of the given parity: a basis, as a list.
 
     Left multiplications for the lie kind, right multiplications for the
-    leibniz kind; the basis is canonicalized by row reduction of the
-    flattened matrices.
+    leibniz kind.  The operator of e_i is read from `A.law` as a sparse
+    row-major row, entry (k, j) being coordinate k of [e_i, e_j] (left) or
+    [e_j, e_i] (right); the basis is the canonical RREF of those rows.
     """
-    side = "left" if A.kind == LIE else "right"
     n = A.dim
-    flats = []
-    for label in A.combined_basis:
-        if A.parity(label) != parity:
-            continue
-        M = multiplication_matrix(A, A.basis_element(label), side)
-        flats.append(M.flatten())
-    reduced = row_space_basis(flats, n * n)
-    out = []
-    for vec in reduced:
-        entries = [list(vec[i * n:(i + 1) * n]) for i in range(n)]
-        out.append(SuperDerivation(parity, Matrix(entries)))
-    return out
+    side = 0 if A.kind == LIE else 1  # the place of e_i in a law key
+    ops = {i: [] for i in range(n) if A.parities[i] == parity}
+    for key, cell in A.law.items():
+        if key[side] in ops:
+            ops[key[side]].extend((k * n + key[1 - side], c) for k, c in cell.items())
+    reduced, _ = _reduce([sorted(row) for row in ops.values()])
+    return [SuperDerivation(parity, dim=n, entries=row) for row in reduced]
 
 
 def super_commutator(D1, D2):
@@ -177,8 +188,8 @@ def innerness_report(A):
     for parity, tag in ((EVEN, "even"), (ODD, "odd")):
         der = derivation_space(A, parity)
         inner = inner_space(A, parity)
-        rows = sparse_rows(D.matrix.flatten() for D in inner)
-        exprs = [pivot_coefficients(rows, D.matrix.flatten()) for D in der]
+        rows = [D.entries for D in inner]
+        exprs = [pivot_coefficients(rows, dict(D.entries)) for D in der]
         report["dim_der_%s" % tag] = len(der)
         report["dim_inner_%s" % tag] = len(inner)
         report["outer_%s" % tag] = exprs.count(None)

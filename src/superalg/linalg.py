@@ -314,11 +314,12 @@ def span_contains(basis, v):
 
 def pivot_coefficients(rows, v):
     """Coefficients of v over canonical RREF rows, as _reduce gives them,
-    or None outside their span.  A row is 1 at its pivot (its first entry)
-    and 0 at the other pivots, so the coefficients are v at the pivots, and
-    v is in the span exactly when v minus that combination is zero."""
-    coeffs = tuple(v[row[0][0]] or ZERO for row in rows)
-    rest = {j: x for j, x in enumerate(v) if x}
+    or None outside their span; v is a dense sequence or a sparse
+    {column: value} dict.  A row is 1 at its pivot (its first entry) and 0
+    at the other pivots, so the coefficients are v at the pivots, and v is
+    in the span exactly when v minus that combination is zero."""
+    rest = dict(v) if isinstance(v, dict) else {j: x for j, x in enumerate(v) if x}
+    coeffs = tuple(rest.get(row[0][0]) or ZERO for row in rows)
     for c, row in zip(coeffs, rows):
         if c:
             for j, a in row:

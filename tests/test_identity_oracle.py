@@ -178,3 +178,17 @@ def test_equal_laws_matches_labelwise_comparison():
             outcomes.append(same)
     # both answers must occur, or the comparison could not fail
     assert outcomes.count(True) >= 200 and outcomes.count(False) > 100
+
+
+def test_derivation_basis_of_a_law_that_is_not_skew_keeps_all_equations():
+    """A lie-kind law whose transpose cells disagree: the mirrored half of
+    the derivation equations is not redundant, so none may be dropped."""
+    A = member("SL", (4,), (3,))
+    table = dict(A.brackets)
+    l, r = next(key for key in table if A.parity(key[0]) == EVEN and key[0] != key[1])
+    table[(r, l)] = table[(r, l)].scale(3)
+    B = SuperAlgebra(LIE, A.even_basis, A.odd_basis, table)
+    assert "skew" in {v.identity for v in validate(B).violations}
+    for parity in (EVEN, ODD):
+        got = [[list(row) for row in D.matrix.entries] for D in derivation_space(B, parity)]
+        assert got == naive_derivation_basis(B, parity), parity

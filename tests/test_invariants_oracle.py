@@ -17,13 +17,13 @@ import pytest
 from naive_gauss import naive_nullspace, naive_rank, naive_rref, naive_solve
 from superalg.core import LEIBNIZ, LIE, Element, SuperAlgebra, multiplication_matrix
 from superalg.derivations import derivation_space, inner_space, innerness_report
-from superalg.families import (filiform_leibniz, model_filiform_lie,
+from superalg.families import (FAMILIES, filiform_leibniz, member, model_filiform_lie,
                                model_nilpotent_leibniz, model_nilpotent_lie)
 from superalg.invariants import (DERIVED, DESCENDING_CENTRAL, GRADED_EVEN,
                                  SERIES_KINDS, Subspace, product_space,
                                  right_annihilator, series)
 from superalg.linalg import (ZERO, NotNilpotent, nilpotent_jordan_blocks,
-                             pivot_coefficients, sparse_rows)
+                             pivot_coefficients, row_space_basis, sparse_rows)
 
 COEFFS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(3))
 ENTRIES = (0, 0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2))
@@ -272,3 +272,24 @@ def test_innerness_expressions_match_the_oracle():
         assert report["all_inner"] == (report["outer_even"] + report["outer_odd"] == 0)
     # both inner and outer derivations must be met
     assert hits[True] > 10 and hits[False] > 10
+
+
+def test_inner_space_matches_the_dense_multiplication_matrices():
+    """inner_space reads each operator from A.law as a sparse row; the
+    reference flattens the dense multiplication matrices and reduces them."""
+    _, algebras = laws(20261019, 60)
+    sizes = {"L": ((4,), (3,)), "N": ((2, 1), (2,)), "LP": ((4,), (3,)),
+             "NP": ((2,), (1, 2))}
+    members = [member(f, *sizes[f.lstrip("S")]) for f in FAMILIES]
+    for case, A in enumerate(algebras + members):
+        side = "left" if A.kind == LIE else "right"
+        n = A.dim
+        for parity in (0, 1):
+            flats = [multiplication_matrix(A, A.basis_element(l), side).flatten()
+                     for l in A.combined_basis if A.parity(l) == parity]
+            expected = row_space_basis(flats, n * n)
+            got = inner_space(A, parity)
+            assert [D.entries for D in got] == sparse_rows(expected), (case, parity)
+            assert [D.matrix.flatten() for D in got] == list(expected), (case, parity)
+            assert all(v is ZERO for D in got for v in D.matrix.flatten() if not v), case
+            assert all((D.parity, D.dim) == (parity, n) for D in got), case

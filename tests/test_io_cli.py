@@ -7,11 +7,13 @@ import pytest
 
 from superalg import cli, families, fixtures
 from superalg.cli import main, parse_element_expression
-from superalg.core import Element, bracket, equal_laws
+from superalg.core import EVEN, ODD, Element, bracket, change_of_basis, equal_laws
+from superalg.derivations import SuperDerivation, derivation_space, super_commutator
 from superalg.families import (filiform_leibniz, model_filiform_lie,
                                model_nilpotent_leibniz, model_nilpotent_lie)
 from superalg.fileformat import (ParseError, ValidationError, dump_algebra,
                                  emit_algebra, load_algebra, parse_algebra)
+from superalg.linalg import sparse_rows
 
 
 ALL_FAMILIES = [
@@ -284,6 +286,31 @@ def test_der_text_prints_each_image_as_its_column(tmp_path, capsys):
     assert text == want
     matrices = obj["even"]["basis"] + obj["odd"]["basis"]
     assert any(rows != [list(col) for col in zip(*rows)] for rows in matrices)
+
+
+def test_der_json_matrices_of_a_rescaled_law(tmp_path, capsys):
+    # rational constants, so the JSON strings include fractions
+    A = model_filiform_lie(4, 3, solvable=True)
+    factors = (Fraction(2, 3), Fraction(-5, 7), Fraction(1, 6))
+    B = change_of_basis(A, {l: Element({l: factors[i % 3]})
+                            for i, l in enumerate(A.combined_basis)})
+    path = str(tmp_path / "rescaled.json")
+    dump_algebra(B, path)
+    assert main(["der", path, "--parity", "both", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    for parity, tag in ((EVEN, "even"), (ODD, "odd")):
+        space = derivation_space(B, parity)
+        assert obj[tag]["basis"] == [[[str(v) for v in row] for row in D.matrix.entries]
+                                     for D in space], tag
+        for D in space:
+            assert SuperDerivation(parity, D.matrix) == D
+    assert any("/" in v for M in obj["even"]["basis"] for row in M for v in row)
+    # built from a Matrix, as super_commutator builds it, or from its entries
+    C = next(C for C in (super_commutator(D1, D2) for D1 in derivation_space(B, EVEN)
+                         for D2 in derivation_space(B, ODD)) if not C.matrix.is_zero())
+    same = SuperDerivation(ODD, dim=B.dim, entries=sparse_rows([C.matrix.flatten()])[0])
+    assert C == same and same.matrix == C.matrix
+    assert C != SuperDerivation(EVEN, C.matrix)
 
 
 def test_inner_report(tmp_path, capsys):
