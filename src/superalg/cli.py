@@ -9,6 +9,7 @@ SUPERALG_MAX_DIM (default 64) caps the dimension of accepted algebras.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -230,12 +231,13 @@ def cmd_ann(args):
 
 
 def _derivation_lines(A, D):
-    images = []
-    for j, label in enumerate(A.combined_basis):
-        img = A.element_from_coords(D.matrix.column(j))
-        if not img.is_zero():
-            images.append("%s -> %s" % (label, img))
-    return "; ".join(images) or "0"
+    # D(e_j) collects the entries (k*n + j, value) of column j, k ascending
+    n, basis = D.dim, A.combined_basis
+    images = {}
+    for t, v in D.entries:
+        images.setdefault(t % n, []).append((basis[t // n], v))
+    return "; ".join("%s -> %s" % (basis[j], Element(images[j]))
+                     for j in sorted(images)) or "0"
 
 
 def cmd_der(args):
@@ -333,6 +335,7 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser():
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "text"), default="text")

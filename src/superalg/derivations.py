@@ -113,9 +113,9 @@ def derivation_space(A, parity):
     cell makes the rule on (e_j, e_i) the rule on (e_i, e_j) times
     -(-1)^(|i||j|), so only the equations with i <= j are assembled; the
     row space is the same.  The sparse rows go straight to the kernel,
-    which drops zero rows and rows equal up to a scalar; its canonical
-    basis, which does not depend on the order of the equations, comes back
-    as the sparse entries of each matrix.
+    where a row implied by earlier ones costs only dot products; its
+    canonical basis, which does not depend on the order of the equations,
+    comes back as the sparse entries of each matrix.
     """
     n, par = A.dim, A.parities
     positions = _unknown_positions(A, parity)

@@ -1,12 +1,14 @@
 """Exact linear algebra over the rationals.
 
 Vectors are tuples of Fraction and matrices are immutable tuples of such
-rows; the public functions take and return them dense.  Every elimination
-goes through one fraction-free kernel, _reduce, which reads and writes
-sparse rows: lists of nonzero (column, value) pairs in column order.
-sparse_rows and dense_rows convert at the public boundary.  All results
-are exact, and anything that returns a basis returns it in a canonical
-form so that two equal subspaces compare equal entrywise.
+rows; the public functions take and return them dense.  Inside, rows are
+sparse: lists of nonzero (column, value) pairs in column order, which
+sparse_rows and dense_rows convert at the public boundary.  Row spaces go
+through one fraction-free elimination, _reduce; kernels go through
+_kernel, which tracks the solution space and reads its canonical basis
+off with one _reduce call.  All results are exact, and anything that
+returns a basis returns it in a canonical form so that two equal
+subspaces compare equal entrywise.
 """
 
 from fractions import Fraction
@@ -183,7 +185,7 @@ def _reduce(rows):
             for j in p:
                 if j not in r and j in pivot_rows:
                     heappush(todo, j)
-            _eliminate(r, p, c, b)
+            _eliminate(r, p, p[c], b)
         if r:
             _divide_content(r)
             pivot_rows[min(r)] = r
@@ -192,7 +194,8 @@ def _reduce(rows):
     for c in reversed(pivots):
         r = pivot_rows[c]
         for j in [j for j in r if j != c and j in pivot_rows]:
-            _eliminate(r, pivot_rows[j], j, r[j])
+            p = pivot_rows[j]
+            _eliminate(r, p, p[j], r[j])
         _divide_content(r)
         lead = r[c]
         reduced.append([(j, Fraction(v, lead)) for j, v in sorted(r.items())])
@@ -200,9 +203,8 @@ def _reduce(rows):
     return reduced, pivots
 
 
-def _eliminate(r, p, c, b):
-    """r <- a*r - b'*p with r[c] cleared; a, b' are p[c], r[c] over their gcd."""
-    a = p[c]
+def _eliminate(r, p, a, b):
+    """r <- a'*r - b'*p in place, a' and b' being a and b over their gcd."""
     g = gcd(a, b)
     a //= g
     b //= g
@@ -262,16 +264,45 @@ def _kernel(rows, cols):
     exactly one free variable to 1 and the other free variables to 0;
     vectors are ordered by free column index, each a list of its nonzero
     (column, value) pairs, the free column first.
+
+    The kernel tracks the solution space: one integer unit vector
+    {column: 1} per unknown to begin with, and `at` lists the vectors
+    nonzero in each column.  A row, shortest first, is dotted with the
+    vectors it touches and skipped when all values vanish; otherwise the
+    sparsest vector v0 with a nonzero value s0 is dropped, and each other
+    touched vector v, of value s, becomes s0*v - s*v0 over its content.
+    The vectors' RREF over reversed columns is the canonical basis, its
+    pivots being the free columns of the rows' RREF (matroid duality;
+    Oxley, Matroid Theory, 2011, section 2.1).
     """
-    reduced, pivots = _reduce(rows)
-    pivotset = set(pivots)
-    kernel = {f: [(f, ONE)] for f in range(cols) if f not in pivotset}
-    # past its pivot, a reduced row has entries only in free columns
-    for row in reduced:
-        p = row[0][0]
-        for f, a in row[1:]:
-            kernel[f].append((p, -a))
-    return list(kernel.values())
+    vecs = {f: {f: 1} for f in range(cols)}
+    at = [{f} for f in range(cols)]
+    for row in sorted(rows, key=len):
+        dots = []
+        for i in set().union(*[at[c] for c, _ in row]):
+            v = vecs[i]
+            s = sum([a * v[c] for c, a in row if c in v])
+            if s:
+                dots.append((len(v), i, s))
+        if not dots:
+            continue
+        # a Fraction row gives Fraction values; scale them to integers
+        d = lcm(*[s.denominator for _, _, s in dots])
+        dots = [(n, i, s.numerator * (d // s.denominator)) for n, i, s in dots]
+        _, i0, s0 = min(dots)
+        v0 = vecs.pop(i0)
+        for c in v0:
+            at[c].discard(i0)
+        for _, i, s in dots:
+            if i != i0:
+                v = vecs[i]
+                _eliminate(v, v0, s0, s)
+                _divide_content(v)
+                for c in v0:  # only v0's columns changed in v
+                    (at[c].add if c in v else at[c].discard)(i)
+    last = cols - 1
+    reduced, _ = _reduce([sorted((last - c, x) for c, x in v.items()) for v in vecs.values()])
+    return [[(last - c, x) for c, x in row[:1] + row[:0:-1]] for row in reversed(reduced)]
 
 
 def nullspace(M):

@@ -313,6 +313,49 @@ def test_der_json_matrices_of_a_rescaled_law(tmp_path, capsys):
     assert C != SuperDerivation(EVEN, C.matrix)
 
 
+def test_der_text_images_match_the_matrix_columns_on_a_rational_law(tmp_path, capsys):
+    # the text form reads D(e_j) from the sparse entries; it must read as
+    # column j of the dense matrix, fractions and signs included
+    A = model_nilpotent_leibniz((2, 3), (2,), solvable=True)
+    factors = (Fraction(3, 4), Fraction(-2, 9), Fraction(5, 1), Fraction(-1, 6))
+    B = change_of_basis(A, {l: Element({l: factors[i % 4]})
+                            for i, l in enumerate(A.combined_basis)})
+    path = str(tmp_path / "rational.json")
+    dump_algebra(B, path)
+    assert main(["der", path, "--parity", "both"]) == 0
+    text = capsys.readouterr().out.splitlines()
+    want = []
+    for parity, tag in ((EVEN, "even"), (ODD, "odd")):
+        space = derivation_space(B, parity)
+        want.append("dim Der_%s: %d" % (tag, len(space)))
+        for idx, D in enumerate(space, 1):
+            images = ["%s -> %s" % (label, B.element_from_coords(D.matrix.column(j)))
+                      for j, label in enumerate(B.combined_basis)
+                      if any(D.matrix.column(j))]
+            want.append("  D%d: %s" % (idx, "; ".join(images) or "0"))
+    assert text == want
+    assert any("/" in line for line in text)
+
+
+def test_back_to_back_main_calls_share_no_state(tmp_path, capsys):
+    # the parser is built once per process; the --even/--odd lists of one
+    # call must not leak into the next, and usage errors still exit 2
+    first = _gen(tmp_path, "n1.json", ["--family", "N", "--even", "2", "--even", "3",
+                                       "--odd", "1"])
+    second = _gen(tmp_path, "n2.json", ["--family", "N", "--even", "4", "--odd", "2",
+                                        "--odd", "2"])
+    assert equal_laws(load_algebra(first), model_nilpotent_lie((2, 3), (1,)))
+    assert equal_laws(load_algebra(second), model_nilpotent_lie((4,), (2, 2)))
+    assert main(["gen", "--family", "L", "--even", "3", "--odd", "2"]) == 0
+    assert load_algebra(json.loads(capsys.readouterr().out)).name == "L^{3,2}"
+    assert main(["gen", "--family", "L", "--even", "3"]) == 2
+    assert "at least one --even and one --odd" in capsys.readouterr().err
+    assert main(["der", first, "--parity", "sideways"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(["gen", "--family", "L", "--even", "4", "--odd", "3"]) == 0
+    assert load_algebra(json.loads(capsys.readouterr().out)).name == "L^{4,3}"
+
+
 def test_inner_report(tmp_path, capsys):
     path = _gen(tmp_path, "sl.json", ["--family", "SL", "--even", "3", "--odd", "2"])
     assert main(["inner", path]) == 0

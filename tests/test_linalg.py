@@ -418,3 +418,96 @@ def test_row_order_is_internal_to_the_kernel():
             assert got == expected, (kind, order, entries)
             assert list(dense_rows(_kernel(sparse, cols), cols)) == kernel, (kind, order)
     assert seen == {"reversed", "shuffled", "repeated"}
+
+
+# ---- the kernel's solution-space tracking ---------------------------------
+
+def _sparse_system(rng, rows, cols, value):
+    """Rows of one to four entries drawn from `value`, over two thirds of
+    the columns, so that the other columns appear in no row."""
+    used = rng.sample(range(cols), max(1, 2 * cols // 3))
+    out = []
+    for _ in range(rows):
+        row = {c: value(rng) for c in rng.sample(used, rng.randint(1, min(4, len(used))))}
+        out.append(sorted(row.items()))
+    return out
+
+
+def _with_redundancy(rng, rows):
+    """The rows plus zero rows (empty and with explicit zero values), exact
+    duplicates, scalar multiples and sums of two rows, shuffled."""
+    out = list(rows) + [[], [(0, 0)], [(0, Fraction(0)), (1, 0)]]
+    for _ in range(len(rows)):
+        a, b = rng.choice(rows), rng.choice(rows)
+        k = rng.choice((-1, 3, Fraction(-5, 4), 10 ** 12 + 39))
+        merged = dict(a)
+        for c, v in b:
+            merged[c] = merged.get(c, 0) + v
+        out += [list(a), [(c, k * v) for c, v in a],
+                sorted((c, v) for c, v in merged.items() if v)]
+    rng.shuffle(out)
+    return out
+
+
+def _small_int(rng):
+    return rng.choice((-3, -2, -1, 1, 2, 5))
+
+
+def _mixed_fraction(rng):
+    return Fraction(rng.choice((-7, -3, -1, 1, 2, 9)), rng.choice((1, 2, 3, 10, 49)))
+
+
+def _near_10_12(rng):
+    return rng.choice((-1, 1)) * (10 ** 12 + rng.randint(-999, 999))
+
+
+def _solution_space_cases():
+    rng = random.Random(1971)
+    for kind, value in (("int", _small_int), ("fraction", _mixed_fraction),
+                        ("near 10^12", _near_10_12)):
+        for _ in range(12):
+            cols = rng.randint(3, 24)
+            rows = _sparse_system(rng, rng.randint(1, 2 * cols), cols, value)
+            yield kind, _with_redundancy(rng, rows), cols
+    for n in (1, 5, 9):
+        # upper unitriangular with a scaled copy of its last row: rank n
+        square = [[(j, 1 if j == i else _near_10_12(rng)) for j in range(i, n)
+                   if j == i or rng.random() < 0.5] for i in range(n)]
+        yield "full rank", square + [[(c, 7 * v) for c, v in square[-1]]], n
+    for cols in (1, 6):
+        yield "rank 0", [[], [(cols - 1, 0)]], cols
+    for cols in (4, 11):
+        # shortest, so taken first, and on the last column only
+        rows = _sparse_system(rng, cols, cols, _small_int)
+        yield "first row on the last column", [[(cols - 1, Fraction(3, 2))]] + rows, cols
+
+
+def test_kernel_tracks_the_solution_space():
+    """_kernel against the oracle on sparse systems with untouched columns,
+    redundant rows, fractions, large integers, full rank and rank 0; every
+    input row vanishes on every returned vector."""
+    seen = set()
+    for kind, rows, cols in _solution_space_cases():
+        seen.add(kind)
+        dense = [[0] * cols for _ in rows]
+        for row, vec in zip(rows, dense):
+            for c, v in row:
+                vec[c] = v
+        expected = naive_nullspace(dense, cols)
+        ker = _kernel(rows, cols)
+        assert list(dense_rows(ker, cols)) == expected, (kind, rows)
+        for vec in ker:
+            x = dict(vec)
+            for row in rows:
+                assert sum(v * x.get(c, 0) for c, v in row) == 0, (kind, row, vec)
+        touched = {c for row in rows for c, v in row if v}
+        untouched = [[(c, 1)] for c in range(cols) if c not in touched]
+        assert all(u in ker for u in untouched), kind
+        if kind == "full rank":
+            assert ker == []
+        if kind == "rank 0":
+            assert ker == [[(c, 1)] for c in range(cols)]
+        if kind == "first row on the last column":
+            assert all(cols - 1 not in dict(vec) for vec in ker)
+    assert seen == {"int", "fraction", "near 10^12", "full rank", "rank 0",
+                    "first row on the last column"}
