@@ -163,10 +163,10 @@ def cmd_series(args):
         "terms": [[_vec_strs(v) for v in S.basis] for S in chain],
     }
     lines = ["%s series of %s" % (args.which, A.name or "the algebra")]
-    for k, S in enumerate(chain):
-        rendered = ", ".join(repr(A.element_from_coords(v))
-                             for v in S.basis) or "0"
-        lines.append("  step %d: dim %d; basis: %s" % (k, S.dim, rendered))
+    if args.format != "json":  # the bases are rendered only by the text form
+        for k, S in enumerate(chain):
+            rendered = ", ".join(repr(A.element_from_coords(v)) for v in S.basis) or "0"
+            lines.append("  step %d: dim %d; basis: %s" % (k, S.dim, rendered))
     lines.append("dims: (%s)" % ", ".join(str(S.dim) for S in chain))
     _emit(args, obj, lines)
     return 0
@@ -222,11 +222,11 @@ def cmd_charseq(args):
 def cmd_ann(args):
     A = _load(args.file, skip_validate=args.skip_validate)
     S = right_annihilator(A)
-    obj = _subspace_obj(S)
-    rendered = ", ".join(repr(A.element_from_coords(v))
-                         for v in S.basis) or "0"
-    lines = ["right annihilator: dim %d" % S.dim, "basis: %s" % rendered]
-    _emit(args, obj, lines)
+    lines = []
+    if args.format != "json":  # the basis is rendered only by the text form
+        rendered = ", ".join(repr(A.element_from_coords(v)) for v in S.basis) or "0"
+        lines = ["right annihilator: dim %d" % S.dim, "basis: %s" % rendered]
+    _emit(args, _subspace_obj(S), lines)
     return 0
 
 

@@ -9,10 +9,10 @@ kept as given so that validate() can report contradictions.
 
 `brackets` holds the table by labels, for files and constructors; `law`
 holds it by combined-basis index, (i, j) -> {k: c}, with `parities` by
-index, and every computation reads it (equal_laws too, and product() for
-coordinate vectors, through `left_index`, the law grouped by left index).
-`integer_law` is the same table times the lcm d of the denominators, so
-validation and the derivation equations run in integer arithmetic.
+index, and every computation reads it (product() through `left_index`,
+the law grouped by left index).  `integer_law` is the table times the lcm
+d of the denominators, so validation and the derivation equations run in
+integers; `skew_symmetric` lets both skip what super skew-symmetry implies.
 """
 
 from fractions import Fraction
@@ -192,6 +192,14 @@ class SuperAlgebra:
         return rows
 
     @cached_property
+    def skew_symmetric(self):
+        """Whether every cell satisfies [e_j, e_i] = -(-1)^(|i||j|) [e_i, e_j]."""
+        law, par = self.integer_law[1], self.parities
+        return all(law.get((j, i)) == {k: c if par[i] and par[j] else -c
+                                       for k, c in cell.items()}
+                   for (i, j), cell in law.items())
+
+    @cached_property
     def integer_law(self):
         """(d, the law times d) with d the lcm of the denominators: integer cells."""
         d = lcm(*[c.denominator for cell in self.law.values() for c in cell.values()])
@@ -295,18 +303,22 @@ def validate(A, kind=None):
     """Check the grading and the defining identity from the nonzero constants.
 
     Only the nonzero double products [p,[q,r]] and [[q,r],p] are formed, in
-    integers from `A.integer_law` (d times the law): each is added into the
-    residual of every basis triple whose identity holds it, the triples
-    left nonzero are reported in index order, and a residual entry c is
-    reported as c / d^2.  Violations are report entries, never exceptions.
-    `kind` overrides the algebra's own kind, so a Lie-kind table can be
-    checked against the Leibniz identity (it must also pass).
+    integers from `A.integer_law` (d times the law), and added into the
+    residual of each basis triple whose identity holds them; a residual
+    entry c is reported as c / d^2, the triples in index order.  On a super
+    skew-symmetric law a transposition of (x,y,z) multiplies the Jacobi
+    residual by eps = -(-1)^(|x||y|+|y||z|+|z||x|) (Scheunert 1979), so the
+    Lie kind sums only nondecreasing triples and copies each nonzero one to
+    its permutations, times eps at the odd ones.  `kind` overrides A.kind,
+    so a Lie-kind table can be checked against the Leibniz identity (it
+    must also pass).  Violations are report entries, never exceptions.
     """
     kind = A.kind if kind is None else kind
     if kind not in KINDS:
         raise ValueError("unknown kind %r" % (kind,))
     basis, par, law = A.combined_basis, A.parities, A.law
     d, ilaw = A.integer_law
+    ordered = kind == LIE and A.skew_symmetric
     violations = []
     residuals = {}
 
@@ -334,34 +346,44 @@ def validate(A, kind=None):
     for (q, r), cell in ilaw.items():
         for k, c in cell.items():
             for p, outer in by_right[k]:
-                if kind == LIE:
-                    sc = -c if par[p] and par[r] else c
+                sc = -c if par[p] and par[r] else c
+                if kind == LEIBNIZ:
+                    add((p, q, r), c, outer)
+                elif not ordered:
                     add((p, q, r), sc, outer)
                     add((r, p, q), sc, outer)
                     add((q, r, p), sc, outer)
-                else:
-                    add((p, q, r), c, outer)
+                elif p <= q <= r:  # sum at the nondecreasing rotation; all three if p = r
+                    add((p, q, r), 3 * sc if p == r else sc, outer)
+                elif r <= p <= q:
+                    add((r, p, q), sc, outer)
+                elif q <= r <= p:
+                    add((q, r, p), sc, outer)
             if kind == LEIBNIZ:
                 for p, outer in by_left[k]:
                     add((q, r, p), -c, outer)
                     add((q, p, r), -c if par[p] and par[r] else c, outer)
 
-    if kind == LIE:
+    if kind == LIE and not A.skew_symmetric:
         for i, j in sorted({(min(i, j), max(i, j)) for i, j in law}):
             # [a,b] + (-1)^{|a||b|} [b,a] must vanish
             sign = -1 if (par[i] and par[j]) else 1
-            res = dict(law.get((i, j), {}))
-            for k, c in law.get((j, i), {}).items():
-                res[k] = res.get(k, ZERO) + sign * c
-            residual = Element((basis[k], c) for k, c in res.items())
+            residual = Element([(basis[k], c) for k, c in law.get((i, j), {}).items()]
+                               + [(basis[k], sign * c) for k, c in law.get((j, i), {}).items()])
             if not residual.is_zero():
                 violations.append(Violation("skew", (basis[i], basis[j]), residual))
     identity = "jacobi" if kind == LIE else "leibniz"
-    dd = d * d
-    for triple in sorted(t for t, res in residuals.items() if any(res.values())):
-        residual = Element((basis[k], Fraction(c, dd))
-                           for k, c in sorted(residuals[triple].items()))
-        violations.append(Violation(identity, tuple(basis[i] for i in triple), residual))
+    found = {}
+    for (x, y, z), res in residuals.items():
+        if any(res.values()):
+            even = found[x, y, z] = Element((basis[k], Fraction(c, d * d))
+                                            for k, c in sorted(res.items()))
+            if ordered:  # eps is 1 when two or three of x, y, z are odd
+                odd = even if par[x] + par[y] + par[z] > 1 else -even
+                found.update({(y, z, x): even, (z, x, y): even,
+                              (y, x, z): odd, (x, z, y): odd, (z, y, x): odd})
+    for triple in sorted(found):
+        violations.append(Violation(identity, tuple(basis[i] for i in triple), found[triple]))
     return ValidationReport(kind, violations)
 
 

@@ -7,12 +7,13 @@ homogeneous a, b
     leibniz kind:  D([a,b]) = (-1)^(s|b|) [D(a),b] + [a,D(b)]
 
 derivation_space solves the rule as a linear system over the matrix
-entries of D, with integer coefficients from A.integer_law, handed to the
-kernel as sparse rows; inner_space spans the multiplication operators
-(left for the lie kind, right for the leibniz kind) read from A.law;
-innerness_report compares the two per parity, all on sparse rows.
+entries of D, with integer coefficients from A.integer_law (half of it
+when A.skew_symmetric), handed to the kernel as sparse rows; inner_space
+spans the multiplication operators (left for the lie kind, right for the
+leibniz kind) read from A.law; innerness_report compares the two per parity.
 """
 
+from bisect import bisect
 from fractions import Fraction
 from functools import cached_property
 
@@ -109,48 +110,44 @@ def derivation_space(A, parity):
     `A.integer_law` (the law times the lcm of its denominators, which
     leaves the solutions unchanged) adds its integer terms to the
     equations it occurs in, visiting only the unknowns in its matrix
-    column or row.  A lie-kind law that is super skew-symmetric cell by
-    cell makes the rule on (e_j, e_i) the rule on (e_i, e_j) times
-    -(-1)^(|i||j|), so only the equations with i <= j are assembled; the
-    row space is the same.  The sparse rows go straight to the kernel,
+    column or row.  A lie-kind law with `A.skew_symmetric` makes the rule
+    on (e_j, e_i) the rule on (e_i, e_j) times -(-1)^(|i||j|), so only the
+    terms of the equations with i <= j are formed; the row space is the
+    same.  The sparse rows go, in no column order, straight to the kernel,
     where a row implied by earlier ones costs only dot products; its
     canonical basis, which does not depend on the order of the equations,
     comes back as the sparse entries of each matrix.
     """
-    n, par = A.dim, A.parities
+    n = A.dim
     positions = _unknown_positions(A, parity)
-    # the unknowns of each matrix row and of each matrix column
+    # the unknowns of each matrix row and column, by ascending column and row
     in_row = [[] for _ in range(n)]
     in_col = [[] for _ in range(n)]
     for t, (k, l) in enumerate(positions):
         in_row[k].append((l, t))
         in_col[l].append((k, t))
 
-    ilaw = A.integer_law[1]
-    half = A.kind == LIE and all(
-        ilaw.get((b, a)) == {k: c if par[a] and par[b] else -c for k, c in cell.items()}
-        for (a, b), cell in ilaw.items())
+    half = A.kind == LIE and A.skew_symmetric
     eqs = {}
-
-    def add(eq, t, c):
-        if eq[0] <= eq[1] or not half:
-            row = eqs.setdefault(eq, {})
-            row[t] = row.get(t, 0) + c
-
-    for (a, b), cell in ilaw.items():
+    for (a, b), cell in A.integer_law[1].items():
         s1, s2 = _rule_signs(A, parity, a, b)
+        first = in_row[a][:bisect(in_row[a], (b + 1 if half else n,))]  # x <= b
+        second = in_row[b][bisect(in_row[b], (a if half else 0,)):]  # a <= x
         for k, c in cell.items():
-            for x, t in in_col[k]:
-                add((a, b, x), t, c)
-            for x, t in in_row[a]:
-                add((x, b, k), t, -s1 * c)
-            for x, t in in_row[b]:
-                add((a, x, k), t, -s2 * c)
+            if a <= b or not half:
+                for x, t in in_col[k]:
+                    row = eqs.setdefault((a, b, x), {})
+                    row[t] = row.get(t, 0) + c
+            for x, t in first:
+                row = eqs.setdefault((x, b, k), {})
+                row[t] = row.get(t, 0) - s1 * c
+            for x, t in second:
+                row = eqs.setdefault((a, x, k), {})
+                row[t] = row.get(t, 0) - s2 * c
 
-    rows = [sorted(row.items()) for row in eqs.values()]
     flat = [k * n + l for k, l in positions]
     return [SuperDerivation(parity, dim=n, entries=sorted((flat[t], v) for t, v in vec))
-            for vec in _kernel(rows, len(positions))]
+            for vec in _kernel([row.items() for row in eqs.values()], len(positions))]
 
 
 def inner_space(A, parity):

@@ -5,9 +5,9 @@ rows; the public functions take and return them dense.  Inside, rows are
 sparse: lists of nonzero (column, value) pairs in column order, which
 sparse_rows and dense_rows convert at the public boundary.  Row spaces go
 through one fraction-free elimination, _reduce; kernels go through
-_kernel, which tracks the solution space and reads its canonical basis
-off with one _reduce call.  All results are exact, and anything that
-returns a basis returns it in a canonical form so that two equal
+_kernel, which takes rows in any column order, tracks the solution space
+and reads its canonical basis off with one _reduce call.  All results are
+exact, and a basis always comes in a canonical form, so that two equal
 subspaces compare equal entrywise.
 """
 
@@ -260,10 +260,10 @@ def rank(M):
 def _kernel(rows, cols):
     """Canonical kernel basis of sparse rows over `cols` unknowns.
 
-    The rows may hold int or Fraction values.  Each basis vector sets
-    exactly one free variable to 1 and the other free variables to 0;
-    vectors are ordered by free column index, each a list of its nonzero
-    (column, value) pairs, the free column first.
+    A row is a sized iterable of (column, value) pairs (a dict's items
+    will do) in any column order, with int or Fraction values.  Each basis
+    vector is 1 at one free column and 0 at the others; the vectors come in
+    free-column order, each a list of its nonzero pairs, free column first.
 
     The kernel tracks the solution space: one integer unit vector
     {column: 1} per unknown to begin with, and `at` lists the vectors

@@ -511,3 +511,22 @@ def test_kernel_tracks_the_solution_space():
             assert all(cols - 1 not in dict(vec) for vec in ker)
     assert seen == {"int", "fraction", "near 10^12", "full rank", "rank 0",
                     "first row on the last column"}
+
+
+def test_kernel_reads_no_column_order_within_a_row():
+    """derivation_space hands its rows to _kernel unsorted, as dict items:
+    each row's pairs shuffled, reversed or in a dict give the oracle's
+    canonical basis."""
+    rng = random.Random(1984)
+    longer = 0
+    for kind, rows, cols in _solution_space_cases():
+        dense = [[0] * cols for _ in rows]
+        for row, vec in zip(rows, dense):
+            for c, v in row:
+                vec[c] = v
+        expected = naive_nullspace(dense, cols)
+        for order in ([rng.sample(row, len(row)) for row in rows], [row[::-1] for row in rows],
+                      [dict(row[::-1]).items() for row in rows]):
+            assert list(dense_rows(_kernel(order, cols), cols)) == expected, (kind, order)
+        longer += sum(len(row) > 1 for row in rows)
+    assert longer > 100
