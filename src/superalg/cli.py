@@ -25,7 +25,7 @@ from .fileformat import (ParseError, ValidationError, _parse_coeff, dump_algebra
 from .invariants import (DERIVED, DESCENDING_CENTRAL, GRADED_EVEN, GRADED_ODD,
                          characteristic_sequence, classify, right_annihilator,
                          series)
-from .linalg import NotNilpotent
+from .linalg import NotNilpotent, _monic
 
 
 def _max_dim():
@@ -64,12 +64,15 @@ def _element_obj(A, el):
     return {l: str(c) for l, c in items}
 
 
-def _vec_strs(vec):
-    return [str(c) for c in vec]
+def _row_strs(row, n):  # a canonical integer row, dense and monic
+    out = ["0"] * n
+    for j, v in _monic(row):
+        out[j] = str(v)
+    return out
 
 
 def _subspace_obj(S):
-    return {"dim": S.dim, "basis": [_vec_strs(v) for v in S.basis]}
+    return {"dim": S.dim, "basis": [_row_strs(r, S.algebra.dim) for r in S.rows]}
 
 
 def _derivation_obj(D):
@@ -160,7 +163,7 @@ def cmd_series(args):
     obj = {
         "which": args.which,
         "dims": [S.dim for S in chain],
-        "terms": [[_vec_strs(v) for v in S.basis] for S in chain],
+        "terms": [[_row_strs(r, A.dim) for r in S.rows] for S in chain],
     }
     lines = ["%s series of %s" % (args.which, A.name or "the algebra")]
     if args.format != "json":  # the bases are rendered only by the text form
@@ -265,7 +268,7 @@ def cmd_inner(args):
                                "dim_inner_odd", "outer_even", "outer_odd",
                                "all_inner")}
     obj["expressions"] = {
-        tag: [None if e is None else _vec_strs(e) for e in rep["expressions"][tag]]
+        tag: [None if e is None else [str(c) for c in e] for e in rep["expressions"][tag]]
         for tag in ("even", "odd")}
     lines = []
     for tag in ("even", "odd"):

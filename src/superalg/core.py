@@ -9,10 +9,10 @@ kept as given so that validate() can report contradictions.
 
 `brackets` holds the table by labels, for files and constructors; `law`
 holds it by combined-basis index, (i, j) -> {k: c}, with `parities` by
-index, and every computation reads it (product() through `left_index`,
-the law grouped by left index).  `integer_law` is the table times the lcm
-d of the denominators, so validation and the derivation equations run in
-integers; `skew_symmetric` lets both skip what super skew-symmetry implies.
+index.  `integer_law` is the table times the lcm d of the denominators, so
+validation, the derivation equations and the products (through
+`integer_left_index`) run in integers; `skew_symmetric` lets the first two
+skip what super skew-symmetry implies.
 """
 
 from fractions import Fraction
@@ -184,10 +184,10 @@ class SuperAlgebra:
                                      for (l, r), el in table.items()})
 
     @cached_property
-    def left_index(self):
-        """The law by left index: entry i lists (j, {k: c}) per nonzero [e_i, e_j]."""
+    def integer_left_index(self):
+        """`integer_law` by left index: entry i lists (j, {k: d*c}) per nonzero [e_i, e_j]."""
         rows = [[] for _ in self.combined_basis]
-        for (i, j), cell in self.law.items():
+        for (i, j), cell in self.integer_law[1].items():
             rows[i].append((j, cell))
         return rows
 
@@ -268,8 +268,8 @@ class SuperAlgebra:
 
 
 def _products(A, us, vs):
-    """Yield, for each u in us, {t: [u, vs[t]]} with each bracket a sparse
-    {k: c} dict; u and v are lists of nonzero (index, value) coordinates.
+    """Yield, for each u in us, {t: d*[u, vs[t]]} as sparse {k: c} dicts, d
+    from `A.integer_law`; u and v are lists of nonzero (index, value) pairs.
     Only law cells (i, j) with u[i] and v[j] nonzero are visited, and a pair
     that meets none is left out, its bracket being zero."""
     by_col = {}
@@ -279,19 +279,19 @@ def _products(A, us, vs):
     for u in us:
         ws = {}
         for i, a in u:
-            for j, cell in A.left_index[i]:
+            for j, cell in A.integer_left_index[i]:
                 for t, b in by_col.get(j, ()):
                     w = ws.setdefault(t, {})
                     f = a * b
                     for k, c in cell.items():
-                        w[k] = w.get(k, ZERO) + f * c
+                        w[k] = w.get(k, 0) + f * c
         yield ws
 
 
 def product(A, u, v):
     """Coordinates of [u, v] for coordinate vectors u and v."""
     w = next(_products(A, sparse_rows([u]), sparse_rows([v]))).get(0, {})
-    return tuple(w.get(k, ZERO) for k in range(A.dim))
+    return tuple(Fraction(w[k], A.integer_law[0]) if k in w else ZERO for k in range(A.dim))
 
 
 def bracket(A, u, v):
@@ -435,8 +435,8 @@ def change_of_basis(A, mapping):
         raise ValueError("duplicate labels in the map")
 
     cols = [A.coords(images[l]) for l in new_combined]
-    try:
-        Pinv = invert(Matrix.from_columns(cols, A.dim))
+    try:  # (dP)^{-1} undoes the factor d of the products
+        Pinv = invert(Matrix.from_columns(cols, A.dim).scale(A.integer_law[0]))
     except ValueError:
         raise ValueError("the change-of-basis map is singular") from None
 

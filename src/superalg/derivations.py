@@ -17,15 +17,15 @@ from bisect import bisect
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import (Matrix, _kernel, _reduce, dense_rows, pivot_coefficients,
-                     sparse_rows)
+from .linalg import (Matrix, _integer_row, _kernel, _monic, _reduce, dense_rows,
+                     pivot_coefficients, sparse_rows)
 from .core import EVEN, ODD, LIE, product
 
 
 class SuperDerivation:
     """A homogeneous linear map: `entries` lists its nonzero matrix entries
     row-major, as (k*dim + j, coefficient of e_k in D(e_j)) in index order,
-    the row form linalg._reduce emits; `matrix`, whose column j is D(e_j),
+    the sparse row form of linalg; `matrix`, whose column j is D(e_j),
     is built on first access.  Give a square `matrix`, or `dim` and `entries`."""
 
     def __init__(self, parity, matrix=None, dim=None, entries=None):
@@ -165,7 +165,7 @@ def inner_space(A, parity):
         if key[side] in ops:
             ops[key[side]].extend((k * n + key[1 - side], c) for k, c in cell.items())
     reduced, _ = _reduce([sorted(row) for row in ops.values()])
-    return [SuperDerivation(parity, dim=n, entries=row) for row in reduced]
+    return [SuperDerivation(parity, dim=n, entries=_monic(row)) for row in reduced]
 
 
 def super_commutator(D1, D2):
@@ -185,7 +185,7 @@ def innerness_report(A):
     for parity, tag in ((EVEN, "even"), (ODD, "odd")):
         der = derivation_space(A, parity)
         inner = inner_space(A, parity)
-        rows = [D.entries for D in inner]
+        rows = [_integer_row(D.entries) for D in inner]  # canonical integer rows
         exprs = [pivot_coefficients(rows, dict(D.entries)) for D in der]
         report["dim_der_%s" % tag] = len(der)
         report["dim_inner_%s" % tag] = len(inner)

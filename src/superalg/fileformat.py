@@ -55,8 +55,9 @@ def _parse_coeff(value):
     if isinstance(value, str):
         if not _COEFF_RE.match(value):
             raise ParseError("coefficient %r is not an integer or p/q string" % (value,))
+        p, _, q = value.partition("/")
         try:
-            return Fraction(value)
+            return Fraction(int(p), int(q)) if q else Fraction(int(p))
         except ZeroDivisionError:
             raise ParseError("coefficient %r has a zero denominator" % (value,))
     raise ParseError("coefficient %r is not an integer or p/q string" % (value,))

@@ -5,10 +5,12 @@ super-nilindex, nilpotency and solvability flags, the right annihilator,
 the characteristic sequence, and the generator count.
 """
 
-from .linalg import (ZERO, Matrix, NotNilpotent, _frac, _reduce, dense_rows,
-                     nilpotent_jordan_blocks, nullspace, pivot_coefficients,
+from functools import cached_property
+
+from .linalg import (ZERO, Matrix, NotNilpotent, _frac, _integer_row, _jordan_blocks,
+                     _monic, _reduce, dense_rows, nullspace, pivot_coefficients,
                      sparse_rows)
-from .core import EVEN, LIE, _products, multiplication_matrix
+from .core import EVEN, LIE, _products
 
 DESCENDING_CENTRAL = "descending_central"
 DERIVED = "derived"
@@ -18,27 +20,26 @@ SERIES_KINDS = (DESCENDING_CENTRAL, DERIVED, GRADED_EVEN, GRADED_ODD)
 
 
 class Subspace:
-    """Subspace held as canonical RREF rows, dense in `basis`, sparse in `rows`.
+    """Subspace held as canonical rows in `rows`, as _reduce emits them
+    (sparse primitive integers, positive lead), and as dense monic RREF rows
+    in `basis`, built on first access.
 
-    Two subspaces of the same algebra are equal exactly when their basis
-    tuples are equal.
+    Two subspaces of the same algebra are equal exactly when their rows are.
     """
 
     def __init__(self, algebra, vectors):
         vectors = [tuple(map(_frac, v)) for v in vectors]
         if any(len(v) != algebra.dim for v in vectors):
             raise ValueError("vector length mismatch")
-        self._span(algebra, sparse_rows(vectors))
+        self.algebra, self.rows = algebra, _reduce(sparse_rows(vectors))[0]
 
-    def _span(self, algebra, rows):
-        """Hold the span of sparse rows, each in column order."""
-        self.algebra = algebra
-        self.rows = _reduce(rows)[0]
-        self.basis = dense_rows(self.rows, algebra.dim)
+    @cached_property
+    def basis(self):
+        return dense_rows(map(_monic, self.rows), self.algebra.dim)
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.rows)
 
     def contains(self, vec):
         if len(vec) != self.algebra.dim:
@@ -51,18 +52,25 @@ class Subspace:
     def __le__(self, other):
         if self.algebra is not other.algebra:
             raise ValueError("subspaces of different algebras")
-        return all(pivot_coefficients(other.rows, v) is not None for v in self.basis)
+        return all(pivot_coefficients(other.rows, dict(r)) is not None for r in self.rows)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.algebra is other.algebra
-                and self.basis == other.basis)
+                and self.rows == other.rows)
 
     def __repr__(self):
         return "Subspace(dim=%d of %d)" % (self.dim, self.algebra.dim)
 
 
+def _span(A, rows):
+    """The subspace of A whose canonical rows are `rows`."""
+    span = Subspace.__new__(Subspace)
+    span.algebra, span.rows = A, rows
+    return span
+
+
 def whole_space(A):
-    return Subspace(A, [A.coords(l) for l in A.combined_basis])
+    return _span(A, [[(i, 1)] for i in range(A.dim)])
 
 
 def zero_space(A):
@@ -70,15 +78,15 @@ def zero_space(A):
 
 
 def even_part(A):
-    return Subspace(A, [A.coords(l) for l in A.even_basis])
+    return _span(A, [[(i, 1)] for i in range(A.dim_even)])
 
 
 def odd_part(A):
-    return Subspace(A, [A.coords(l) for l in A.odd_basis])
+    return _span(A, [[(i, 1)] for i in range(A.dim_even, A.dim)])
 
 
 def span_of_labels(A, labels):
-    return Subspace(A, [A.coords(l) for l in labels])
+    return _span(A, [[(i, 1)] for i in sorted({A.index(l) for l in labels})])
 
 
 def span_of_elements(A, elements):
@@ -86,13 +94,12 @@ def span_of_elements(A, elements):
 
 
 def product_space(A, S, T):
-    """Span of all brackets [s, t] with s, t running over the two bases."""
+    """Span of all brackets [s, t] with s, t running over the two bases,
+    formed in integers from the canonical rows and `A.integer_law`."""
     if S.algebra is not A or T.algebra is not A:
         raise ValueError("subspace of a different algebra")
-    span = Subspace.__new__(Subspace)
-    span._span(A, [sorted(w.items())
-                   for ws in _products(A, S.rows, T.rows) for w in ws.values()])
-    return span
+    return _span(A, _reduce([sorted(w.items()) for ws in _products(A, S.rows, T.rows)
+                             for w in ws.values()])[0])
 
 
 def series(A, which):
@@ -199,12 +206,19 @@ class CharacteristicSequence:
 
 
 def _jordan_profile(A, x):
-    side = "left" if A.kind == LIE else "right"
-    M = multiplication_matrix(A, x, side)
-    ne = A.dim_even
-    even_block = M.submatrix(range(ne), range(ne))
-    odd_block = M.submatrix(range(ne, A.dim), range(ne, A.dim))
-    return nilpotent_jordan_blocks(even_block), nilpotent_jordan_blocks(odd_block)
+    """Jordan profiles of ad x, left multiplication for the Lie kind and
+    right for the Leibniz kind, on the even and odd parts of an even x.
+    The blocks are sparse integer columns of a multiple of ad x, which has
+    the same profile: the products of x scaled to integers (see _products)."""
+    x = _integer_row([(A.index(l), c) for l, c in x.items()])
+    units = [[(j, 1)] for j in range(A.dim)]
+    if A.kind == LIE:
+        cols = next(_products(A, [x], units))
+    else:
+        cols = {j: ws[0] for j, ws in enumerate(_products(A, units, [x])) if ws}
+    ne, cols = A.dim_even, [sorted(cols.get(j, {}).items()) for j in range(A.dim)]
+    return (_jordan_blocks([[(k, v) for k, v in col if k < ne] for col in cols[:ne]]),
+            _jordan_blocks([[(k - ne, v) for k, v in col if k >= ne] for col in cols[ne:]]))
 
 
 def characteristic_sequence(A, candidates=None):

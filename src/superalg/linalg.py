@@ -4,11 +4,12 @@ Vectors are tuples of Fraction and matrices are immutable tuples of such
 rows; the public functions take and return them dense.  Inside, rows are
 sparse: lists of nonzero (column, value) pairs in column order, which
 sparse_rows and dense_rows convert at the public boundary.  Row spaces go
-through one fraction-free elimination, _reduce; kernels go through
-_kernel, which takes rows in any column order, tracks the solution space
-and reads its canonical basis off with one _reduce call.  All results are
-exact, and a basis always comes in a canonical form, so that two equal
-subspaces compare equal entrywise.
+through one fraction-free elimination, _reduce, whose rows are integers
+(_monic divides them by their leads); kernels go through _kernel, which
+takes rows in any column order, tracks the solution space and reads its
+canonical basis off with one _reduce call.  All results are exact, and a
+basis always comes in a canonical form, so that two equal subspaces
+compare equal entrywise.
 """
 
 from fractions import Fraction
@@ -137,13 +138,16 @@ class Matrix:
 
 
 def _reduce(rows):
-    """Canonical reduced row echelon form of sparse rows.
+    """Canonical reduced row echelon form of sparse rows, in integers.
 
-    Each row lists (column, value) pairs in column order; zero values are
-    skipped.  Returns (the nonzero reduced rows in the same form, each
-    starting with (its pivot, 1); ascending list of pivot columns).  Pivots
-    are the leading columns of the row space, which fixes the canonical
-    form used everywhere below.
+    Each row lists (column, value) pairs in column order, with int or
+    Fraction values; zero values are skipped.  Returns (the nonzero reduced
+    rows in the same form, ascending list of pivot columns).  Each emitted
+    row is the RREF row times the lcm of its denominators, divided by its
+    content: primitive integers with a positive leading entry, at its
+    pivot.  This form is unique, like the monic one (_monic converts).
+    Pivots are the leading columns of the row space, which fixes the
+    canonical form used everywhere below.
 
     The elimination is fraction-free.  Rows are taken shortest first, the
     fill-reducing order (Markowitz 1957); the reduced row echelon form of a
@@ -155,21 +159,18 @@ def _reduce(rows):
     pivot column first, by integer row operations a*row - b*pivot_row; the
     result is divided by its content and, unless it is zero, kept as the
     pivot row of its smallest column.  Back-substitution clears the other
-    pivot columns the same way, and only the emitted rows are divided by
-    their leading entries.
+    pivot columns the same way.
     """
     pivot_rows = {}
     seen = set()
     for row in sorted(rows, key=len):
-        nz = [(j, v) for j, v in row if v]
+        nz = _integer_row(row)
         if not nz:
             continue
-        scale = lcm(*[v.denominator for _, v in nz])
-        ints = [v.numerator * (scale // v.denominator) for _, v in nz]
-        g = gcd(*ints)
-        if ints[0] < 0:
+        g = gcd(*[v for _, v in nz])
+        if nz[0][1] < 0:
             g = -g
-        key = tuple([(j, v // g) for (j, _), v in zip(nz, ints)])
+        key = tuple([(j, v // g) for j, v in nz])
         if key in seen:
             continue
         seen.add(key)
@@ -185,7 +186,7 @@ def _reduce(rows):
             for j in p:
                 if j not in r and j in pivot_rows:
                     heappush(todo, j)
-            _eliminate(r, p, p[c], b)
+            _eliminate(r, p.items(), p[c], b)
         if r:
             _divide_content(r)
             pivot_rows[min(r)] = r
@@ -195,23 +196,38 @@ def _reduce(rows):
         r = pivot_rows[c]
         for j in [j for j in r if j != c and j in pivot_rows]:
             p = pivot_rows[j]
-            _eliminate(r, p, p[j], r[j])
+            _eliminate(r, p.items(), p[j], r[j])
         _divide_content(r)
-        lead = r[c]
-        reduced.append([(j, Fraction(v, lead)) for j, v in sorted(r.items())])
+        if r[c] < 0:
+            for j in r:
+                r[j] = -r[j]
+        reduced.append(sorted(r.items()))
     reduced.reverse()
     return reduced, pivots
 
 
+def _integer_row(row):
+    """The nonzero (column, value) pairs times the lcm of their denominators."""
+    nz = [(j, v) for j, v in row if v]
+    d = lcm(*[v.denominator for _, v in nz])
+    return [(j, v.numerator * (d // v.denominator)) for j, v in nz]
+
+
+def _monic(row):
+    """A canonical integer row divided by its leading entry, as Fractions."""
+    lead = row[0][1]
+    return [(j, Fraction(v, lead)) for j, v in row]
+
+
 def _eliminate(r, p, a, b):
-    """r <- a'*r - b'*p in place, a' and b' being a and b over their gcd."""
+    """r <- a'*r - b'*p in place, a', b' being a, b over their gcd; p is pairs."""
     g = gcd(a, b)
     a //= g
     b //= g
     if a != 1:
         for j in r:
             r[j] *= a
-    for j, v in p.items():
+    for j, v in p:
         w = r.get(j, 0) - b * v
         if w:
             r[j] = w
@@ -249,7 +265,7 @@ def rref(M):
     Returns (Matrix of nonzero reduced rows, tuple of pivot columns).
     """
     reduced, pivots = _reduce(sparse_rows(M.entries))
-    return Matrix(dense_rows(reduced, M.cols), M.cols), tuple(pivots)
+    return Matrix(dense_rows(map(_monic, reduced), M.cols), M.cols), tuple(pivots)
 
 
 def rank(M):
@@ -296,13 +312,13 @@ def _kernel(rows, cols):
         for _, i, s in dots:
             if i != i0:
                 v = vecs[i]
-                _eliminate(v, v0, s0, s)
+                _eliminate(v, v0.items(), s0, s)
                 _divide_content(v)
                 for c in v0:  # only v0's columns changed in v
                     (at[c].add if c in v else at[c].discard)(i)
     last = cols - 1
     reduced, _ = _reduce([sorted((last - c, x) for c, x in v.items()) for v in vecs.values()])
-    return [[(last - c, x) for c, x in row[:1] + row[:0:-1]] for row in reversed(reduced)]
+    return [[(last - c, x) for c, x in _monic(row[:1] + row[:0:-1])] for row in reversed(reduced)]
 
 
 def nullspace(M):
@@ -315,7 +331,7 @@ def row_space_basis(vectors, cols):
     vectors = [tuple(map(_frac, row)) for row in vectors]
     if any(len(row) != cols for row in vectors):
         raise ValueError("vector length mismatch")
-    return dense_rows(_reduce(sparse_rows(vectors))[0], cols)
+    return dense_rows(map(_monic, _reduce(sparse_rows(vectors))[0]), cols)
 
 
 def span_contains(basis, v):
@@ -339,23 +355,22 @@ def span_contains(basis, v):
     if k in pivots:
         return False, None
     # the coefficient at each pivot is the row's entry in the last column
-    coeffs = [(row[0][0], row[-1][1]) for row in reduced if row[-1][0] == k]
+    coeffs = [(r[0][0], Fraction(r[-1][1], r[0][1])) for r in reduced if r[-1][0] == k]
     return True, dense_rows([coeffs], k)[0]
 
 
 def pivot_coefficients(rows, v):
-    """Coefficients of v over canonical RREF rows, as _reduce gives them,
-    or None outside their span; v is a dense sequence or a sparse
-    {column: value} dict.  A row is 1 at its pivot (its first entry) and 0
-    at the other pivots, so the coefficients are v at the pivots, and v is
-    in the span exactly when v minus that combination is zero."""
-    rest = dict(v) if isinstance(v, dict) else {j: x for j, x in enumerate(v) if x}
-    coeffs = tuple(rest.get(row[0][0]) or ZERO for row in rows)
-    for c, row in zip(coeffs, rows):
-        if c:
-            for j, a in row:
-                rest[j] = rest.get(j, ZERO) - c * a
-    return None if any(rest.values()) else coeffs
+    """Coefficients of v over the monic canonical rows (as _reduce gives
+    them, divided by their leads), or None outside their span; v is a dense
+    sequence or a sparse {column: value} dict.  A monic row is 1 at its
+    pivot and 0 at the other pivots, so the coefficients are v at the
+    pivots; membership is decided by integer row operations on v."""
+    v = dict(v) if isinstance(v, dict) else {j: x for j, x in enumerate(v) if x}
+    w = dict(_integer_row(v.items()))
+    for row in rows:
+        if w.get(row[0][0]):
+            _eliminate(w, row, row[0][1], w[row[0][0]])
+    return None if w else tuple(v.get(row[0][0]) or ZERO for row in rows)
 
 
 def invert(M):
@@ -367,22 +382,27 @@ def invert(M):
     reduced, pivots = _reduce(rows)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    inverse = [[(j - n, v) for j, v in row[1:]] for row in reduced]
+    inverse = [[(j - n, v) for j, v in _monic(row)[1:]] for row in reduced]
     return Matrix(dense_rows(inverse, n), n)
 
 
 def nilpotent_jordan_blocks(M):
-    """Jordan block sizes of a nilpotent matrix, descending.
+    """Jordan block sizes of a nilpotent matrix, descending (see _jordan_blocks)."""
+    if not M.is_square():
+        raise ValueError("Jordan profile of a non-square matrix")
+    return _jordan_blocks(sparse_rows(M.transpose().entries))
+
+
+def _jordan_blocks(columns):
+    """Jordan block sizes of the nilpotent matrix with these sparse columns.
 
     The number of blocks of size at least k is rank(M^(k-1)) - rank(M^k),
     where rank(M^k) = dim Im M^k and Im M^k = M(Im M^(k-1)).  Raises
     NotNilpotent when M^dim is nonzero, i.e. when an image stops shrinking.
     """
-    if not M.is_square():
-        raise ValueError("Jordan profile of a non-square matrix")
-    n = M.rows
+    n = len(columns)
     ranks = [n]
-    image = columns = sparse_rows(M.transpose().entries)
+    image = columns
     while ranks[-1]:
         image, _ = _reduce(image)
         if len(image) == ranks[-1]:
@@ -394,7 +414,7 @@ def nilpotent_jordan_blocks(M):
             w = {}
             for j, a in v:
                 for i, b in columns[j]:
-                    w[i] = w.get(i, ZERO) + a * b
+                    w[i] = w.get(i, 0) + a * b
             products.append(sorted(w.items()))
         image = products
     at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]

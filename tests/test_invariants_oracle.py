@@ -2,15 +2,18 @@
 
 Seeded random laws of both kinds, some with terms that break the grading,
 must give the oracle's product spaces of random rational subspaces, its
-four series, its right annihilator and its Jordan profiles of
-multiplication operators; pivot-read membership must give the oracle's
-coefficients on vectors inside and outside a span.  The oracle forms every
+four series, its right annihilator, its Jordan profiles of multiplication
+operators and the characteristic sequence over explicit candidates;
+pivot-read membership must give the oracle's coefficients on vectors
+inside and outside a span, and a subspace's canonical integer rows must
+not depend on the vectors that span it.  The oracle forms every
 product over labels from A.brackets (through basis_bracket), canonicalizes
 spans with naive_gauss.naive_rref, and shares no code with the package.
 """
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -20,8 +23,8 @@ from superalg.derivations import derivation_space, inner_space, innerness_report
 from superalg.families import (FAMILIES, filiform_leibniz, member, model_filiform_lie,
                                model_nilpotent_leibniz, model_nilpotent_lie)
 from superalg.invariants import (DERIVED, DESCENDING_CENTRAL, GRADED_EVEN,
-                                 SERIES_KINDS, Subspace, product_space,
-                                 right_annihilator, series)
+                                 SERIES_KINDS, Subspace, characteristic_sequence,
+                                 product_space, right_annihilator, series)
 from superalg.linalg import (ZERO, NotNilpotent, nilpotent_jordan_blocks,
                              pivot_coefficients, row_space_basis, sparse_rows)
 
@@ -83,6 +86,13 @@ def vec(A, d):
 
 def as_dict(A, row):
     return {l: c for l, c in zip(A.combined_basis, row) if c}
+
+
+def primitive(row):
+    """A monic RREF row times the lcm of its denominators, as sparse ints:
+    the canonical row form of the package (primitive, positive lead)."""
+    d = lcm(*[x.denominator for x in row])
+    return [(j, int(x * d)) for j, x in enumerate(row) if x]
 
 
 def span(A, gens):
@@ -239,7 +249,7 @@ def test_pivot_read_membership_on_random_bases():
         gens = [[Fraction(rng.choice(ENTRIES)) for _ in range(n)]
                 for _ in range(rng.randint(0, n))]
         basis = naive_rref(gens)[0]
-        rows = sparse_rows(basis)
+        rows = [primitive(row) for row in basis]
         coeffs = [Fraction(rng.choice(ENTRIES)) for _ in basis]
         v = [sum((c * row[j] for c, row in zip(coeffs, basis)), Fraction(0))
              for j in range(n)]
@@ -254,6 +264,88 @@ def test_pivot_read_membership_on_random_bases():
         assert Subspace(A, gens).contains(v), case
         assert Subspace(A, gens).contains(w) == (expected is not None), case
     assert inside > 30 and outside > 30
+
+
+def test_characteristic_sequence_over_rational_candidates():
+    """Explicit candidates, many with rational coefficients, on triangular
+    laws with rational constants, every other one with each parity's labels
+    in reversed order so that products land on earlier indices: the
+    sequence is the lexicographic maximum of the oracle's Jordan profiles,
+    computed from dense operator matrices, and the witnesses are the first
+    candidates attaining it."""
+    rng, algebras = laws(20261024, 120, triangular=True)
+    checked = rational_laws = rational_candidates = longest = 0
+    for case, A in enumerate(algebras):
+        if case % 2:
+            A = SuperAlgebra(A.kind, A.even_basis[::-1], A.odd_basis[::-1], A.brackets)
+        g0 = [{l: 1} for l in A.even_basis]
+        derived_even = [list(row) for row in oracle_product_space(A, g0, g0)]
+        candidates = [x for x in random_elements(rng, A.even_basis, 4) + g0
+                      if any(x.values())
+                      and naive_solve(derived_even, vec(A, x)) is None]
+        rng.shuffle(candidates)
+        candidates = candidates[:3]
+        if not candidates:
+            continue
+        side = "left" if A.kind == LIE else "right"
+        profiles = [(oracle_jordan(oracle_operator(A, x, side, A.even_basis)),
+                     oracle_jordan(oracle_operator(A, x, side, A.odd_basis)))
+                    for x in candidates]
+        best_even = max(p for p, _ in profiles)
+        best_odd = max(q for _, q in profiles)
+        seq = characteristic_sequence(A, [Element(x) for x in candidates])
+        assert seq.as_pair() == (best_even, best_odd), case
+        first = lambda hit: next((Element(x) for x, pq in zip(candidates, profiles)
+                                  if hit(pq)), None)
+        assert seq.witness_even == first(lambda pq: pq[0] == best_even), case
+        assert seq.witness_odd == first(lambda pq: pq[1] == best_odd), case
+        assert seq.witness == first(lambda pq: pq == (best_even, best_odd)), case
+        assert not seq.lower_bound, case
+        checked += 1
+        rational_laws += A.integer_law[0] > 1
+        rational_candidates += any(Fraction(c).denominator > 1
+                                   for x in candidates for c in x.values())
+        longest = max(longest, *best_even, *best_odd)
+    assert checked > 80 and rational_laws > 40 and rational_candidates > 40
+    assert longest >= 3
+
+
+def test_subspace_rows_are_canonical_primitive_integers():
+    """The same span given by shuffled vectors, or by vectors scaled by
+    random nonzero rationals, gives equal rows; each row is primitive with
+    a positive lead, and divided by its lead it is the oracle's RREF row.
+    Inclusion and membership agree with ranks and solves of the oracle,
+    on vectors inside and outside the span."""
+    rng = random.Random(20261025)
+    hits = {True: 0, False: 0}
+    for case in range(300):
+        n = rng.randint(1, 7)
+        A = SuperAlgebra(LIE, ["x%d" % i for i in range(n)], [], {})
+        gens = [[Fraction(rng.choice(ENTRIES)) for _ in range(n)]
+                for _ in range(rng.randint(0, n))]
+        S = Subspace(A, gens)
+        basis = naive_rref(gens)[0]
+        assert S.rows == [primitive(row) for row in basis], case
+        assert list(S.basis) == basis and canonical_zeros(S.basis), case
+        for row in S.rows:
+            assert row[0][1] > 0 and gcd(*[v for _, v in row]) == 1, case
+            assert all(type(v) is int for _, v in row), case
+        shuffled = gens[:]
+        rng.shuffle(shuffled)
+        scaled = [[c * v for v in g] for c, g in
+                  zip([Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4))
+                       for _ in gens], shuffled)]
+        assert Subspace(A, shuffled).rows == Subspace(A, scaled).rows == S.rows, case
+        T = Subspace(A, [[Fraction(rng.choice(ENTRIES)) for _ in range(n)]
+                         for _ in range(rng.randint(0, n))] + gens[:rng.randint(0, 2)])
+        t_basis = [list(row) for row in T.basis]
+        expected = naive_rank(t_basis + [list(row) for row in basis]) == len(t_basis)
+        assert (S <= T) == expected, case
+        hits[expected] += 1
+        w = [Fraction(rng.choice(ENTRIES)) for _ in range(n)]
+        assert S.contains(w) == (naive_solve([list(r) for r in basis], w) is not None), case
+        assert T.contains(w) == (naive_solve(t_basis, w) is not None), case
+    assert hits[True] > 30 and hits[False] > 30
 
 
 def test_innerness_expressions_match_the_oracle():

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from superalg.linalg import (ZERO, Matrix, NotNilpotent, _kernel, _reduce, dense_rows,
-                             invert, nilpotent_jordan_blocks, nullspace, rank,
+from superalg.linalg import (ZERO, Matrix, NotNilpotent, _kernel, _monic, _reduce,
+                             dense_rows, invert, nilpotent_jordan_blocks, nullspace, rank,
                              row_space_basis, rref, span_contains)
 
 from naive_gauss import (naive_inverse, naive_nullspace, naive_rank, naive_rref,
@@ -414,7 +414,7 @@ def test_row_order_is_internal_to_the_kernel():
             seen.add(order)
             sparse = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
             reduced, pivots = _reduce(sparse)
-            got = [tuple(r) for r in dense_rows(reduced, cols)], pivots
+            got = [tuple(r) for r in dense_rows(map(_monic, reduced), cols)], pivots
             assert got == expected, (kind, order, entries)
             assert list(dense_rows(_kernel(sparse, cols), cols)) == kernel, (kind, order)
     assert seen == {"reversed", "shuffled", "repeated"}
