@@ -10,7 +10,6 @@ SUPERALG_MAX_DIM (default 64) caps the dimension of accepted algebras.
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
@@ -20,7 +19,7 @@ from .core import EVEN, ODD, Element, change_of_basis, equal_laws, validate
 from .derivations import derivation_space, innerness_report
 from .extension import IdentityViolation, semidirect_extension
 from .families import FAMILIES, member, member_dim
-from .fileformat import (ParseError, ValidationError, _parse_coeff, dump_algebra,
+from .fileformat import (ParseError, ValidationError, _parse_coeff, dump_algebra, dumps,
                          load_algebra, load_basis_map, load_extension_spec)
 from .invariants import (DERIVED, DESCENDING_CENTRAL, GRADED_EVEN, GRADED_ODD,
                          characteristic_sequence, classify, right_annihilator,
@@ -53,7 +52,7 @@ def _load(path, skip_validate=False):
 
 def _emit(args, obj, lines):
     if args.format == "json":
-        print(json.dumps(obj, indent=2))
+        print(dumps(obj))
     else:
         for line in lines:
             print(line)

@@ -20,7 +20,7 @@ from functools import cached_property
 from math import lcm
 from types import MappingProxyType
 
-from .linalg import Matrix, ZERO, _frac, invert, sparse_rows
+from .linalg import Matrix, ZERO, _frac, _reduce, sparse_rows
 
 EVEN = 0
 ODD = 1
@@ -415,7 +415,9 @@ def change_of_basis(A, mapping):
     `mapping` sends each new basis label to its expression as an Element
     over A's basis; images must be homogeneous and jointly invertible.  The
     new label inherits the parity of its image, the law becomes
-    P^{-1}[P(u), P(v)], and the kind is unchanged.
+    P^{-1}[P(u), P(v)], and the kind is unchanged.  P^{-1} is read once off
+    _reduce as sparse integer columns and applied to the integer products
+    d*[P(u), P(v)] (see _products); a Fraction is made only per new cell.
     """
     images = {}
     new_even = []
@@ -427,25 +429,30 @@ def change_of_basis(A, mapping):
             raise ValueError("image of %r is zero" % (label,))
         images[label] = el
         (new_even if p == EVEN else new_odd).append(label)
-    if len(images) != A.dim:
+    n = A.dim
+    if len(images) != n:
         raise ValueError("the map must cover the full dimension (%d labels for dim %d)"
-                         % (len(images), A.dim))
+                         % (len(images), n))
     new_combined = tuple(new_even) + tuple(new_odd)
     if len(set(new_combined)) != len(new_combined):
         raise ValueError("duplicate labels in the map")
 
-    cols = [A.coords(images[l]) for l in new_combined]
-    try:  # (dP)^{-1} undoes the factor d of the products
-        Pinv = invert(Matrix.from_columns(cols, A.dim).scale(A.integer_law[0]))
-    except ValueError:
-        raise ValueError("the change-of-basis map is singular") from None
-
-    rows = sparse_rows(cols)
+    cols = [sorted((A.index(l), c) for l, c in images[u].items()) for u in new_combined]
+    # row k of the canonical [P^T | I] is lead_k * (e_k | column k of P^{-1})
+    reduced, pivots = _reduce([col + [(n + k, 1)] for k, col in enumerate(cols)])
+    if pivots != list(range(n)):
+        raise ValueError("the change-of-basis map is singular")
+    scale = lcm(*[row[0][1] for row in reduced])
+    inverse = [[(r - n, v * (scale // row[0][1])) for r, v in row[1:]] for row in reduced]
+    scale *= A.integer_law[0]  # the products carry the factor d
     table = {}
-    for u, ws in zip(new_combined, _products(A, rows, rows)):
+    for u, ws in zip(new_combined, _products(A, cols, cols)):
         for t in sorted(ws):
-            w = [ws[t].get(k, ZERO) for k in range(A.dim)]
-            el = Element(zip(new_combined, Pinv.apply(w)))
+            acc = {}
+            for k, c in ws[t].items():
+                for r, v in inverse[k]:
+                    acc[r] = acc.get(r, 0) + c * v
+            el = Element((new_combined[r], Fraction(x, scale)) for r, x in sorted(acc.items()) if x)
             if not el.is_zero():
                 table[(u, new_combined[t])] = el
     return SuperAlgebra(A.kind, new_even, new_odd, table, name=A.name)

@@ -53,14 +53,19 @@ class SuperDerivation:
 
 
 def _check_parity_blocks(A, parity, M):
+    """The sparse rows of M, a Matrix or its sparse rows, after checking
+    that M is dim x dim and moves each basis vector's parity by `parity`."""
     n, par = A.dim, A.parities
-    if not (M.rows == n and M.cols == n):
+    if isinstance(M, Matrix):
+        M = sparse_rows(M.entries) if M.rows == n and M.cols == n else ()
+    if len(M) != n:
         raise ValueError("matrix must be %dx%d" % (n, n))
-    for i, row in enumerate(M.entries):
-        for j, v in enumerate(row):
-            if v and par[i] != par[j] ^ parity:
+    for i, row in enumerate(M):
+        for j, v in row:
+            if par[i] != par[j] ^ parity:
                 raise ValueError("entry (%d, %d) breaks the parity-%d block structure"
                                  % (i, j, parity))
+    return M
 
 
 def _rule_signs(A, parity, a, b):

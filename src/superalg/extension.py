@@ -1,18 +1,20 @@
 """Solvable extensions of a nilpotent algebra by prescribed torus actions.
 
 An ExtensionSpec holds the nilpotent algebra, the new torus labels, and one
-(left, right) action matrix pair per torus label.  semidirect_extension
-assembles the extended bracket table and returns it only when the kind's
-defining identity holds; otherwise it raises IdentityViolation carrying the
-offending triples.  The module also checks nil-independence of diagonal
-actions and verifies nilradical candidates.
+(left, right) action pair per torus label as sparse rows.  semidirect_extension
+assembles the extended bracket table from those rows and returns it only
+when the kind's defining identity holds; otherwise it raises
+IdentityViolation carrying the offending triples.  The module also checks
+nil-independence of diagonal actions and verifies nilradical candidates.
 """
 
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
-from .linalg import (Matrix, NotNilpotent, nilpotent_jordan_blocks, pivot_coefficients,
-                     rank, sparse_rows)
-from .core import EVEN, LIE, Element, SuperAlgebra, multiplication_matrix, validate
+from .linalg import (Matrix, NotNilpotent, _jordan_blocks, _reduce, dense_rows,
+                     pivot_coefficients)
+from .core import EVEN, LIE, Element, SuperAlgebra, _products, validate
 from .derivations import _check_parity_blocks
 from .invariants import product_space, whole_space
 from .families import (_chains, _filiform, _member_blocks, _places, _torus_labels,
@@ -37,11 +39,14 @@ class NonDiagonalAction(Exception):
 class ExtensionSpec:
     """Extension data: nilradical, torus labels, per-label action pair.
 
-    actions maps each torus label to a (left, right) matrix pair acting on
-    the nilradical in its combined basis; a bare matrix is accepted for the
-    Lie kind, where the right action is forced to be minus the left one.
-    torus_brackets optionally maps (label, label) pairs to Elements over the
-    extended basis (default zero).
+    actions maps each torus label to a (left, right) tuple acting on the
+    nilradical in its combined basis, each a Matrix or its sparse rows (row
+    i lists the nonzero (j, coefficient of e_i in the image of e_j)); a
+    bare action is accepted for the Lie kind, where the right action is
+    forced to be minus the left one.  `action_rows` keeps every pair as
+    sparse rows, and `actions` as Matrix pairs, built on first access.
+    torus_brackets optionally maps (label, label) pairs to Elements over
+    the extended basis (default zero).
     """
 
     def __init__(self, nilradical, torus_labels, actions, torus_brackets=None):
@@ -56,26 +61,28 @@ class ExtensionSpec:
         fixed = {}
         for t in self.torus_labels:
             pair = actions[t]
-            if isinstance(pair, Matrix):
-                left, right = pair, None
-            else:
-                left, right = pair
-            _check_parity_blocks(nilradical, EVEN, left)
+            left, right = pair if isinstance(pair, tuple) else (pair, None)
+            left = _check_parity_blocks(nilradical, EVEN, left)
+            if right is not None:
+                right = _check_parity_blocks(nilradical, EVEN, right)
             if nilradical.kind == LIE:
+                minus = [[(j, -v) for j, v in row] for row in left]
                 if right is None:
-                    right = -left
-                else:
-                    _check_parity_blocks(nilradical, EVEN, right)
-                    if right != -left:
-                        raise ValueError("the Lie kind forces right = -left for %r" % (t,))
-            else:
-                if right is None:
-                    raise ValueError("the Leibniz kind needs an explicit right action for %r"
-                                     % (t,))
-                _check_parity_blocks(nilradical, EVEN, right)
+                    right = minus
+                elif right != minus:
+                    raise ValueError("the Lie kind forces right = -left for %r" % (t,))
+            elif right is None:
+                raise ValueError("the Leibniz kind needs an explicit right action for %r"
+                                 % (t,))
             fixed[t] = (left, right)
-        self.actions = fixed
+        self.action_rows = fixed
         self.torus_brackets = dict(torus_brackets or {})
+
+    @cached_property
+    def actions(self):
+        n = self.nilradical.dim
+        return {t: tuple(Matrix(dense_rows(rows, n), n) for rows in pair)
+                for t, pair in self.action_rows.items()}
 
 
 def semidirect_extension(spec):
@@ -83,17 +90,15 @@ def semidirect_extension(spec):
 
     The result has basis (nilradical even labels, torus labels | nilradical
     odd labels), the inherited nilradical law, [t, e_j] = left action and
-    [e_j, t] = right action, read from each matrix's nonzero entries (entry
-    (i, j) is the coefficient of e_i in the image of e_j), and the given
-    brackets among torus labels.
+    [e_j, t] = right action, read from the nonzero entries of each action's
+    rows (entry (i, j) is the coefficient of e_i in the image of e_j), and
+    the given brackets among torus labels.
     """
     nil = spec.nilradical
     basis = nil.combined_basis
     table = dict(nil.brackets)
     for t in spec.torus_labels:
-        left, right = spec.actions[t]
-        for i, (lrow, rrow) in enumerate(zip(sparse_rows(left.entries),
-                                             sparse_rows(right.entries))):
+        for i, (lrow, rrow) in enumerate(zip(*spec.action_rows[t])):
             for j, v in lrow:
                 table.setdefault((t, basis[j]), {})[basis[i]] = v
             for j, v in rrow:
@@ -118,36 +123,46 @@ def nil_independence_check(spec):
     diagonal vanishes, so independence of the diagonals decides
     nil-independence.  The torus acts as derivations through left
     multiplication for the Lie kind and right multiplication for the
-    Leibniz kind; that matrix must be diagonal, else the check refuses.
+    Leibniz kind; that map must be diagonal, else the check refuses.
     """
     weights = []
     side = 0 if spec.nilradical.kind == LIE else 1
     for t in spec.torus_labels:
-        diag = _diagonal(spec.actions[t][side])
+        diag = _diagonal(spec.action_rows[t][side])
         if diag is None:
             raise NonDiagonalAction("action of %r is not diagonal" % (t,))
         weights.append(diag)
-    return rank(Matrix(weights)) == len(spec.torus_labels)
+    return len(_reduce(weights)[1]) == len(spec.torus_labels)
 
 
-def _diagonal(M):
-    """The diagonal of a square matrix, or None when it is not diagonal."""
-    if any(v for i, row in enumerate(M.entries) for j, v in enumerate(row) if i != j):
+def _diagonal(lines):
+    """The diagonal of a map given by sparse rows (or columns), as a sparse
+    row, or None when the map is not diagonal."""
+    if any(j != i for i, line in enumerate(lines) for j, _ in line):
         return None
-    return [M.entries[i][i] for i in range(M.rows)]
+    return [line[0] for line in lines if line]
 
 
 def _restricted_operator(A, direction, candidate):
-    """Action of a complement direction on the candidate, in its basis.
-
-    Returns None when the candidate is not invariant under the operator.
-    The side follows the kind: right multiplication for the Leibniz kind,
-    left for the Lie kind.
-    """
-    side = "left" if A.kind == LIE else "right"
-    M = multiplication_matrix(A, direction, side)
-    cols = [pivot_coefficients(candidate.rows, M.apply(v)) for v in candidate.basis]
-    return None if None in cols else Matrix.from_columns(cols, candidate.dim)
+    """Action of basis direction x on the candidate, as sparse integer
+    columns, or None when the candidate is not invariant: left
+    multiplication for the Lie kind, right for the Leibniz kind.  The basis
+    is the candidate's rows r_c and the operator is scaled by d and the lcm
+    L of their leads, so column a holds w[pivot c] * L / lead c for w =
+    d*[x, r_a]; neither change alters the Jordan profile or the diagonal."""
+    rows, x = candidate.rows, [(direction, 1)]
+    if A.kind == LIE:
+        ws = next(_products(A, [x], rows))
+    else:
+        ws = {a: w[0] for a, w in enumerate(_products(A, rows, [x])) if w}
+    scale = lcm(*[row[0][1] for row in rows])
+    cols = []
+    for a in range(len(rows)):
+        coeffs = pivot_coefficients(rows, ws.get(a, {}))
+        if coeffs is None:
+            return None
+        cols.append([(c, v * (scale // rows[c][0][1])) for c, v in enumerate(coeffs) if v])
+    return cols
 
 
 def nilradical_verdict(A, candidate):
@@ -174,16 +189,17 @@ def nilradical_verdict(A, candidate):
     restriction_nilpotent = nxt.dim == 0
 
     pivot_cols = {row[0][0] for row in candidate.rows}
-    directions = [l for j, l in enumerate(A.combined_basis) if j not in pivot_cols]
+    directions = [j for j in range(A.dim) if j not in pivot_cols]
     per_direction = {}
     diagonals = []
-    for label in directions:
-        op = _restricted_operator(A, A.basis_element(label), candidate)
+    for j in directions:
+        label = A.combined_basis[j]
+        op = _restricted_operator(A, j, candidate)
         if op is None:
             per_direction[label] = False
             continue
         try:
-            nilpotent_jordan_blocks(op)
+            _jordan_blocks(op)
             per_direction[label] = False
         except NotNilpotent:
             per_direction[label] = True
@@ -192,7 +208,7 @@ def nilradical_verdict(A, candidate):
     if complement_ok and None not in diagonals:
         # a combination of diagonal operators is nilpotent exactly when its
         # weights cancel, so the weights must be independent
-        complement_ok = rank(Matrix(diagonals)) == len(directions)
+        complement_ok = len(_reduce(diagonals)[1]) == len(directions)
 
     derived = product_space(A, whole, whole)
     derived_contained = derived <= candidate
@@ -210,20 +226,15 @@ def nilradical_verdict(A, candidate):
 
 
 def _diag(weights, combined):
-    """The diagonal matrix on `combined` with the given label weights."""
-    return Matrix.diagonal([weights.get(l, 0) for l in combined])
-
-
-def _filiform_spec(spec, n, m, family):
-    """The one-block spec `spec` on the filiform nilradical `family`^{n,m}."""
-    return ExtensionSpec(_filiform(spec.nilradical, "%s^{%d,%d}" % (family, n, m)),
-                         _filiform(spec.torus_labels), _filiform(spec.actions))
+    """The sparse rows of the diagonal map on `combined` with these label weights."""
+    return [[(i, weights[l])] if weights.get(l) else [] for i, l in enumerate(combined)]
 
 
 def filiform_lie_torus_spec(n, m):
     """The diagonal torus acting on L^{n,m} whose extension is SL^{n,m}."""
     spec = model_nilpotent_lie_torus_spec(*_member_blocks("L", (n,), (m,)))
-    return _filiform_spec(spec, n, m, "L")
+    return ExtensionSpec(_filiform(spec.nilradical, "L^{%d,%d}" % (n, m)),
+                         _filiform(spec.torus_labels), _filiform(spec.action_rows))
 
 
 def model_nilpotent_lie_torus_spec(even_blocks, odd_blocks):
@@ -250,10 +261,7 @@ def filiform_leibniz_torus_spec(n, m, b):
     (b3 - 1) on the odd part, which is the block spec at 1 - b.  The
     extension validates only at (0, 1, 1), which reproduces SLP^{n,m}.
     """
-    blocks = _member_blocks("LP", (n,), (m,))
-    c1, c2, c3 = (1 - Fraction(v) for v in b)
-    spec = model_nilpotent_leibniz_torus_spec(*blocks, (c1, c2), (c3,))
-    return _filiform_spec(spec, n, m, "LP")
+    return _leibniz_specs("LP", (n,), (m,))(b)
 
 
 def model_nilpotent_leibniz_torus_spec(even_blocks, odd_blocks, b, bp):
@@ -268,17 +276,33 @@ def model_nilpotent_leibniz_torus_spec(even_blocks, odd_blocks, b, bp):
     other parameters 0 (when every block is long enough to force its
     parameter), which reproduces SNP(...).
     """
+    return _leibniz_specs("NP", even_blocks, odd_blocks)((b, bp))
+
+
+def _leibniz_specs(family, even, odd):
+    """Sign point -> Leibniz torus spec on the LP or NP member at these sizes,
+    the point (b1, b2, b3) or (b, bp); the nilradical and right actions are
+    built once, so a sweep builds only the left actions of each point."""
+    even_blocks, odd_blocks = _member_blocks(family, even, odd)
     even_chains, odd_chains = _chains(even_blocks, odd_blocks)
     chains = even_chains + odd_chains
-    if len(b) != len(even_chains) + 1 or len(bp) != len(odd_chains):
-        raise ValueError("need %d even and %d odd parameters"
-                         % (len(even_chains) + 1, len(odd_chains)))
     nil = model_nilpotent_leibniz(even_blocks, odd_blocks)
-    basis = nil.combined_basis
     torus = _torus_labels("t", even_chains, odd_chains)
-    actions = {"t1": (_diag({"x1": -Fraction(b[0])}, basis),
-                      _diag(dict([("x1", 1)] + _places(chains)), basis))}
-    for t, c, v in zip(torus[1:], chains, list(b[1:]) + list(bp)):
-        actions[t] = (_diag(dict.fromkeys(c, -Fraction(v)), basis),
-                      _diag(dict.fromkeys(c, 1), basis))
-    return ExtensionSpec(nil, torus, actions)
+    if family == "LP":
+        nil, torus = _filiform(nil, "LP^{%d,%d}" % (even[0], odd[0])), _filiform(tuple(torus))
+    basis = nil.combined_basis
+    rights = ([_diag(dict([("x1", 1)] + _places(chains)), basis)]
+              + [_diag(dict.fromkeys(c, 1), basis) for c in chains])
+
+    def spec(point):
+        if family == "LP":
+            point = [1 - Fraction(v) for v in point]
+            point = point[:2], point[2:]
+        b, bp = point
+        if len(b) != len(even_chains) + 1 or len(bp) != len(odd_chains):
+            raise ValueError("need %d even and %d odd parameters"
+                             % (len(even_chains) + 1, len(odd_chains)))
+        lefts = [_diag(dict.fromkeys(c, -Fraction(v)), basis)
+                 for c, v in zip([["x1"]] + chains, list(b) + list(bp))]
+        return ExtensionSpec(nil, torus, dict(zip(torus, zip(lefts, rights))))
+    return spec

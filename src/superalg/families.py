@@ -104,8 +104,8 @@ def _filiform(obj, name=None):
     """A one-block model member in the filiform labels: tp1 is t3, zp1 is z3.
 
     obj is a label, a tuple, an Element, a dict (keys and values renamed)
-    or an algebra, which is renamed to `name`; anything else, such as an
-    action matrix, is returned as it is.
+    or an algebra, which is renamed to `name`; anything else, such as the
+    sparse rows of an action, is returned as it is.
     """
     if isinstance(obj, str):
         return _FILIFORM_LABELS.get(obj, obj)

@@ -25,6 +25,7 @@ and a basis map gives each new label's image over the old basis,
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as quote
 
 from .core import LIE, LEIBNIZ, Element, SuperAlgebra, validate
 from .extension import ExtensionSpec
@@ -222,13 +223,58 @@ def emit_algebra(A):
     }
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _leaf(obj):
+    """Whether obj is a nonempty list or tuple of scalars."""
+    return type(obj) in (list, tuple) and obj and set(map(type, obj)) <= _SCALARS
+
+
+def dumps(obj):
+    """json.dumps(obj, indent=2), byte for byte, mostly in C.
+
+    Indented output takes the pure-Python encoder.  Here the C encoder,
+    with item separator "," + the items' indentation, writes each leaf
+    list (see _leaf), or a whole list of leaf lists at once, where "],"
+    followed by that indentation and "[" can only join two leaves, so the
+    lines around them go in by one replace.  Strings are quoted in C too.
+    Indented JSON has no raw newline but the indentation, so the rest
+    (other scalars, empty containers, non-string keys, other types) is
+    left to json.dumps and re-indented.
+    """
+    encoders = {}
+
+    def encode(obj, pad):
+        if pad not in encoders:
+            encoders[pad] = json.JSONEncoder(separators=("," + pad, ": ")).encode
+        return encoders[pad](obj)
+
+    def write(obj, nl):
+        inner, kind = nl + "  ", type(obj)
+        if kind is str:
+            return quote(obj)
+        if kind is dict and obj and set(map(type, obj)) == {str}:
+            return "{" + inner + ("," + inner).join(
+                [quote(k) + ": " + (quote(v) if type(v) is str else write(v, inner))
+                 for k, v in obj.items()]) + nl + "}"
+        if kind not in (list, tuple) or not obj:
+            return json.dumps(obj, indent=2).replace("\n", nl)
+        if _leaf(obj):
+            return "[" + inner + encode(obj, inner)[1:-1] + nl + "]"
+        if all(map(_leaf, obj)):
+            deeper = inner + "  "
+            text = encode(obj, deeper).replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper)
+            return "".join(("[", inner, "[", deeper, text[2:-2], inner, "]", nl, "]"))
+        return "[" + inner + ("," + inner).join([write(v, inner) for v in obj]) + nl + "]"
+    return write(obj, "\n")
+
+
 def dump_algebra(A, target):
     """Write the algebra to a path or stream as indented JSON."""
-    data = emit_algebra(A)
+    text = dumps(emit_algebra(A)) + "\n"
     if hasattr(target, "write"):
-        json.dump(data, target, indent=2)
-        target.write("\n")
+        target.write(text)
     else:
         with open(target, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)

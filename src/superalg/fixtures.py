@@ -13,12 +13,9 @@ import itertools
 
 from .core import change_of_basis, equal_laws
 from .derivations import innerness_report
-from .extension import (IdentityViolation, filiform_lie_torus_spec,
-                        filiform_leibniz_torus_spec,
-                        model_nilpotent_lie_torus_spec,
-                        model_nilpotent_leibniz_torus_spec,
-                        nil_independence_check, nilradical_verdict,
-                        semidirect_extension)
+from .extension import (IdentityViolation, _leibniz_specs, filiform_lie_torus_spec,
+                        model_nilpotent_lie_torus_spec, nil_independence_check,
+                        nilradical_verdict, semidirect_extension)
 from .families import (_member_blocks, member, z_basis_filiform_lie,
                        z_basis_nilpotent_lie)
 from .invariants import span_of_labels
@@ -59,18 +56,16 @@ def _lie_construction(family, even, odd):
 
 def _leibniz_sweep(family, even, odd):
     solvable = member(family, even, odd)
+    make = _leibniz_specs(family[1:], even, odd)
     if family == "SLP":
-        (n,), (m,) = even, odd
         points = list(itertools.product((0, 1), repeat=3))
         expected = (0, 1, 1)
-        make = lambda b: filiform_leibniz_torus_spec(n, m, b)
     else:
         k, p = len(even), len(odd)
         points = [(b, bp)
                   for b in itertools.product((0, 1), repeat=k + 1)
                   for bp in itertools.product((0, 1), repeat=p)]
         expected = ((1,) + (0,) * k, (0,) * p)
-        make = lambda pt: model_nilpotent_leibniz_torus_spec(even, odd, *pt)
     successes = set()
     witness = None
     for pt in points:
