@@ -159,17 +159,18 @@ def inner_space(A, parity):
     """The multiplication operators of the given parity: a basis, as a list.
 
     Left multiplications for the lie kind, right multiplications for the
-    leibniz kind.  The operator of e_i is read from `A.law` as a sparse
-    row-major row, entry (k, j) being coordinate k of [e_i, e_j] (left) or
-    [e_j, e_i] (right); the basis is the canonical RREF of those rows.
+    leibniz kind.  The operator of e_i, times d, is read from
+    `A.integer_law` as a sparse row-major row, entry (k, j) being
+    coordinate k of [e_i, e_j] (left) or [e_j, e_i] (right); the basis is
+    the canonical RREF of those rows, which the factor d does not change.
     """
     n = A.dim
     side = 0 if A.kind == LIE else 1  # the place of e_i in a law key
     ops = {i: [] for i in range(n) if A.parities[i] == parity}
-    for key, cell in A.law.items():
+    for key, cell in A.integer_law[1].items():
         if key[side] in ops:
             ops[key[side]].extend((k * n + key[1 - side], c) for k, c in cell.items())
-    reduced, _ = _reduce([sorted(row) for row in ops.values()])
+    reduced, _ = _reduce(ops.values())
     return [SuperDerivation(parity, dim=n, entries=_monic(row)) for row in reduced]
 
 

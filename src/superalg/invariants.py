@@ -7,9 +7,8 @@ the characteristic sequence, and the generator count.
 
 from functools import cached_property
 
-from .linalg import (ZERO, Matrix, NotNilpotent, _frac, _integer_row, _jordan_blocks,
-                     _monic, _reduce, dense_rows, nullspace, pivot_coefficients,
-                     sparse_rows)
+from .linalg import (NotNilpotent, _frac, _integer_row, _jordan_blocks, _kernel, _monic,
+                     _reduce, dense_rows, pivot_coefficients, sparse_rows)
 from .core import EVEN, LIE, _products
 
 DESCENDING_CENTRAL = "descending_central"
@@ -98,7 +97,7 @@ def product_space(A, S, T):
     formed in integers from the canonical rows and `A.integer_law`."""
     if S.algebra is not A or T.algebra is not A:
         raise ValueError("subspace of a different algebra")
-    return _span(A, _reduce([sorted(w.items()) for ws in _products(A, S.rows, T.rows)
+    return _span(A, _reduce([w.items() for ws in _products(A, S.rows, T.rows)
                              for w in ws.values()])[0])
 
 
@@ -164,13 +163,13 @@ def classify(A):
 
 
 def right_annihilator(A):
-    """All x with [A, x] = 0, as one nullspace computation; equation (b, k),
-    coordinate k of [e_b, x], has c at column j for each [e_b, e_j] = c e_k."""
+    """All x with [A, x] = 0, as one kernel in integers; equation (b, k),
+    coordinate k of [e_b, x], has d*c at column j for each [e_b, e_j] = c e_k."""
     rows = {}
-    for (b, j), cell in A.law.items():
+    for (b, j), cell in A.integer_law[1].items():
         for k, c in cell.items():
-            rows.setdefault((b, k), [ZERO] * A.dim)[j] += c
-    return Subspace(A, nullspace(Matrix(list(rows.values()), A.dim)))
+            rows.setdefault((b, k), {})[j] = c
+    return _span(A, _reduce(_kernel([r.items() for r in rows.values()], A.dim))[0])
 
 
 class CharacteristicSequence:
@@ -216,7 +215,7 @@ def _jordan_profile(A, x):
         cols = next(_products(A, [x], units))
     else:
         cols = {j: ws[0] for j, ws in enumerate(_products(A, units, [x])) if ws}
-    ne, cols = A.dim_even, [sorted(cols.get(j, {}).items()) for j in range(A.dim)]
+    ne, cols = A.dim_even, [cols.get(j, {}).items() for j in range(A.dim)]
     return (_jordan_blocks([[(k, v) for k, v in col if k < ne] for col in cols[:ne]]),
             _jordan_blocks([[(k - ne, v) for k, v in col if k >= ne] for col in cols[ne:]]))
 

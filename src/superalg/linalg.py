@@ -6,10 +6,10 @@ sparse: lists of nonzero (column, value) pairs in column order, which
 sparse_rows and dense_rows convert at the public boundary.  Row spaces go
 through one fraction-free elimination, _reduce, whose rows are integers
 (_monic divides them by their leads); kernels go through _kernel, which
-takes rows in any column order, tracks the solution space and reads its
-canonical basis off with one _reduce call.  All results are exact, and a
-basis always comes in a canonical form, so that two equal subspaces
-compare equal entrywise.
+tracks the solution space and reads its canonical basis off with one
+_reduce call.  Both take rows in any column order, with int or Fraction
+values.  All results are exact, and a basis always comes in a canonical
+form, so that two equal subspaces compare equal entrywise.
 """
 
 from fractions import Fraction
@@ -140,41 +140,33 @@ class Matrix:
 def _reduce(rows):
     """Canonical reduced row echelon form of sparse rows, in integers.
 
-    Each row lists (column, value) pairs in column order, with int or
-    Fraction values; zero values are skipped.  Returns (the nonzero reduced
-    rows in the same form, ascending list of pivot columns).  Each emitted
-    row is the RREF row times the lcm of its denominators, divided by its
-    content: primitive integers with a positive leading entry, at its
-    pivot.  This form is unique, like the monic one (_monic converts).
-    Pivots are the leading columns of the row space, which fixes the
-    canonical form used everywhere below.
+    Each row is a sized iterable of (column, value) pairs (a dict's items
+    will do) in any column order, with int or Fraction values; zero values
+    are skipped.  Returns (the nonzero reduced rows as lists of pairs in
+    column order, ascending list of pivot columns).  Each emitted row is
+    the RREF row times the lcm of its denominators, divided by its content:
+    primitive integers with a positive leading entry, at its pivot.  This
+    form is unique, like the monic one (_monic converts).  Pivots are the
+    leading columns of the row space, which fixes the canonical form used
+    everywhere below.
 
     The elimination is fraction-free.  Rows are taken shortest first, the
     fill-reducing order (Markowitz 1957); the reduced row echelon form of a
     row space is unique, so the order changes the work, never the output.
-    Each nonzero row becomes a dict {column: int}, scaled once by the lcm
-    of its denominators and divided by its content (the gcd of its
-    entries); a row equal to an earlier one up to a scalar is dropped.
-    The rest are reduced against the pivot rows found so far, smallest
-    pivot column first, by integer row operations a*row - b*pivot_row; the
-    result is divided by its content and, unless it is zero, kept as the
-    pivot row of its smallest column.  Back-substitution clears the other
-    pivot columns the same way.
+    Each nonzero row becomes a dict {column: int}; only a row holding a
+    Fraction is scaled, by the lcm of its denominators.  It is reduced
+    against the pivot rows found so far, smallest pivot column first, by
+    integer row operations a*row - b*pivot_row; unless the result is zero
+    (a repeated or dependent row), it is divided by its content (the gcd
+    of its entries), given a positive lead and kept as the pivot row of
+    its smallest column.  Back-substitution clears the other pivot columns
+    the same way, in the rows that hold any; the rest are emitted as kept.
     """
     pivot_rows = {}
-    seen = set()
     for row in sorted(rows, key=len):
-        nz = _integer_row(row)
-        if not nz:
-            continue
-        g = gcd(*[v for _, v in nz])
-        if nz[0][1] < 0:
-            g = -g
-        key = tuple([(j, v // g) for j, v in nz])
-        if key in seen:
-            continue
-        seen.add(key)
-        r = dict(key)
+        r = {j: v for j, v in row if v}
+        if Fraction in map(type, r.values()):
+            r = dict(_integer_row(r.items()))
         todo = [j for j in r if j in pivot_rows]
         heapify(todo)
         while todo:
@@ -188,19 +180,19 @@ def _reduce(rows):
                     heappush(todo, j)
             _eliminate(r, p.items(), p[c], b)
         if r:
-            _divide_content(r)
-            pivot_rows[min(r)] = r
+            c = min(r)
+            _divide_content(r, r[c] < 0)
+            pivot_rows[c] = r
     pivots = sorted(pivot_rows)
     reduced = []
     for c in reversed(pivots):
         r = pivot_rows[c]
-        for j in [j for j in r if j != c and j in pivot_rows]:
+        others = [j for j in r if j != c and j in pivot_rows]
+        for j in others:  # each p has a positive lead, so r[c] stays positive
             p = pivot_rows[j]
             _eliminate(r, p.items(), p[j], r[j])
-        _divide_content(r)
-        if r[c] < 0:
-            for j in r:
-                r[j] = -r[j]
+        if others:
+            _divide_content(r)
         reduced.append(sorted(r.items()))
     reduced.reverse()
     return reduced, pivots
@@ -235,8 +227,11 @@ def _eliminate(r, p, a, b):
             del r[j]
 
 
-def _divide_content(r):
+def _divide_content(r, negate=False):
+    """r over the gcd of its values, in place; negated too when `negate`."""
     g = gcd(*r.values())
+    if negate:
+        g = -g
     if g != 1:
         for j in r:
             r[j] //= g
@@ -317,7 +312,7 @@ def _kernel(rows, cols):
                 for c in v0:  # only v0's columns changed in v
                     (at[c].add if c in v else at[c].discard)(i)
     last = cols - 1
-    reduced, _ = _reduce([sorted((last - c, x) for c, x in v.items()) for v in vecs.values()])
+    reduced, _ = _reduce([[(last - c, x) for c, x in v.items()] for v in vecs.values()])
     return [[(last - c, x) for c, x in _monic(row[:1] + row[:0:-1])] for row in reversed(reduced)]
 
 
@@ -415,7 +410,7 @@ def _jordan_blocks(columns):
             for j, a in v:
                 for i, b in columns[j]:
                     w[i] = w.get(i, 0) + a * b
-            products.append(sorted(w.items()))
+            products.append(w.items())
         image = products
     at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
     blocks = []

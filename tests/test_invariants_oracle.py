@@ -367,8 +367,10 @@ def test_innerness_expressions_match_the_oracle():
 
 
 def test_inner_space_matches_the_dense_multiplication_matrices():
-    """inner_space reads each operator from A.law as a sparse row; the
-    reference flattens the dense multiplication matrices and reduces them."""
+    """inner_space reads each operator, times d, from A.integer_law as a
+    sparse row of ints; the reference flattens the dense multiplication
+    matrices and reduces them.  Most of the random laws have rational
+    constants, so d > 1."""
     _, algebras = laws(20261019, 60)
     sizes = {"L": ((4,), (3,)), "N": ((2, 1), (2,)), "LP": ((4,), (3,)),
              "NP": ((2,), (1, 2))}

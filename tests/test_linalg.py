@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -392,32 +393,56 @@ def test_shared_kernel_helper_matches_oracle():
 
 
 def _row_orders(entries):
-    """The rows reversed, shuffled with a fixed seed, and with exact
-    duplicates and the multiples by -2 and 3/7 appended."""
+    """The rows as sparse pairs: reversed, shuffled with a fixed seed, with
+    exact duplicates and the multiples by -2 and 3/7 appended, with each
+    row's pairs in a seeded random column order passed as dict items, and
+    each row scaled to integers."""
     shuffled = list(entries)
     random.Random(1957).shuffle(shuffled)
-    yield "reversed", entries[::-1]
-    yield "shuffled", shuffled
-    yield "repeated", (entries + entries[::-1] + [[-2 * v for v in row] for row in entries]
-                       + [[Fraction(3, 7) * v for v in row] for row in shuffled])
+    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in entries]
+    yield "reversed", sparse[::-1]
+    yield "shuffled", [[(j, v) for j, v in enumerate(row) if v] for row in shuffled]
+    repeated = (entries + entries[::-1] + [[-2 * v for v in row] for row in entries]
+                + [[Fraction(3, 7) * v for v in row] for row in shuffled])
+    yield "repeated", [[(j, v) for j, v in enumerate(row) if v] for row in repeated]
+    rng = random.Random(1958)
+    yield "columns shuffled", [dict(rng.sample(row, len(row))).items() for row in sparse]
+    scaled = []
+    for row in sparse:
+        d = lcm(*[Fraction(v).denominator for _, v in row])
+        scaled.append([(j, int(v * d)) for j, v in row])
+    yield "integer", scaled
 
 
 def test_row_order_is_internal_to_the_kernel():
     """_reduce takes its rows in an order of its own; whatever order they
-    come in, with repeats or without, the reduced rows, pivots and kernel
-    basis are the oracle's canonical ones."""
+    come in, with repeats or without, in any column order within a row, as
+    Fractions or as integers, the reduced rows, pivots and kernel basis are
+    the oracle's canonical ones."""
     seen = set()
     for kind, entries, cols in list(_cases()) + list(_shared_kernel_cases()):
         expected = naive_rref(entries)
         kernel = naive_nullspace(entries, cols)
-        for order, rows in _row_orders(entries):
+        for order, sparse in _row_orders(entries):
             seen.add(order)
-            sparse = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
             reduced, pivots = _reduce(sparse)
             got = [tuple(r) for r in dense_rows(map(_monic, reduced), cols)], pivots
             assert got == expected, (kind, order, entries)
             assert list(dense_rows(_kernel(sparse, cols), cols)) == kernel, (kind, order)
-    assert seen == {"reversed", "shuffled", "repeated"}
+    assert seen == {"reversed", "shuffled", "repeated", "columns shuffled", "integer"}
+
+
+def test_rows_no_elimination_touches_come_out_primitive_with_a_positive_lead():
+    """Rows that meet no pivot column, in the forward pass or in the
+    back-substitution, are still divided by their content and given a
+    positive lead, whether they come as integers, as Fractions or as a
+    dict's items."""
+    for rows in ([[(3, -4), (5, 6)], [(0, -2)]],
+                 [{5: 6, 3: -4}.items(), [(0, Fraction(-2, 3))]],
+                 [[(5, Fraction(-3, 2)), (3, 1)], [(0, -7)], [(3, -8), (5, 12)]]):
+        reduced, pivots = _reduce(rows)
+        assert reduced == [[(0, 1)], [(3, 2), (5, -3)]] and pivots == [0, 3], rows
+        assert all(type(v) is int for row in reduced for _, v in row)
 
 
 # ---- the kernel's solution-space tracking ---------------------------------
