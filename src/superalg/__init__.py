@@ -7,7 +7,7 @@ constants as JSON.
 """
 
 from .linalg import (Matrix, NotNilpotent, invert, nilpotent_jordan_blocks,
-                     nullspace, rank, row_space_basis, rref, span_contains)
+                     nullspace, rank, row_space_basis, span_contains)
 from .core import (EVEN, LEIBNIZ, LIE, ODD, Element, SuperAlgebra, Violation,
                    ValidationReport, bracket, change_of_basis, equal_laws,
                    multiplication_matrix, product, validate)
@@ -15,20 +15,17 @@ from .invariants import (CharacteristicSequence, DERIVED, DESCENDING_CENTRAL,
                          GRADED_EVEN, GRADED_ODD, Subspace,
                          characteristic_sequence, classify, even_part,
                          generator_count, odd_part, product_space,
-                         right_annihilator, series, series_dims,
-                         span_of_elements, span_of_labels, whole_space,
-                         zero_space)
+                         right_annihilator, series, span_of_labels,
+                         whole_space)
 from .families import (filiform_leibniz, member, member_dim, model_filiform_lie,
                        model_nilpotent_leibniz, model_nilpotent_lie,
                        z_basis_filiform_lie, z_basis_nilpotent_lie)
 from .extension import (ExtensionSpec, IdentityViolation, NonDiagonalAction,
-                        filiform_lie_torus_spec, filiform_leibniz_torus_spec,
-                        model_nilpotent_lie_torus_spec,
-                        model_nilpotent_leibniz_torus_spec,
-                        nil_independence_check, nilradical_verdict,
-                        semidirect_extension)
+                        filiform_lie_torus_spec, leibniz_torus_specs,
+                        model_nilpotent_lie_torus_spec, nil_independence_check,
+                        nilradical_verdict, semidirect_extension)
 from .derivations import (SuperDerivation, derivation_space, inner_space,
-                          innerness_report, is_superderivation, super_commutator)
+                          innerness_report)
 from .fileformat import (ParseError, ValidationError, dump_algebra,
                          emit_algebra, load_algebra, parse_algebra)
 

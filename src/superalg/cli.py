@@ -58,9 +58,13 @@ def _emit(args, obj, lines):
             print(line)
 
 
+def _in_basis_order(A, el):
+    """el with its labels in basis order, as it is printed."""
+    return Element(sorted(el.items(), key=lambda t: A.index(t[0])))
+
+
 def _element_obj(A, el):
-    items = sorted(el.items(), key=lambda t: A.index(t[0]))
-    return {l: str(c) for l, c in items}
+    return {l: str(c) for l, c in _in_basis_order(A, el).items()}
 
 
 def _row_strs(row, n):  # a canonical integer row, dense and monic
@@ -82,7 +86,7 @@ def _derivation_obj(D):
     return [flat[k * n:(k + 1) * n] for k in range(n)]
 
 
-_TERM_RE = re.compile(r"\s*(?:([+-])\s*)?(?:(\d+(?:/\d+)?)\s*\*?\s*)?"
+_TERM_RE = re.compile(r"\s*(?:([+-])\s*)?(?:([0-9]+(?:/[0-9]+)?)\s*\*?\s*)?"
                       r"([A-Za-z][A-Za-z0-9]*)\s*")
 
 
@@ -143,7 +147,7 @@ def cmd_check(args):
         for v in report.violations:
             lines.append("  %s on (%s): residual %s"
                          % (v.identity, ", ".join(v.labels),
-                            A.element_from_coords(A.coords(v.residual))))
+                            _in_basis_order(A, v.residual)))
     _emit(args, obj, lines)
     return 0 if report.ok else 1
 
@@ -210,12 +214,11 @@ def cmd_charseq(args):
              % (", ".join(map(str, seq.even_part)),
                 ", ".join(map(str, seq.odd_part)))]
     if seq.witness is not None:
-        lines.append("witness: %s"
-                     % A.element_from_coords(A.coords(seq.witness)))
+        lines.append("witness: %s" % _in_basis_order(A, seq.witness))
     else:
         lines.append("witness: none (even part by %s, odd part by %s)"
-                     % (A.element_from_coords(A.coords(seq.witness_even)),
-                        A.element_from_coords(A.coords(seq.witness_odd))))
+                     % (_in_basis_order(A, seq.witness_even),
+                        _in_basis_order(A, seq.witness_odd)))
     lines.append("lower bound only: %s" % ("yes" if seq.lower_bound else "no"))
     _emit(args, obj, lines)
     return 0

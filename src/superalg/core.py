@@ -7,12 +7,13 @@ table are zero.  For the Lie kind a missing transpose entry is filled in by
 super skew-symmetry at construction time; entries present on both sides are
 kept as given so that validate() can report contradictions.
 
-`brackets` holds the table by labels, for files and constructors; `law`
-holds it by combined-basis index, (i, j) -> {k: c}, with `parities` by
-index.  `integer_law` is the table times the lcm d of the denominators, so
-validation, the derivation equations and the products (through
-`integer_left_index`) run in integers; `skew_symmetric` lets the first two
-skip what super skew-symmetry implies.
+`brackets` holds the table by labels, for files, constructors and
+printed output.  `integer_law`, built from it on first use, is the one
+index form: (d, {(i, j): {k: d*c}}) by combined-basis index, d the lcm of
+the denominators, with `parities` by index.  Validation, the derivation
+equations and the products (through `integer_left_index`) run on it in
+integers, and a Fraction is made only where a value leaves the library;
+`skew_symmetric` lets the first two skip what super skew-symmetry implies.
 """
 
 from fractions import Fraction
@@ -180,8 +181,6 @@ class SuperAlgebra:
                     sign = 1 if (self.parity(left) and self.parity(right)) else -1
                     table[(right, left)] = el.scale(sign)
         self.brackets = MappingProxyType(table)
-        self.law = MappingProxyType({(idx[l], idx[r]): {idx[k]: c for k, c in el.items()}
-                                     for (l, r), el in table.items()})
 
     @cached_property
     def integer_left_index(self):
@@ -201,10 +200,13 @@ class SuperAlgebra:
 
     @cached_property
     def integer_law(self):
-        """(d, the law times d) with d the lcm of the denominators: integer cells."""
-        d = lcm(*[c.denominator for cell in self.law.values() for c in cell.values()])
-        return d, {key: {k: c.numerator * (d // c.denominator) for k, c in cell.items()}
-                   for key, cell in self.law.items()}
+        """(d, the law times d by index, (i, j) -> {k: d*c}), d the lcm of the
+        denominators of `brackets`: integer cells."""
+        idx, table = self._index, self.brackets
+        d = lcm(*[c.denominator for el in table.values() for _, c in el.items()])
+        return d, {(idx[l], idx[r]): {idx[k]: c.numerator * (d // c.denominator)
+                                      for k, c in el.items()}
+                   for (l, r), el in table.items()}
 
     # ---- basic queries -------------------------------------------------
 
@@ -316,7 +318,7 @@ def validate(A, kind=None):
     kind = A.kind if kind is None else kind
     if kind not in KINDS:
         raise ValueError("unknown kind %r" % (kind,))
-    basis, par, law = A.combined_basis, A.parities, A.law
+    basis, par = A.combined_basis, A.parities
     d, ilaw = A.integer_law
     ordered = kind == LIE and A.skew_symmetric
     violations = []
@@ -333,8 +335,8 @@ def validate(A, kind=None):
     for (i, j), cell in ilaw.items():
         by_right[j].append((i, cell))
         by_left[i].append((j, cell))
-    for (q, r), cell in law.items():
-        bad = {basis[k]: c for k, c in cell.items() if par[k] != par[q] ^ par[r]}
+    for (q, r), cell in ilaw.items():
+        bad = [(basis[k], Fraction(c, d)) for k, c in cell.items() if par[k] != par[q] ^ par[r]]
         if bad:
             violations.append(Violation("grading", (basis[q], basis[r]), Element(bad)))
     # Jacobi residual of (x,y,z): (-1)^{|z||x|}[x,[y,z]]
@@ -365,13 +367,15 @@ def validate(A, kind=None):
                     add((q, p, r), -c if par[p] and par[r] else c, outer)
 
     if kind == LIE and not A.skew_symmetric:
-        for i, j in sorted({(min(i, j), max(i, j)) for i, j in law}):
+        for i, j in sorted({(min(i, j), max(i, j)) for i, j in ilaw}):
             # [a,b] + (-1)^{|a||b|} [b,a] must vanish
             sign = -1 if (par[i] and par[j]) else 1
-            residual = Element([(basis[k], c) for k, c in law.get((i, j), {}).items()]
-                               + [(basis[k], sign * c) for k, c in law.get((j, i), {}).items()])
-            if not residual.is_zero():
-                violations.append(Violation("skew", (basis[i], basis[j]), residual))
+            res = dict(ilaw.get((i, j), {}))
+            for k, c in ilaw.get((j, i), {}).items():
+                res[k] = res.get(k, 0) + sign * c
+            if any(res.values()):
+                violations.append(Violation("skew", (basis[i], basis[j]), Element(
+                    (basis[k], Fraction(c, d)) for k, c in res.items() if c)))
     identity = "jacobi" if kind == LIE else "leibniz"
     found = {}
     for (x, y, z), res in residuals.items():
@@ -397,16 +401,17 @@ def multiplication_matrix(A, x, side):
         raise ValueError("side must be 'left' or 'right'")
     x = A.as_element(x)
     A.element_parity(x)
-    vec = A.coords(x)
+    vec = {A.index(l): c for l, c in x.items()}
     left = side == "left"
-    rows = [[ZERO] * A.dim for _ in range(A.dim)]
-    for (i, j), cell in A.law.items():
-        a = vec[i] if left else vec[j]
+    d, law = A.integer_law
+    rows = [[0] * A.dim for _ in range(A.dim)]
+    for (i, j), cell in law.items():
+        a = vec.get(i if left else j)
         if a:
             col = j if left else i
             for k, c in cell.items():
                 rows[k][col] += a * c
-    return Matrix(rows)
+    return Matrix([[v / d if v else ZERO for v in row] for row in rows])
 
 
 def change_of_basis(A, mapping):
@@ -459,9 +464,10 @@ def change_of_basis(A, mapping):
 
 
 def equal_laws(A, B):
-    """Entrywise comparison of two laws over the same basis."""
+    """Entrywise comparison of two laws over the same basis: the integer
+    cells and their common denominator d."""
     if A.kind != B.kind:
         raise ValueError("kind mismatch")
     if A.even_basis != B.even_basis or A.odd_basis != B.odd_basis:
         raise ValueError("basis mismatch")
-    return A.law == B.law
+    return A.integer_law == B.integer_law

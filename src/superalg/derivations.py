@@ -10,39 +10,28 @@ derivation_space solves the rule as a linear system over the matrix
 entries of D, with integer coefficients from A.integer_law (half of it
 when A.skew_symmetric), handed to the kernel as sparse rows; inner_space
 spans the multiplication operators (left for the lie kind, right for the
-leibniz kind) read from A.law; innerness_report compares the two per parity.
+leibniz kind) read from A.integer_law; innerness_report compares the two
+per parity.
 """
 
 from bisect import bisect
-from fractions import Fraction
-from functools import cached_property
 
-from .linalg import (Matrix, _integer_row, _kernel, _monic, _reduce, dense_rows,
-                     pivot_coefficients, sparse_rows)
-from .core import EVEN, ODD, LIE, product
+from .linalg import (Matrix, _integer_row, _kernel, _monic, _reduce, pivot_coefficients,
+                     sparse_rows)
+from .core import EVEN, ODD, LIE
 
 
 class SuperDerivation:
-    """A homogeneous linear map: `entries` lists its nonzero matrix entries
-    row-major, as (k*dim + j, coefficient of e_k in D(e_j)) in index order,
-    the sparse row form of linalg; `matrix`, whose column j is D(e_j),
-    is built on first access.  Give a square `matrix`, or `dim` and `entries`."""
+    """A homogeneous linear map on a dim-dimensional algebra: `entries`
+    lists its nonzero matrix entries row-major, as (k*dim + j, coefficient
+    of e_k in D(e_j)) in index order, the sparse row form of linalg."""
 
-    def __init__(self, parity, matrix=None, dim=None, entries=None):
+    def __init__(self, parity, dim, entries):
         if parity not in (EVEN, ODD):
             raise ValueError("parity must be 0 or 1")
         self.parity = parity
-        if matrix is not None:
-            self.matrix = matrix
-            dim, entries = matrix.rows, sparse_rows([matrix.flatten()])[0]
         self.dim = dim
         self.entries = entries
-
-    @cached_property
-    def matrix(self):
-        n = self.dim
-        flat = dense_rows([self.entries], n * n)[0]
-        return Matrix([flat[k * n:(k + 1) * n] for k in range(n)], n)
 
     def __eq__(self, other):
         return isinstance(other, SuperDerivation) and (
@@ -73,27 +62,6 @@ def _rule_signs(A, parity, a, b):
     if A.kind == LIE:
         return 1, (-1) ** (parity * A.parities[a])
     return (-1) ** (parity * A.parities[b]), 1
-
-
-def is_superderivation(A, D):
-    """Check the rule on all ordered basis pairs.
-
-    Returns (ok, violations) where each violation is (left label, right
-    label, residual) with residual = rule right side minus left side.
-    """
-    _check_parity_blocks(A, D.parity, D.matrix)
-    M, basis = D.matrix, A.combined_basis
-    units = [A.coords(l) for l in basis]
-    violations = []
-    for a, ea in enumerate(units):
-        for b, eb in enumerate(units):
-            s1, s2 = _rule_signs(A, D.parity, a, b)
-            terms = zip(product(A, M.column(a), eb), product(A, ea, M.column(b)),
-                        M.apply(product(A, ea, eb)))
-            residual = A.element_from_coords([s1 * x + s2 * y - z for x, y, z in terms])
-            if not residual.is_zero():
-                violations.append((basis[a], basis[b], residual))
-    return (not violations), violations
 
 
 def _unknown_positions(A, parity):
@@ -172,13 +140,6 @@ def inner_space(A, parity):
             ops[key[side]].extend((k * n + key[1 - side], c) for k, c in cell.items())
     reduced, _ = _reduce(ops.values())
     return [SuperDerivation(parity, dim=n, entries=_monic(row)) for row in reduced]
-
-
-def super_commutator(D1, D2):
-    """D1 D2 - (-1)^(s1 s2) D2 D1, a superderivation of parity s1 + s2."""
-    sign = Fraction((-1) ** (D1.parity * D2.parity))
-    M = D1.matrix * D2.matrix - (D2.matrix * D1.matrix).scale(sign)
-    return SuperDerivation((D1.parity + D2.parity) % 2, M)
 
 
 def innerness_report(A):

@@ -253,36 +253,24 @@ def model_nilpotent_lie_torus_spec(even_blocks, odd_blocks):
     return ExtensionSpec(nil, torus, actions)
 
 
-def filiform_leibniz_torus_spec(n, m, b):
-    """Candidate torus actions on LP^{n,m} with sign parameters (b1, b2, b3).
+def leibniz_torus_specs(family, even, odd):
+    """Sign point -> candidate torus spec on the LP or NP member at these
+    sizes; the nilradical and the right actions are built once, so a sweep
+    builds only the left actions of each point.
 
-    The right actions are the solvable family's; the left actions carry the
-    undetermined coefficients (b1 - 1) on x1, (b2 - 1) on x2..xn and
-    (b3 - 1) on the odd part, which is the block spec at 1 - b.  The
+    The right actions are the solvable family's: t1 weighs x1 by 1 and each
+    chain label by its place in the chain, counted from 0, and every other
+    torus label is the identity on its chain.  On NP(...) the point is
+    (b, bp), b with one entry per torus label t1..t_{k+1} and bp one per
+    tp1..tp_p; the left actions are -b1 on x1 for t1, -b_{j+2} on even
+    block j+1 for t_{j+2}, and -bp_j on odd block j for tp_j.  The
+    extension validates exactly at b1 = 1 with all other parameters 0 (when
+    every block is long enough to force its parameter), which reproduces
+    SNP(...).  On LP^{n,m} the point is (b1, b2, b3), and the left actions
+    carry the undetermined coefficients (b1 - 1) on x1, (b2 - 1) on x2..xn
+    and (b3 - 1) on the odd part, which is the NP spec at 1 - b.  The
     extension validates only at (0, 1, 1), which reproduces SLP^{n,m}.
     """
-    return _leibniz_specs("LP", (n,), (m,))(b)
-
-
-def model_nilpotent_leibniz_torus_spec(even_blocks, odd_blocks, b, bp):
-    """Candidate torus actions on NP(...) with sign parameters b, bp.
-
-    b has one entry per torus label t1..t_{k+1}, bp one per tp1..tp_p.  The
-    right actions are the solvable family's: t1 weighs x1 by 1 and each
-    chain label by its place in the chain, counted from 0, and every other
-    torus label is the identity on its chain.  The left actions are -b1 on
-    x1 for t1, -b_{j+2} on even block j+1 for t_{j+2}, and -bp_j on odd
-    block j for tp_j.  The extension validates exactly at b1 = 1 with all
-    other parameters 0 (when every block is long enough to force its
-    parameter), which reproduces SNP(...).
-    """
-    return _leibniz_specs("NP", even_blocks, odd_blocks)((b, bp))
-
-
-def _leibniz_specs(family, even, odd):
-    """Sign point -> Leibniz torus spec on the LP or NP member at these sizes,
-    the point (b1, b2, b3) or (b, bp); the nilradical and right actions are
-    built once, so a sweep builds only the left actions of each point."""
     even_blocks, odd_blocks = _member_blocks(family, even, odd)
     even_chains, odd_chains = _chains(even_blocks, odd_blocks)
     chains = even_chains + odd_chains

@@ -45,7 +45,7 @@ class ValidationError(Exception):
                          % (report.kind, len(report.violations)))
 
 
-_COEFF_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_COEFF_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _parse_coeff(value):
@@ -54,7 +54,7 @@ def _parse_coeff(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _COEFF_RE.match(value):
+        if not _COEFF_RE.fullmatch(value):
             raise ParseError("coefficient %r is not an integer or p/q string" % (value,))
         p, _, q = value.partition("/")
         try:

@@ -13,7 +13,7 @@ import itertools
 
 from .core import change_of_basis, equal_laws
 from .derivations import innerness_report
-from .extension import (IdentityViolation, _leibniz_specs, filiform_lie_torus_spec,
+from .extension import (IdentityViolation, filiform_lie_torus_spec, leibniz_torus_specs,
                         model_nilpotent_lie_torus_spec, nil_independence_check,
                         nilradical_verdict, semidirect_extension)
 from .families import (_member_blocks, member, z_basis_filiform_lie,
@@ -56,7 +56,7 @@ def _lie_construction(family, even, odd):
 
 def _leibniz_sweep(family, even, odd):
     solvable = member(family, even, odd)
-    make = _leibniz_specs(family[1:], even, odd)
+    make = leibniz_torus_specs(family[1:], even, odd)
     if family == "SLP":
         points = list(itertools.product((0, 1), repeat=3))
         expected = (0, 1, 1)

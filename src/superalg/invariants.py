@@ -72,10 +72,6 @@ def whole_space(A):
     return _span(A, [[(i, 1)] for i in range(A.dim)])
 
 
-def zero_space(A):
-    return Subspace(A, [])
-
-
 def even_part(A):
     return _span(A, [[(i, 1)] for i in range(A.dim_even)])
 
@@ -86,10 +82,6 @@ def odd_part(A):
 
 def span_of_labels(A, labels):
     return _span(A, [[(i, 1)] for i in sorted({A.index(l) for l in labels})])
-
-
-def span_of_elements(A, elements):
-    return Subspace(A, [A.coords(e) for e in elements])
 
 
 def product_space(A, S, T):
@@ -134,10 +126,6 @@ def series(A, which):
             break
         chain.append(nxt)
     return chain
-
-
-def series_dims(A, which):
-    return tuple(s.dim for s in series(A, which))
 
 
 def classify(A):

@@ -35,7 +35,10 @@ def _frac(v):
 
 
 class Matrix:
-    """Dense rational matrix, immutable; `cols` is needed only without rows."""
+    """Dense rational matrix, immutable; `cols` is needed only without rows.
+
+    The dense boundary: actions files, `ExtensionSpec.actions` and the
+    dense functions of this module."""
 
     def __init__(self, entries, cols=None):
         rows = tuple(tuple(_frac(v) for v in row) for row in entries)
@@ -47,36 +50,6 @@ class Matrix:
         self.rows = len(rows)
         self.cols = width
 
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls([[ZERO] * cols for _ in range(rows)], cols)
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, diag):
-        diag = [_frac(v) for v in diag]
-        n = len(diag)
-        return cls([[diag[i] if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_columns(cls, columns, rows):
-        cols = [tuple(_frac(v) for v in c) for c in columns]
-        for c in cols:
-            if len(c) != rows:
-                raise ValueError("column length mismatch")
-        return cls([[c[i] for c in cols] for i in range(rows)], len(cols))
-
-    def column(self, j):
-        if not 0 <= j < self.cols:
-            raise IndexError("column %d outside a %dx%d matrix" % (j, self.rows, self.cols))
-        return tuple(r[j] for r in self.entries)
-
-    def is_zero(self):
-        return all(not v for row in self.entries for v in row)
-
     def is_square(self):
         return self.rows == self.cols
 
@@ -84,53 +57,9 @@ class Matrix:
         return Matrix([[self.entries[i][j] for i in range(self.rows)]
                        for j in range(self.cols)], self.rows)
 
-    def submatrix(self, row_range, col_range):
-        return Matrix([[self.entries[i][j] for j in col_range] for i in row_range],
-                      len(col_range))
-
-    def flatten(self):
-        """Row-major tuple of all entries."""
-        return tuple(v for row in self.entries for v in row)
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.cols == other.cols
                 and self.entries == other.entries)
-
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix([[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)], self.cols)
-
-    def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix([[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)], self.cols)
-
-    def __neg__(self):
-        return Matrix([[-v for v in row] for row in self.entries], self.cols)
-
-    def scale(self, a):
-        a = _frac(a)
-        return Matrix([[a * v for v in row] for row in self.entries], self.cols)
-
-    def __mul__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        bt = other.transpose().entries
-        return Matrix([[sum((a * b for a, b in zip(row, col) if a and b), ZERO)
-                        for col in bt] for row in self.entries], other.cols)
-
-    def apply(self, vec):
-        """Matrix-vector product; vec is a coordinate sequence."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        vec = [_frac(v) for v in vec]
-        return tuple(sum((a * b for a, b in zip(row, vec) if a and b), ZERO)
-                     for row in self.entries)
 
     def __repr__(self):
         return "Matrix(%r)" % (
@@ -252,15 +181,6 @@ def dense_rows(rows, cols):
             vec[j] = v
         out.append(tuple(vec))
     return tuple(out)
-
-
-def rref(M):
-    """Reduced row echelon form with the zero rows dropped.
-
-    Returns (Matrix of nonzero reduced rows, tuple of pivot columns).
-    """
-    reduced, pivots = _reduce(sparse_rows(M.entries))
-    return Matrix(dense_rows(map(_monic, reduced), M.cols), M.cols), tuple(pivots)
 
 
 def rank(M):

@@ -5,9 +5,11 @@ visited, every bracket is expanded over labels, and every derivation
 equation is assembled as a dense row from scratch.  It reads the algebra
 only through combined_basis, parity and basis_bracket (the label form of
 the law) and shares no code with the package; the elimination is the
-oracle in naive_gauss.py.
+oracle in naive_gauss.py.  A homogeneous map is a DenseMap: its parity and
+its n x n rows, entry (k, j) the coefficient of e_k in the image of e_j.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 from naive_gauss import naive_nullspace
@@ -129,3 +131,69 @@ def naive_derivation_basis(A, parity):
             D[k][l] = vec[t]
         out.append(D)
     return out
+
+
+DenseMap = namedtuple("DenseMap", "parity rows")
+
+
+def dense_map(D):
+    """A SuperDerivation (parity, dim, sparse row-major entries) as a DenseMap."""
+    n = D.dim
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for t, v in D.entries:
+        rows[t // n][t % n] = Fraction(v)
+    return DenseMap(D.parity, rows)
+
+
+def _apply(A, rows, u):
+    """The map with these rows applied to a label -> coefficient dict."""
+    basis = A.combined_basis
+    out = {}
+    for j, l in enumerate(basis):
+        if u.get(l):
+            for k, z in enumerate(basis):
+                out[z] = out.get(z, 0) + rows[k][j] * u[l]
+    return {l: c for l, c in out.items() if c}
+
+
+def is_superderivation(A, D):
+    """Check the rule on all ordered basis pairs for a DenseMap D.
+
+    Returns (ok, violations), each violation (left label, right label,
+    residual dict) with residual = rule right side minus left side:
+    lie kind [D a, b] + (-1)^(s|a|) [a, D b] - D[a, b], leibniz kind
+    (-1)^(s|b|) [D a, b] + [a, D b] - D[a, b].  Raises ValueError when D
+    does not move each basis vector's parity by its own parity s.
+    """
+    basis = A.combined_basis
+    p = A.parity
+    for k, z in enumerate(basis):
+        for j, l in enumerate(basis):
+            if D.rows[k][j] and p(z) != (p(l) + D.parity) % 2:
+                raise ValueError("entry (%d, %d) breaks the parity blocks" % (k, j))
+    out = []
+    for a in basis:
+        for b in basis:
+            if A.kind == "lie_super":
+                s1, s2 = 1, (-1) ** (D.parity * p(a))
+            else:
+                s1, s2 = (-1) ** (D.parity * p(b)), 1
+            res = _combine((s1, _bracket(A, _apply(A, D.rows, {a: 1}), {b: 1})),
+                           (s2, _bracket(A, {a: 1}, _apply(A, D.rows, {b: 1}))),
+                           (-1, _apply(A, D.rows, _br(A, a, b))))
+            if res:
+                out.append((a, b, res))
+    return not out, out
+
+
+def super_commutator(D1, D2):
+    """D1 D2 - (-1)^(s1 s2) D2 D1 for DenseMaps, of parity s1 + s2."""
+    n = len(D1.rows)
+    sign = (-1) ** (D1.parity * D2.parity)
+
+    def mul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+    ab, ba = mul(D1.rows, D2.rows), mul(D2.rows, D1.rows)
+    return DenseMap((D1.parity + D2.parity) % 2,
+                    [[x - sign * y for x, y in zip(r, s)] for r, s in zip(ab, ba)])

@@ -6,15 +6,18 @@ import pytest
 from superalg.core import Element, equal_laws, validate
 from superalg.extension import (ExtensionSpec, IdentityViolation,
                                 NonDiagonalAction, filiform_lie_torus_spec,
-                                filiform_leibniz_torus_spec,
-                                model_nilpotent_lie_torus_spec,
-                                model_nilpotent_leibniz_torus_spec,
+                                leibniz_torus_specs, model_nilpotent_lie_torus_spec,
                                 nil_independence_check, nilradical_verdict,
                                 semidirect_extension)
 from superalg.families import (filiform_leibniz, model_filiform_lie,
                                model_nilpotent_leibniz, model_nilpotent_lie)
 from superalg.invariants import span_of_labels, whole_space
 from superalg.linalg import Matrix
+
+
+def _diag(values):
+    n = len(values)
+    return Matrix([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def test_extension_reproduces_solvable_lie_families():
@@ -33,23 +36,23 @@ def test_extension_reproduces_solvable_lie_families():
 def test_leibniz_parameter_sweep_filiform():
     survivors = set()
     for b in itertools.product((0, 1), repeat=3):
-        spec = filiform_leibniz_torus_spec(3, 2, b)
+        spec = leibniz_torus_specs("LP", (3,), (2,))(b)
         try:
             ext = semidirect_extension(spec)
             survivors.add(b)
         except IdentityViolation:
             continue
     assert survivors == {(0, 1, 1)}
-    winner = semidirect_extension(filiform_leibniz_torus_spec(3, 2, (0, 1, 1)))
+    winner = semidirect_extension(leibniz_torus_specs("LP", (3,), (2,))((0, 1, 1)))
     assert equal_laws(winner, filiform_leibniz(3, 2, solvable=True))
-    assert nil_independence_check(filiform_leibniz_torus_spec(3, 2, (0, 1, 1)))
+    assert nil_independence_check(leibniz_torus_specs("LP", (3,), (2,))((0, 1, 1)))
 
 
 def test_leibniz_sweep_violating_triple():
     # with b1 = 1 the left t1 action vanishes while the right one survives,
     # which the product rule on (x2, t1, x1) detects
     try:
-        semidirect_extension(filiform_leibniz_torus_spec(3, 2, (1, 1, 1)))
+        semidirect_extension(leibniz_torus_specs("LP", (3,), (2,))((1, 1, 1)))
         raised = False
     except IdentityViolation as exc:
         raised = True
@@ -61,7 +64,7 @@ def test_leibniz_parameter_sweep_blocks():
     survivors = set()
     for b in itertools.product((0, 1), repeat=2):
         for bp in itertools.product((0, 1), repeat=1):
-            spec = model_nilpotent_leibniz_torus_spec((2,), (2,), b, bp)
+            spec = leibniz_torus_specs("NP", (2,), (2,))((b, bp))
             try:
                 semidirect_extension(spec)
                 survivors.add((b, bp))
@@ -69,7 +72,7 @@ def test_leibniz_parameter_sweep_blocks():
                 continue
     assert survivors == {((1, 0), (0,))}
     winner = semidirect_extension(
-        model_nilpotent_leibniz_torus_spec((2,), (2,), (1, 0), (0,)))
+        leibniz_torus_specs("NP", (2,), (2,))(((1, 0), (0,))))
     assert equal_laws(winner, model_nilpotent_leibniz((2,), (2,),
                                                       solvable=True))
 
@@ -80,7 +83,7 @@ def test_size_one_odd_block_leaves_its_parameter_free():
     survivors = set()
     for b in itertools.product((0, 1), repeat=3):
         for bp in itertools.product((0, 1), repeat=2):
-            spec = model_nilpotent_leibniz_torus_spec((2, 2), (1, 2), b, bp)
+            spec = leibniz_torus_specs("NP", (2, 2), (1, 2))((b, bp))
             try:
                 semidirect_extension(spec)
                 survivors.add((b, bp))
@@ -127,13 +130,13 @@ def test_spec_actions_are_the_theorems_diagonals():
             left, right = spec.actions[t]
             want = ([int(l[1:]) for l in basis] if t == "t1" else on_block(t, 1))
             assert _diagonal_of(left) == want, (even, odd, t)
-            assert right == -left
+            assert _diagonal_of(right) == [-v for v in want]
         # Leibniz: left -b1 on x1 for t1, -b_j (-bp_j) on the block of t;
         # right 1 on x1 and the place in the block for t1, 1 on the block
         k, p = len(even), len(odd)
         for params in (values, [1] + [0] * 6):
             b, bp = params[:k + 1], params[k + 1:k + 1 + p]
-            spec = model_nilpotent_leibniz_torus_spec(even, odd, b, bp)
+            spec = leibniz_torus_specs("NP", even, odd)((b, bp))
             assert spec.nilradical.combined_basis == tuple(basis)
             assert spec.torus_labels == tuple(torus)
             for t, v in zip(torus, list(b) + list(bp)):
@@ -157,7 +160,7 @@ def test_spec_actions_are_the_theorems_diagonals():
             [int(l[0] == "x" and l != "x1") for l in basis],
             [int(l[0] == "y") for l in basis]]
         b = (Fraction(1, 2), -3, 2)
-        spec = filiform_leibniz_torus_spec(n, m, b)
+        spec = leibniz_torus_specs("LP", (n,), (m,))(b)
         assert spec.torus_labels == ("t1", "t2", "t3")
         assert [_diagonal_of(spec.actions[t][0]) for t in spec.torus_labels] == [
             [b[0] - 1 if l == "x1" else 0 for l in basis],
@@ -172,13 +175,13 @@ def test_spec_actions_are_the_theorems_diagonals():
 def test_extension_spec_validation():
     nil = model_filiform_lie(3, 2)
     n = nil.dim
-    good = Matrix.diagonal([1] * 3 + [0] * 2)
+    good = _diag([1] * 3 + [0] * 2)
     with pytest.raises(ValueError):
         ExtensionSpec(nil, ["x1"], {"x1": good})
     with pytest.raises(ValueError):
         ExtensionSpec(nil, ["t", "t"], {"t": good})
     with pytest.raises(ValueError):
-        ExtensionSpec(nil, ["t"], {"t": Matrix.zero(2, 2)})
+        ExtensionSpec(nil, ["t"], {"t": Matrix([[0, 0], [0, 0]])})
     mixing = Matrix([[0] * 5 for _ in range(5)])
     mixing = Matrix([[1 if (i, j) == (4, 0) else 0 for j in range(5)]
                      for i in range(5)])
@@ -190,13 +193,13 @@ def test_extension_spec_validation():
     with pytest.raises(ValueError):
         ExtensionSpec(leib, ["t"], {"t": good})  # leibniz wants both sides
     spec = ExtensionSpec(nil, ["t"], {"t": good})
-    assert spec.actions["t"][1] == -good
+    assert spec.actions["t"][1] == _diag([-1] * 3 + [0] * 2)
 
 
 def test_nil_independence_checks():
     nil = model_filiform_lie(3, 2)
-    d1 = Matrix.diagonal([1, 1, 1, 0, 0])
-    d2 = Matrix.diagonal([2, 2, 2, 0, 0])
+    d1 = _diag([1, 1, 1, 0, 0])
+    d2 = _diag([2, 2, 2, 0, 0])
     spec = ExtensionSpec(nil, ["s", "t"], {"s": d1, "t": d2})
     assert not nil_independence_check(spec)
     offdiag = Matrix([[1 if (i, j) in ((0, 0), (0, 1)) else 0
@@ -241,7 +244,7 @@ def test_nilradical_verdict_rejects_nil_dependent_torus():
     # t1 and t2 act by the same diagonal map, so t1 - t2 acts as zero and
     # N + span(t1 - t2) is a larger nilpotent ideal than N
     nil = model_filiform_lie(3, 2)
-    action = Matrix.diagonal([1, 2, 3, 1, 2])
+    action = _diag([1, 2, 3, 1, 2])
     spec = ExtensionSpec(nil, ["t1", "t2"], {"t1": action, "t2": action})
     ext = semidirect_extension(spec)
     assert not nil_independence_check(spec)

@@ -10,7 +10,7 @@ from superalg.families import (filiform_leibniz, member, member_dim,
                                model_filiform_lie, model_nilpotent_leibniz,
                                model_nilpotent_lie, z_basis_filiform_lie,
                                z_basis_nilpotent_lie)
-from superalg.invariants import DESCENDING_CENTRAL, classify, series_dims
+from superalg.invariants import DESCENDING_CENTRAL, classify, series
 
 GRID_FILIFORM = ((3, 2), (4, 3), (5, 2), (6, 4))
 GRID_BLOCKS = (((2,), (2,)), ((2, 2), (1, 2)), ((3,), (3,)))
@@ -342,7 +342,7 @@ def test_seeded_sweep_over_block_partitions():
             assert classify(nil)["is_nilpotent"], nil.name
             verdict = classify(sol)
             assert verdict["is_solvable"] and not verdict["is_nilpotent"], sol.name
-            assert series_dims(nil, DESCENDING_CENTRAL) == lcs, nil.name
+            assert tuple(S.dim for S in series(nil, DESCENDING_CENTRAL)) == lcs, nil.name
             rep = innerness_report(sol)
             assert (rep["dim_der_even"], rep["dim_der_odd"]) == der, sol.name
             assert rep["all_inner"], sol.name

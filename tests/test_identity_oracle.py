@@ -8,8 +8,8 @@ reports, derivation bases and multiplication matrices.
 import random
 from fractions import Fraction
 
-from naive_identities import (naive_derivation_basis, naive_multiplication_matrix,
-                              naive_validate)
+from naive_identities import (dense_map, naive_derivation_basis,
+                              naive_multiplication_matrix, naive_validate)
 from superalg.core import (EVEN, LEIBNIZ, LIE, ODD, Element, SuperAlgebra,
                            change_of_basis, equal_laws, multiplication_matrix, validate)
 from superalg.derivations import derivation_space
@@ -41,6 +41,13 @@ def random_law(rng, kind, coeffs=COEFFS):
     return SuperAlgebra(kind, even, odd, table)
 
 
+def _label_law(A):
+    """A.integer_law over labels, each cell divided by d."""
+    basis, (d, law) = A.combined_basis, A.integer_law
+    return {(basis[i], basis[j]): {basis[k]: Fraction(c, d) for k, c in cell.items()}
+            for (i, j), cell in law.items()}
+
+
 def _report(A, kind):
     """(grading entries sorted by index pair, the other entries in order)."""
     entries = [(v.identity, v.labels, dict(v.residual.items()))
@@ -59,38 +66,26 @@ def test_index_law_matches_label_oracle():
     violating = 0
     for case in range(200):
         A = random_law(rng, LIE if case % 2 else LEIBNIZ)
-        basis = A.combined_basis
-        assert A.parities == tuple(A.parity(l) for l in basis)
-        assert {(basis[i], basis[j]): {basis[k]: c for k, c in cell.items()}
-                for (i, j), cell in A.law.items()} == \
-            {key: dict(el.items()) for key, el in A.brackets.items()}, case
-
-        for kind in (A.kind, LEIBNIZ):
-            assert _report(A, kind) == _split(A, naive_validate(A, kind)), (case, kind)
+        assert A.parities == tuple(A.parity(l) for l in A.combined_basis)
+        assert _label_law(A) == {key: dict(el.items()) for key, el in A.brackets.items()}, case
+        _check_against_oracle(A)
         violating += not validate(A).ok
-
-        for parity in (EVEN, ODD):
-            got = [[list(row) for row in D.matrix.entries]
-                   for D in derivation_space(A, parity)]
-            assert got == naive_derivation_basis(A, parity), (case, parity)
-
-        for label in basis:
-            for side in ("left", "right"):
-                got = [list(row) for row in multiplication_matrix(A, label, side).entries]
-                assert got == naive_multiplication_matrix(A, label, side), \
-                    (case, label, side)
     # the comparison must cover failing laws, not only valid ones
     assert violating > 100
 
 
 def _check_against_oracle(A):
-    """validate for both kinds and derivation_space for both parities."""
+    """validate for both kinds, derivation_space for both parities and
+    multiplication_matrix on every label and side."""
     for kind in (A.kind, LEIBNIZ):
         assert _report(A, kind) == _split(A, naive_validate(A, kind)), kind
     for parity in (EVEN, ODD):
-        got = [[list(row) for row in D.matrix.entries]
-               for D in derivation_space(A, parity)]
+        got = [dense_map(D).rows for D in derivation_space(A, parity)]
         assert got == naive_derivation_basis(A, parity), parity
+    for label in A.combined_basis:
+        for side in ("left", "right"):
+            got = [list(row) for row in multiplication_matrix(A, label, side).entries]
+            assert got == naive_multiplication_matrix(A, label, side), (label, side)
 
 
 def test_integer_law_matches_label_oracle_with_thirds_and_sevenths():
@@ -100,8 +95,7 @@ def test_integer_law_matches_label_oracle_with_thirds_and_sevenths():
     for case in range(120):
         A = random_law(rng, LIE if case % 2 else LEIBNIZ, THIRDS_AND_SEVENTHS)
         d, law = A.integer_law
-        assert {key: {k: Fraction(c, d) for k, c in cell.items()}
-                for key, cell in law.items()} == A.law, case
+        assert _label_law(A) == {key: dict(el.items()) for key, el in A.brackets.items()}, case
         assert all(type(c) is int for cell in law.values() for c in cell.values())
         scales.add(d)
         _check_against_oracle(A)
@@ -142,11 +136,10 @@ def test_derivation_basis_of_dense_laws_matches_label_oracle():
     for family in ("SL", "SLP"):
         A = member(family, (4,), (3,))
         B = change_of_basis(A, _unitriangular_change(A, rng))
-        nnz = [sum(map(len, X.law.values())) for X in (A, B)]
+        nnz = [sum(map(len, X.integer_law[1].values())) for X in (A, B)]
         assert validate(B).ok and nnz[1] > 2 * nnz[0], (family, nnz)
         for parity in (EVEN, ODD):
-            got = [[list(row) for row in D.matrix.entries]
-                   for D in derivation_space(B, parity)]
+            got = [dense_map(D).rows for D in derivation_space(B, parity)]
             assert got == naive_derivation_basis(B, parity), (family, parity)
             assert len(got) == len(derivation_space(A, parity)), (family, parity)
 
@@ -165,8 +158,11 @@ def test_equal_laws_matches_labelwise_comparison():
         A = random_law(rng, LIE if case % 2 else LEIBNIZ)
         basis = A.combined_basis
         table = {key: dict(el.items()) for key, el in A.brackets.items()}
-        # the same table given in reverse order, then with one coefficient changed
-        copies = [dict(reversed(list(table.items())))]
+        # the same table given in reverse order, then doubled, which can
+        # share its integer cells with the table and differ only in d, then
+        # with one coefficient changed
+        copies = [dict(reversed(list(table.items()))),
+                  {key: {l: 2 * c for l, c in cell.items()} for key, cell in table.items()}]
         key, label = (rng.choice(basis), rng.choice(basis)), rng.choice(basis)
         cell = dict(table.get(key, {}))
         cell[label] = cell.get(label, 0) + rng.choice(COEFFS)
@@ -190,7 +186,7 @@ def test_derivation_basis_of_a_law_that_is_not_skew_keeps_all_equations():
     B = SuperAlgebra(LIE, A.even_basis, A.odd_basis, table)
     assert "skew" in {v.identity for v in validate(B).violations}
     for parity in (EVEN, ODD):
-        got = [[list(row) for row in D.matrix.entries] for D in derivation_space(B, parity)]
+        got = [dense_map(D).rows for D in derivation_space(B, parity)]
         assert got == naive_derivation_basis(B, parity), parity
 
 

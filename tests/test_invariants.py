@@ -7,21 +7,24 @@ from superalg.invariants import (DERIVED, DESCENDING_CENTRAL, GRADED_EVEN,
                                  GRADED_ODD, Subspace, characteristic_sequence,
                                  classify, even_part, generator_count,
                                  odd_part, product_space, right_annihilator,
-                                 series, series_dims, span_of_elements,
-                                 span_of_labels, whole_space, zero_space)
+                                 series, span_of_labels, whole_space)
 from superalg.linalg import NotNilpotent
+
+
+def series_dims(A, which):
+    return tuple(S.dim for S in series(A, which))
 
 
 def test_subspace_basics():
     A = model_filiform_lie(3, 2)
     W = whole_space(A)
-    assert W.dim == 5 and zero_space(A).dim == 0
+    assert W.dim == 5 and Subspace(A, []).dim == 0
     assert even_part(A).dim == 3 and odd_part(A).dim == 2
     S = span_of_labels(A, ["x3", "y2"])
     assert S.contains_element(Element({"x3": 2, "y2": -1}))
     assert not S.contains_element(Element.basis("x1"))
     assert S <= W and not (W <= S)
-    assert span_of_elements(A, [Element({"x3": 1, "y2": 1})]).dim == 1
+    assert Subspace(A, [A.coords(Element({"x3": 1, "y2": 1}))]).dim == 1
     # canonical basis makes equality structural
     assert span_of_labels(A, ["y2", "x3"]) == S
     for wrong in ([(1, 0, 0, 0)], [(1, 0, 0, 0, 0, 0)]):

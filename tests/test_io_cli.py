@@ -8,12 +8,13 @@ import pytest
 from superalg import cli, families, fixtures
 from superalg.cli import main, parse_element_expression
 from superalg.core import EVEN, ODD, Element, bracket, change_of_basis, equal_laws
-from superalg.derivations import SuperDerivation, derivation_space, super_commutator
+from superalg.derivations import SuperDerivation, derivation_space
 from superalg.families import (filiform_leibniz, model_filiform_lie,
                                model_nilpotent_leibniz, model_nilpotent_lie)
 from superalg.fileformat import (ParseError, ValidationError, dump_algebra,
                                  emit_algebra, load_algebra, parse_algebra)
-from superalg.linalg import sparse_rows
+
+from naive_identities import dense_map
 
 
 ALL_FAMILIES = [
@@ -86,7 +87,8 @@ def test_fractional_coefficients_survive():
 def test_parse_rejects_bad_coefficients():
     data = _skew_contradiction()
     data["brackets"][1]["result"][0]["coeff"] = "-1"
-    for bad in ("1/0", 0.5, True, "x", None, "1.5"):
+    # "$" would let a final newline through, and "\d" an Arabic-Indic digit
+    for bad in ("1/0", 0.5, True, "x", None, "1.5", "3\n", "1/2\n", "\u0663"):
         data["brackets"][0]["result"][0]["coeff"] = bad
         with pytest.raises(ParseError):
             parse_algebra(data)
@@ -300,17 +302,12 @@ def test_der_json_matrices_of_a_rescaled_law(tmp_path, capsys):
     obj = json.loads(capsys.readouterr().out)
     for parity, tag in ((EVEN, "even"), (ODD, "odd")):
         space = derivation_space(B, parity)
-        assert obj[tag]["basis"] == [[[str(v) for v in row] for row in D.matrix.entries]
+        assert obj[tag]["basis"] == [[[str(v) for v in row] for row in dense_map(D).rows]
                                      for D in space], tag
         for D in space:
-            assert SuperDerivation(parity, D.matrix) == D
+            assert SuperDerivation(parity, B.dim, list(D.entries)) == D
+            assert SuperDerivation(1 - parity, B.dim, D.entries) != D
     assert any("/" in v for M in obj["even"]["basis"] for row in M for v in row)
-    # built from a Matrix, as super_commutator builds it, or from its entries
-    C = next(C for C in (super_commutator(D1, D2) for D1 in derivation_space(B, EVEN)
-                         for D2 in derivation_space(B, ODD)) if not C.matrix.is_zero())
-    same = SuperDerivation(ODD, dim=B.dim, entries=sparse_rows([C.matrix.flatten()])[0])
-    assert C == same and same.matrix == C.matrix
-    assert C != SuperDerivation(EVEN, C.matrix)
 
 
 def test_der_text_images_match_the_matrix_columns_on_a_rational_law(tmp_path, capsys):
@@ -329,9 +326,9 @@ def test_der_text_images_match_the_matrix_columns_on_a_rational_law(tmp_path, ca
         space = derivation_space(B, parity)
         want.append("dim Der_%s: %d" % (tag, len(space)))
         for idx, D in enumerate(space, 1):
-            images = ["%s -> %s" % (label, B.element_from_coords(D.matrix.column(j)))
-                      for j, label in enumerate(B.combined_basis)
-                      if any(D.matrix.column(j))]
+            columns = list(zip(*dense_map(D).rows))
+            images = ["%s -> %s" % (label, B.element_from_coords(columns[j]))
+                      for j, label in enumerate(B.combined_basis) if any(columns[j])]
             want.append("  D%d: %s" % (idx, "; ".join(images) or "0"))
     assert text == want
     assert any("/" in line for line in text)
@@ -587,6 +584,8 @@ ERROR_LINES = [
     (["iso", "{l}", "{l}", "{short}"], {},
      "the map must cover the full dimension (1 labels for dim 5)"),
     (["iso", "{l}", "{l}", "{singular}"], {}, "the change-of-basis map is singular"),
+    (["charseq", "{l}", "--candidate", "\u0663 x2"], {},
+     "cannot parse element expression '\u0663 x2' at offset 0"),
 ]
 
 

@@ -240,7 +240,8 @@ def test_nilpotent_complement_direction():
 def test_nil_dependent_torus():
     # t1 and t2 act by one diagonal map: each is non-nilpotent, t1 - t2 is zero
     L = member("L", (3,), (2,))
-    action = Matrix.diagonal([1, 2, 3, 1, 2])
+    weights = (1, 2, 3, 1, 2)
+    action = Matrix([[w if i == j else 0 for j in range(5)] for i, w in enumerate(weights)])
     A = semidirect_extension(ExtensionSpec(L, ("t1", "t2"), {"t1": action, "t2": action}))
     check(A, _labels(A, L.combined_basis))
     verdict = nilradical_verdict(A, Subspace(A, _labels(A, L.combined_basis)))
