@@ -74,6 +74,11 @@ def _row_strs(row, n):  # a canonical integer row, dense and monic
     return out
 
 
+def _rendered(S):  # the canonical basis, monic, as printed Elements
+    basis = S.algebra.combined_basis
+    return ", ".join(repr(Element((basis[j], v) for j, v in _monic(r))) for r in S.rows) or "0"
+
+
 def _subspace_obj(S):
     return {"dim": S.dim, "basis": [_row_strs(r, S.algebra.dim) for r in S.rows]}
 
@@ -171,8 +176,7 @@ def cmd_series(args):
     lines = ["%s series of %s" % (args.which, A.name or "the algebra")]
     if args.format != "json":  # the bases are rendered only by the text form
         for k, S in enumerate(chain):
-            rendered = ", ".join(repr(A.element_from_coords(v)) for v in S.basis) or "0"
-            lines.append("  step %d: dim %d; basis: %s" % (k, S.dim, rendered))
+            lines.append("  step %d: dim %d; basis: %s" % (k, S.dim, _rendered(S)))
     lines.append("dims: (%s)" % ", ".join(str(S.dim) for S in chain))
     _emit(args, obj, lines)
     return 0
@@ -229,8 +233,7 @@ def cmd_ann(args):
     S = right_annihilator(A)
     lines = []
     if args.format != "json":  # the basis is rendered only by the text form
-        rendered = ", ".join(repr(A.element_from_coords(v)) for v in S.basis) or "0"
-        lines = ["right annihilator: dim %d" % S.dim, "basis: %s" % rendered]
+        lines = ["right annihilator: dim %d" % S.dim, "basis: %s" % _rendered(S)]
     _emit(args, _subspace_obj(S), lines)
     return 0
 

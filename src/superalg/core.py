@@ -7,10 +7,10 @@ table are zero.  For the Lie kind a missing transpose entry is filled in by
 super skew-symmetry at construction time; entries present on both sides are
 kept as given so that validate() can report contradictions.
 
-`brackets` holds the table by labels, for files, constructors and
-printed output.  `integer_law`, built from it on first use, is the one
-index form: (d, {(i, j): {k: d*c}}) by combined-basis index, d the lcm of
-the denominators, with `parities` by index.  Validation, the derivation
+Every constructor builds `integer_law`, the one form of the law: (d,
+{(i, j): {k: d*c}}) by combined-basis index, d the lcm of the reduced
+denominators, with `parities` by index; `brackets`, the table by labels,
+is a view made from it on first read.  Validation, the derivation
 equations and the products (through `integer_left_index`) run on it in
 integers, and a Fraction is made only where a value leaves the library;
 `skew_symmetric` lets the first two skip what super skew-symmetry implies.
@@ -18,7 +18,7 @@ integers, and a Fraction is made only where a value leaves the library;
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .linalg import Matrix, ZERO, _frac, _reduce, sparse_rows
@@ -36,14 +36,9 @@ class Element:
 
     def __init__(self, coords=None):
         data = {}
-        if coords is not None:
-            items = coords.items() if isinstance(coords, dict) else coords
-            for label, c in items:
-                c = _frac(c)
-                if label in data:
-                    data[label] += c
-                else:
-                    data[label] = c
+        for label, c in coords.items() if isinstance(coords, dict) else coords or ():
+            c = _frac(c)
+            data[label] = data[label] + c if label in data else c
         self._coords = {l: c for l, c in data.items() if c}
 
     @classmethod
@@ -67,16 +62,10 @@ class Element:
         return not self._coords
 
     def __add__(self, other):
-        out = dict(self._coords)
-        for l, c in other.items():
-            out[l] = out.get(l, ZERO) + c
-        return Element(out)
+        return Element(list(self._coords.items()) + list(other.items()))
 
     def __sub__(self, other):
-        out = dict(self._coords)
-        for l, c in other.items():
-            out[l] = out.get(l, ZERO) - c
-        return Element(out)
+        return self + -other
 
     def __neg__(self):
         return Element({l: -c for l, c in self._coords.items()})
@@ -145,42 +134,75 @@ class ValidationReport:
             len(self.violations), self.violations[0])
 
 
+def _label_cells(index, brackets):
+    """A label table (left, right) -> Element, dict or (label, coefficient)
+    pairs as {(i, j): {k: c}} by index, c an int or a Fraction; a label
+    repeated in one result is summed, and an all-zero result is dropped."""
+    table = {}
+    for (left, right), value in brackets.items():
+        if left not in index or right not in index:
+            raise ValueError("bracket on unknown labels (%r, %r)" % (left, right))
+        cell = {}
+        for l, c in value.items() if isinstance(value, (Element, dict)) else value:
+            if l not in index:
+                raise ValueError("bracket result uses unknown label %r" % (l,))
+            k, c = index[l], c if type(c) is int else _frac(c)
+            cell[k] = cell[k] + c if k in cell else c
+        if any(cell.values()):  # _integer_cells drops the zero values
+            table[index[left], index[right]] = cell
+    return table
+
+
+def _integer_cells(table):
+    """(d, the table times d as int cells) for cells of int or Fraction
+    values, d the lcm of their denominators; zero values are dropped."""
+    d = lcm(*{c.denominator for cell in table.values() for c in cell.values()})
+    cells = {key: {k: c.numerator * (d // c.denominator) for k, c in cell.items() if c}
+             for key, cell in table.items()}
+    return d, {key: cell for key, cell in cells.items() if cell}
+
+
 class SuperAlgebra:
     """Graded basis plus sparse bracket table with exact rational constants."""
 
     def __init__(self, kind, even_basis, odd_basis, brackets, name=""):
         if kind not in KINDS:
             raise ValueError("unknown kind %r" % (kind,))
-        even_basis = tuple(even_basis)
-        odd_basis = tuple(odd_basis)
-        combined = even_basis + odd_basis
+        self.kind, self.name = kind, name
+        self.even_basis, self.odd_basis = tuple(even_basis), tuple(odd_basis)
+        self.combined_basis = combined = self.even_basis + self.odd_basis
         if len(set(combined)) != len(combined):
             raise ValueError("duplicate basis labels")
-        self.kind = kind
-        self.even_basis = even_basis
-        self.odd_basis = odd_basis
-        self.combined_basis = combined
-        self.name = name
-        self.parities = (EVEN,) * len(even_basis) + (ODD,) * len(odd_basis)
-        self._index = idx = {l: i for i, l in enumerate(combined)}
+        self.dim, self.dim_even, self.dim_odd = len(combined), len(even_basis), len(odd_basis)
+        self.parities = (EVEN,) * self.dim_even + (ODD,) * self.dim_odd
+        self._index = {l: i for i, l in enumerate(combined)}
+        self._set_law(*_integer_cells(_label_cells(self._index, brackets)))
 
-        table = {}
-        for (left, right), value in brackets.items():
-            if left not in idx or right not in idx:
-                raise ValueError("bracket on unknown labels (%r, %r)" % (left, right))
-            el = value if isinstance(value, Element) else Element(value)
-            for l in el.labels():
-                if l not in idx:
-                    raise ValueError("bracket result uses unknown label %r" % (l,))
-            if not el.is_zero():
-                table[(left, right)] = el
-        if kind == LIE:
-            # fill in the missing side by super skew-symmetry
-            for (left, right), el in list(table.items()):
-                if (right, left) not in table:
-                    sign = 1 if (self.parity(left) and self.parity(right)) else -1
-                    table[(right, left)] = el.scale(sign)
-        self.brackets = MappingProxyType(table)
+    @classmethod
+    def from_law(cls, kind, even_basis, odd_basis, law, name=""):
+        """The algebra of integer law (d, {(i, j): {k: d*c}}), d any positive integer."""
+        A = cls(kind, even_basis, odd_basis, {}, name)
+        A._set_law(*law)
+        return A
+
+    def _set_law(self, d, cells):
+        """Store `integer_law`, d made canonical and the Lie kind's missing sides filled."""
+        g = gcd(d, *[c for cell in cells.values() for c in cell.values()]) if d > 1 else 1
+        if g > 1:
+            d, cells = d // g, {key: {k: c // g for k, c in cell.items()}
+                                for key, cell in cells.items()}
+        if self.kind == LIE:
+            p = self.parities
+            cells = {**cells, **{(j, i): {k: c if p[i] and p[j] else -c for k, c in cell.items()}
+                                 for (i, j), cell in cells.items() if (j, i) not in cells}}
+        self.integer_law = d, cells
+
+    @cached_property
+    def brackets(self):
+        """The read-only label view (left, right) -> Element of `integer_law`, in its order."""
+        basis, (d, cells) = self.combined_basis, self.integer_law
+        return MappingProxyType({(basis[i], basis[j]): Element(
+            (basis[k], Fraction(c, d)) for k, c in cell.items()) for (i, j), cell in cells.items()})
 
     @cached_property
     def integer_left_index(self):
@@ -198,29 +220,7 @@ class SuperAlgebra:
                                        for k, c in cell.items()}
                    for (i, j), cell in law.items())
 
-    @cached_property
-    def integer_law(self):
-        """(d, the law times d by index, (i, j) -> {k: d*c}), d the lcm of the
-        denominators of `brackets`: integer cells."""
-        idx, table = self._index, self.brackets
-        d = lcm(*[c.denominator for el in table.values() for _, c in el.items()])
-        return d, {(idx[l], idx[r]): {idx[k]: c.numerator * (d // c.denominator)
-                                      for k, c in el.items()}
-                   for (l, r), el in table.items()}
-
     # ---- basic queries -------------------------------------------------
-
-    @property
-    def dim(self):
-        return len(self.combined_basis)
-
-    @property
-    def dim_even(self):
-        return len(self.even_basis)
-
-    @property
-    def dim_odd(self):
-        return len(self.odd_basis)
 
     def parity(self, label):
         return self.parities[self.index(label)]
@@ -422,11 +422,9 @@ def change_of_basis(A, mapping):
     new label inherits the parity of its image, the law becomes
     P^{-1}[P(u), P(v)], and the kind is unchanged.  P^{-1} is read once off
     _reduce as sparse integer columns and applied to the integer products
-    d*[P(u), P(v)] (see _products); a Fraction is made only per new cell.
+    d*[P(u), P(v)] (see _products), and the cells go to from_law.
     """
-    images = {}
-    new_even = []
-    new_odd = []
+    images, new_even, new_odd = {}, [], []
     for label, el in mapping.items():
         el = A.as_element(el if isinstance(el, Element) else Element(el))
         p = A.element_parity(el)
@@ -449,18 +447,18 @@ def change_of_basis(A, mapping):
         raise ValueError("the change-of-basis map is singular")
     scale = lcm(*[row[0][1] for row in reduced])
     inverse = [[(r - n, v * (scale // row[0][1])) for r, v in row[1:]] for row in reduced]
-    scale *= A.integer_law[0]  # the products carry the factor d
     table = {}
-    for u, ws in zip(new_combined, _products(A, cols, cols)):
+    for u, ws in enumerate(_products(A, cols, cols)):
         for t in sorted(ws):
             acc = {}
             for k, c in ws[t].items():
                 for r, v in inverse[k]:
                     acc[r] = acc.get(r, 0) + c * v
-            el = Element((new_combined[r], Fraction(x, scale)) for r, x in sorted(acc.items()) if x)
-            if not el.is_zero():
-                table[(u, new_combined[t])] = el
-    return SuperAlgebra(A.kind, new_even, new_odd, table, name=A.name)
+            table[u, t] = dict(sorted(acc.items()))
+    # the products carry the factor d, and a rational map its denominators
+    D, cells = _integer_cells(table)
+    return SuperAlgebra.from_law(A.kind, new_even, new_odd,
+                                 (D * scale * A.integer_law[0], cells), name=A.name)
 
 
 def equal_laws(A, B):

@@ -14,7 +14,7 @@ from math import lcm
 
 from .linalg import (Matrix, NotNilpotent, _jordan_blocks, _reduce, dense_rows,
                      pivot_coefficients)
-from .core import EVEN, LIE, Element, SuperAlgebra, _products, validate
+from .core import EVEN, LIE, SuperAlgebra, _integer_cells, _label_cells, _products, validate
 from .derivations import _check_parity_blocks
 from .invariants import product_space, whole_space
 from .families import (_chains, _filiform, _member_blocks, _places, _torus_labels,
@@ -94,22 +94,24 @@ def semidirect_extension(spec):
     rows (entry (i, j) is the coefficient of e_i in the image of e_j), and
     the given brackets among torus labels.
     """
-    nil = spec.nilradical
-    basis = nil.combined_basis
-    table = dict(nil.brackets)
-    for t in spec.torus_labels:
+    nil, torus = spec.nilradical, spec.torus_labels
+    d, law = nil.integer_law
+    # nilradical index -> extended index: the odd labels move past the torus
+    new = [k + len(torus) * (k >= nil.dim_even) for k in range(nil.dim)]
+    table = {(new[i], new[j]): {new[k]: c for k, c in cell.items()}
+             for (i, j), cell in law.items()}
+    for a, t in enumerate(torus, nil.dim_even):
         for i, (lrow, rrow) in enumerate(zip(*spec.action_rows[t])):
             for j, v in lrow:
-                table.setdefault((t, basis[j]), {})[basis[i]] = v
+                table.setdefault((a, new[j]), {})[new[i]] = d * v
             for j, v in rrow:
-                table.setdefault((basis[j], t), {})[basis[i]] = v
-    for key, el in spec.torus_brackets.items():
-        el = el if isinstance(el, Element) else Element(el)
-        if not el.is_zero():
-            table[key] = el
-    extended = SuperAlgebra(nil.kind,
-                            tuple(nil.even_basis) + spec.torus_labels,
-                            nil.odd_basis, table)
+                table.setdefault((new[j], a), {})[new[i]] = d * v
+    even = nil.even_basis + torus
+    index = {l: i for i, l in enumerate(even + nil.odd_basis)}
+    for key, cell in _label_cells(index, spec.torus_brackets).items():
+        table[key] = {k: d * c for k, c in cell.items()}
+    D, cells = _integer_cells(table)
+    extended = SuperAlgebra.from_law(nil.kind, even, nil.odd_basis, (d * D, cells))
     report = validate(extended)
     if not report.ok:
         raise IdentityViolation(report)

@@ -104,8 +104,9 @@ def _filiform(obj, name=None):
     """A one-block model member in the filiform labels: tp1 is t3, zp1 is z3.
 
     obj is a label, a tuple, an Element, a dict (keys and values renamed)
-    or an algebra, which is renamed to `name`; anything else, such as the
-    sparse rows of an action, is returned as it is.
+    or an algebra, renamed to `name` and keeping its `integer_law`, whose
+    cells are indexed; anything else, such as the sparse rows of an action,
+    is returned as it is.
     """
     if isinstance(obj, str):
         return _FILIFORM_LABELS.get(obj, obj)
@@ -118,8 +119,8 @@ def _filiform(obj, name=None):
     if isinstance(obj, dict):
         return {_filiform(k): _filiform(v) for k, v in obj.items()}
     if isinstance(obj, SuperAlgebra):
-        return SuperAlgebra(obj.kind, _filiform(obj.even_basis), obj.odd_basis,
-                            _filiform(dict(obj.brackets)), name=name)
+        return SuperAlgebra.from_law(obj.kind, _filiform(obj.even_basis), obj.odd_basis,
+                                     obj.integer_law, name=name)
     return obj
 
 

@@ -49,16 +49,17 @@ _COEFF_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _parse_coeff(value):
+    """A coefficient as an int, or as a Fraction (reduced) for a p/q string."""
     if isinstance(value, bool):
         raise ParseError("coefficient %r is not a number" % (value,))
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         if not _COEFF_RE.fullmatch(value):
             raise ParseError("coefficient %r is not an integer or p/q string" % (value,))
         p, _, q = value.partition("/")
         try:
-            return Fraction(int(p), int(q)) if q else Fraction(int(p))
+            return Fraction(int(p), int(q)) if q else int(p)
         except ZeroDivisionError:
             raise ParseError("coefficient %r has a zero denominator" % (value,))
     raise ParseError("coefficient %r is not an integer or p/q string" % (value,))
@@ -89,7 +90,8 @@ def _known_label(value, known):
 
 
 def _parse_brackets(raw, key, known):
-    """Bracket entries {"left", "right", "result"} over the labels in known."""
+    """Bracket entries {"left", "right", "result"} over the labels in known,
+    as (left, right) -> [(label, coefficient)] for the label constructor."""
     if not isinstance(raw, list):
         raise ParseError("%r must be a list" % (key,))
     table = {}
@@ -112,7 +114,7 @@ def _parse_brackets(raw, key, known):
             if not _known_label(basis, known):
                 raise ParseError("result term uses an unknown label %r" % (basis,))
             pairs.append((basis, _parse_coeff(term.get("coeff"))))
-        table[(left, right)] = Element(pairs)
+        table[(left, right)] = pairs
     return table
 
 
@@ -178,9 +180,9 @@ def load_extension_spec(nil, source):
             right = _parse_action_matrix(right, nil.dim,
                                          "right action of %r" % (t,))
         actions[t] = (left, right)
-    torus_brackets = _parse_brackets(data.get("torus_brackets", []),
-                                     "torus_brackets",
+    torus_brackets = _parse_brackets(data.get("torus_brackets", []), "torus_brackets",
                                      set(nil.combined_basis) | set(labels))
+    torus_brackets = {key: Element(pairs) for key, pairs in torus_brackets.items()}
     try:
         return ExtensionSpec(nil, labels, actions, torus_brackets)
     except ValueError as exc:
@@ -205,21 +207,17 @@ def load_basis_map(source):
 
 def emit_algebra(A):
     """Deterministic JSON-ready dict for an algebra."""
-    brackets = []
-    for (left, right) in sorted(A.brackets, key=lambda k: (A.index(k[0]), A.index(k[1]))):
-        el = A.brackets[(left, right)]
-        terms = sorted(el.items(), key=lambda t: A.index(t[0]))
-        brackets.append({
-            "left": left,
-            "right": right,
-            "result": [{"basis": b, "coeff": str(c)} for b, c in terms],
-        })
+    basis, (d, cells) = A.combined_basis, A.integer_law
+    coeff = str if d == 1 else lambda c: str(Fraction(c, d))
     return {
         "name": A.name,
         "kind": A.kind,
         "even_basis": list(A.even_basis),
         "odd_basis": list(A.odd_basis),
-        "brackets": brackets,
+        "brackets": [{"left": basis[i], "right": basis[j],
+                      "result": [{"basis": basis[k], "coeff": coeff(c)}
+                                 for k, c in sorted(cell.items())]}
+                     for (i, j), cell in sorted(cells.items())],
     }
 
 

@@ -6,10 +6,11 @@ the characteristic sequence, and the generator count.
 """
 
 from functools import cached_property
+from itertools import combinations
 
 from .linalg import (NotNilpotent, _frac, _integer_row, _jordan_blocks, _kernel, _monic,
                      _reduce, dense_rows, pivot_coefficients, sparse_rows)
-from .core import EVEN, LIE, _products
+from .core import EVEN, LIE, Element, _products
 
 DESCENDING_CENTRAL = "descending_central"
 DERIVED = "derived"
@@ -46,7 +47,9 @@ class Subspace:
         return pivot_coefficients(self.rows, tuple(map(_frac, vec))) is not None
 
     def contains_element(self, el):
-        return self.contains(self.algebra.coords(el))
+        A = self.algebra
+        el = el if isinstance(el, Element) else A.as_element(el)
+        return pivot_coefficients(self.rows, {A.index(l): c for l, c in el.items()}) is not None
 
     def __le__(self, other):
         if self.algebra is not other.algebra:
@@ -224,17 +227,10 @@ def characteristic_sequence(A, candidates=None):
 
     lower_bound = candidates is None
     if candidates is None:
-        singles = []
-        for l in A.even_basis:
-            el = A.basis_element(l)
-            if not derived_even.contains_element(el):
-                singles.append(el)
-        candidates = list(singles)
-        for i in range(len(singles)):
-            for j in range(i + 1, len(singles)):
-                s = singles[i] + singles[j]
-                if not derived_even.contains_element(s):
-                    candidates.append(s)
+        singles = [el for el in map(A.basis_element, A.even_basis)
+                   if not derived_even.contains_element(el)]
+        candidates = singles + [s for s in (a + b for a, b in combinations(singles, 2))
+                                if not derived_even.contains_element(s)]
     else:
         candidates = [A.as_element(c) for c in candidates]
         for c in candidates:

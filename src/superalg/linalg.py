@@ -209,6 +209,8 @@ def _kernel(rows, cols):
     vecs = {f: {f: 1} for f in range(cols)}
     at = [{f} for f in range(cols)]
     for row in sorted(rows, key=len):
+        if not vecs:  # nullity 0: no row can change the answer
+            break
         dots = []
         for i in set().union(*[at[c] for c, _ in row]):
             v = vecs[i]

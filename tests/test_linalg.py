@@ -551,3 +551,11 @@ def test_kernel_reads_no_column_order_within_a_row():
             assert list(dense_rows(_kernel(order, cols), cols)) == expected, (kind, order)
         longer += sum(len(row) > 1 for row in rows)
     assert longer > 100
+
+
+def test_kernel_reads_no_row_after_nullity_zero():
+    # the longest row comes last and is not even a valid row of two unknowns:
+    # once the first two rows leave no solution vector it must not be read
+    rows = [[(0, 1)], [(1, 2), (0, 1)], [(0, 1), (1, 1), (5, "not read")]]
+    assert _kernel(rows, 2) == []
+    assert _kernel(rows[:1], 2) == [[(1, 1)]]
