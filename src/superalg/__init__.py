@@ -10,7 +10,7 @@ from .linalg import (Matrix, NotNilpotent, invert, nilpotent_jordan_blocks,
                      nullspace, rank, row_space_basis, span_contains)
 from .core import (EVEN, LEIBNIZ, LIE, ODD, Element, SuperAlgebra, Violation,
                    ValidationReport, bracket, change_of_basis, equal_laws,
-                   multiplication_matrix, product, validate)
+                   multiplication_matrix, validate)
 from .invariants import (CharacteristicSequence, DERIVED, DESCENDING_CENTRAL,
                          GRADED_EVEN, GRADED_ODD, Subspace,
                          characteristic_sequence, classify, even_part,

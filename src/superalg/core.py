@@ -21,7 +21,7 @@ from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .linalg import Matrix, ZERO, _frac, _reduce, sparse_rows
+from .linalg import Matrix, ZERO, _frac, _reduce
 
 EVEN = 0
 ODD = 1
@@ -253,18 +253,6 @@ class SuperAlgebra:
             raise ValueError("element %r is not homogeneous" % (el,))
         return parities.pop()
 
-    def coords(self, el):
-        el = self.as_element(el)
-        vec = [ZERO] * self.dim
-        for l, c in el.items():
-            vec[self._index[l]] = c
-        return tuple(vec)
-
-    def element_from_coords(self, vec):
-        if len(vec) != self.dim:
-            raise ValueError("coordinate length mismatch")
-        return Element({l: v for l, v in zip(self.combined_basis, vec)})
-
     def basis_bracket(self, left, right):
         return self.brackets.get((left, right), ZERO_ELEMENT)
 
@@ -290,15 +278,31 @@ def _products(A, us, vs):
         yield ws
 
 
-def product(A, u, v):
-    """Coordinates of [u, v] for coordinate vectors u and v."""
-    w = next(_products(A, sparse_rows([u]), sparse_rows([v]))).get(0, {})
-    return tuple(Fraction(w[k], A.integer_law[0]) if k in w else ZERO for k in range(A.dim))
-
-
 def bracket(A, u, v):
     """Bilinear extension of A's law to elements or basis labels."""
-    return A.element_from_coords(product(A, A.coords(u), A.coords(v)))
+    u, v = ([(A.index(l), c) for l, c in A.as_element(x).items()] for x in (u, v))
+    w = next(_products(A, [u], [v])).get(0, {})
+    d, basis = A.integer_law[0], A.combined_basis
+    return Element((basis[k], Fraction(c, d)) for k, c in sorted(w.items()))
+
+
+def _adjoin_torus(nil, actions):
+    """The integer law (d, cells) of nil with one even label adjoined per
+    (left, right) pair of sparse rows in `actions`, after nil's even labels
+    (its odd indices move past them): d times nil's law and, for the a-th
+    new label t, d*v at e_i in [t, e_j] (left) and in [e_j, t] (right, or
+    None) for each entry (i, j) = v of its rows."""
+    d, law = nil.integer_law
+    new = [k + len(actions) * (k >= nil.dim_even) for k in range(nil.dim)]
+    table = {(new[i], new[j]): {new[k]: c for k, c in cell.items()}
+             for (i, j), cell in law.items()}
+    for a, (left, right) in enumerate(actions, nil.dim_even):
+        for i, row in enumerate(left):
+            for j, v in row:
+                table.setdefault((a, new[j]), {})[new[i]] = d * v
+            for j, v in right[i] if right else ():
+                table.setdefault((new[j], a), {})[new[i]] = d * v
+    return d, table
 
 
 def validate(A, kind=None):

@@ -11,13 +11,13 @@ entries of D, with integer coefficients from A.integer_law (half of it
 when A.skew_symmetric), handed to the kernel as sparse rows; inner_space
 spans the multiplication operators (left for the lie kind, right for the
 leibniz kind) read from A.integer_law; innerness_report compares the two
-per parity.
+per parity.  maximal_torus gives the diagonal derivations, the torus a
+solvable extension of a nilpotent algebra adjoins.
 """
 
 from bisect import bisect
 
-from .linalg import (Matrix, _integer_row, _kernel, _monic, _reduce, pivot_coefficients,
-                     sparse_rows)
+from .linalg import _integer_row, _kernel, _monic, _reduce, pivot_coefficients
 from .core import EVEN, ODD, LIE
 
 
@@ -41,20 +41,30 @@ class SuperDerivation:
         return "SuperDerivation(parity=%d, dim=%d)" % (self.parity, self.dim)
 
 
-def _check_parity_blocks(A, parity, M):
-    """The sparse rows of M, a Matrix or its sparse rows, after checking
-    that M is dim x dim and moves each basis vector's parity by `parity`."""
+def _check_parity_blocks(A, parity, rows):
+    """The sparse rows of a dim x dim map (row i lists (j, entry (i, j))),
+    each as a list sorted by column with its zero values dropped, after
+    checking that no row repeats a column and that the map moves each basis
+    vector's parity by `parity`."""
     n, par = A.dim, A.parities
-    if isinstance(M, Matrix):
-        M = sparse_rows(M.entries) if M.rows == n and M.cols == n else ()
-    if len(M) != n:
+    if len(rows) != n:
         raise ValueError("matrix must be %dx%d" % (n, n))
-    for i, row in enumerate(M):
-        for j, v in row:
-            if par[i] != par[j] ^ parity:
-                raise ValueError("entry (%d, %d) breaks the parity-%d block structure"
-                                 % (i, j, parity))
-    return M
+    out = []
+    for i, row in enumerate(rows):
+        row = sorted(row)
+        kept = []
+        for a, (j, v) in enumerate(row):
+            if not 0 <= j < n:
+                raise ValueError("matrix must be %dx%d" % (n, n))
+            if a and row[a - 1][0] == j:
+                raise ValueError("row %d repeats column %d" % (i, j))
+            if v:
+                if par[i] != par[j] ^ parity:
+                    raise ValueError("entry (%d, %d) breaks the parity-%d block structure"
+                                     % (i, j, parity))
+                kept.append((j, v))
+        out.append(kept)
+    return out
 
 
 def _rule_signs(A, parity, a, b):
@@ -160,3 +170,29 @@ def innerness_report(A):
         report["expressions"][tag] = exprs
     report["all_inner"] = not (report["outer_even"] or report["outer_odd"])
     return report
+
+
+def maximal_torus(N):
+    """A basis of the diagonal derivations of N in its given basis, as
+    weight vectors; not exported from the package, since in a basis not
+    adapted to a torus of Der N it is smaller than a maximal torus.
+
+    e_i -> w_i e_i is a derivation of either kind exactly when w_k = w_i +
+    w_j for each term e_k of each [e_i, e_j].  In a basis adapted to a
+    maximal torus of Der N, as the model families' bases are, these maps
+    are that torus, of rank at most dim N/[N, N] (Mubarakzyanov 1963).
+    One _kernel call over reversed columns solves for the latest weights,
+    so each vector is 1 at one free index (x1 or a chain head in the model
+    families) and 0 at the others; the vectors come in the order of those
+    indices, as sparse rows of (index, weight), integral weights as ints.
+    """
+    last = N.dim - 1
+    eqs = set()
+    for (i, j), cell in N.integer_law[1].items():
+        for k in cell:
+            row = {last - k: 1}
+            for c in (last - i, last - j):
+                row[c] = row.get(c, 0) - 1
+            eqs.add(tuple(sorted(row.items())))
+    return [sorted((last - c, x.numerator if x.denominator == 1 else x) for c, x in v)
+            for v in reversed(_kernel(list(eqs), N.dim))]

@@ -9,16 +9,15 @@ nil-independence of diagonal actions and verifies nilradical candidates.
 """
 
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
-from .linalg import (Matrix, NotNilpotent, _jordan_blocks, _reduce, dense_rows,
-                     pivot_coefficients)
-from .core import EVEN, LIE, SuperAlgebra, _integer_cells, _label_cells, _products, validate
-from .derivations import _check_parity_blocks
+from .linalg import NotNilpotent, _jordan_blocks, _reduce, pivot_coefficients
+from .core import (EVEN, LIE, SuperAlgebra, _adjoin_torus, _integer_cells, _label_cells,
+                   _products, validate)
+from .derivations import _check_parity_blocks, maximal_torus
 from .invariants import product_space, whole_space
-from .families import (_chains, _filiform, _member_blocks, _places, _torus_labels,
-                       model_nilpotent_leibniz, model_nilpotent_lie)
+from .families import (_chains, _diagonal_rows, _filiform, _lie_torus, _member_blocks,
+                       _torus_labels, member)
 
 
 class IdentityViolation(Exception):
@@ -39,14 +38,14 @@ class NonDiagonalAction(Exception):
 class ExtensionSpec:
     """Extension data: nilradical, torus labels, per-label action pair.
 
-    actions maps each torus label to a (left, right) tuple acting on the
-    nilradical in its combined basis, each a Matrix or its sparse rows (row
-    i lists the nonzero (j, coefficient of e_i in the image of e_j)); a
-    bare action is accepted for the Lie kind, where the right action is
-    forced to be minus the left one.  `action_rows` keeps every pair as
-    sparse rows, and `actions` as Matrix pairs, built on first access.
-    torus_brackets optionally maps (label, label) pairs to Elements over
-    the extended basis (default zero).
+    actions maps each torus label to a (left, right) pair of sparse rows
+    acting on the nilradical in its combined basis: row i lists (j,
+    coefficient of e_i in the image of e_j) in any column order, and a
+    repeated column is refused; a bare action is accepted for the Lie
+    kind, where the right action is forced to be minus the left one.
+    `action_rows` keeps every pair, each row sorted by column with its
+    zero values dropped.  torus_brackets optionally maps (label, label)
+    pairs to Elements over the extended basis (default zero).
     """
 
     def __init__(self, nilradical, torus_labels, actions, torus_brackets=None):
@@ -78,12 +77,6 @@ class ExtensionSpec:
         self.action_rows = fixed
         self.torus_brackets = dict(torus_brackets or {})
 
-    @cached_property
-    def actions(self):
-        n = self.nilradical.dim
-        return {t: tuple(Matrix(dense_rows(rows, n), n) for rows in pair)
-                for t, pair in self.action_rows.items()}
-
 
 def semidirect_extension(spec):
     """Assemble the extension and validate it.
@@ -95,17 +88,7 @@ def semidirect_extension(spec):
     the given brackets among torus labels.
     """
     nil, torus = spec.nilradical, spec.torus_labels
-    d, law = nil.integer_law
-    # nilradical index -> extended index: the odd labels move past the torus
-    new = [k + len(torus) * (k >= nil.dim_even) for k in range(nil.dim)]
-    table = {(new[i], new[j]): {new[k]: c for k, c in cell.items()}
-             for (i, j), cell in law.items()}
-    for a, t in enumerate(torus, nil.dim_even):
-        for i, (lrow, rrow) in enumerate(zip(*spec.action_rows[t])):
-            for j, v in lrow:
-                table.setdefault((a, new[j]), {})[new[i]] = d * v
-            for j, v in rrow:
-                table.setdefault((new[j], a), {})[new[i]] = d * v
+    d, table = _adjoin_torus(nil, [spec.action_rows[t] for t in torus])
     even = nil.even_basis + torus
     index = {l: i for i, l in enumerate(even + nil.odd_basis)}
     for key, cell in _label_cells(index, spec.torus_brackets).items():
@@ -227,32 +210,19 @@ def nilradical_verdict(A, candidate):
     }
 
 
-def _diag(weights, combined):
-    """The sparse rows of the diagonal map on `combined` with these label weights."""
-    return [[(i, weights[l])] if weights.get(l) else [] for i, l in enumerate(combined)]
-
-
 def filiform_lie_torus_spec(n, m):
     """The diagonal torus acting on L^{n,m} whose extension is SL^{n,m}."""
-    spec = model_nilpotent_lie_torus_spec(*_member_blocks("L", (n,), (m,)))
-    return ExtensionSpec(_filiform(spec.nilradical, "L^{%d,%d}" % (n, m)),
-                         _filiform(spec.torus_labels), _filiform(spec.action_rows))
+    return ExtensionSpec(*_lie_torus("SL", (n,), (m,))[:3])
 
 
 def model_nilpotent_lie_torus_spec(even_blocks, odd_blocks):
     """The diagonal torus on N(...) whose extension is SN(...).
 
     t1 weighs each label by its number; every other torus label is the
-    identity on its chain.
+    identity on its chain.  The actions are combinations of the maximal
+    torus of N(...) (see families.z_basis_nilpotent_lie).
     """
-    even_chains, odd_chains = _chains(even_blocks, odd_blocks)
-    nil = model_nilpotent_lie(even_blocks, odd_blocks)
-    basis = nil.combined_basis
-    torus = _torus_labels("t", even_chains, odd_chains)
-    actions = {"t1": _diag({l: int(l[1:]) for l in basis}, basis)}
-    for t, c in zip(torus[1:], even_chains + odd_chains):
-        actions[t] = _diag(dict.fromkeys(c, 1), basis)
-    return ExtensionSpec(nil, torus, actions)
+    return ExtensionSpec(*_lie_torus("SN", even_blocks, odd_blocks)[:3])
 
 
 def leibniz_torus_specs(family, even, odd):
@@ -260,29 +230,27 @@ def leibniz_torus_specs(family, even, odd):
     sizes; the nilradical and the right actions are built once, so a sweep
     builds only the left actions of each point.
 
-    The right actions are the solvable family's: t1 weighs x1 by 1 and each
-    chain label by its place in the chain, counted from 0, and every other
-    torus label is the identity on its chain.  On NP(...) the point is
-    (b, bp), b with one entry per torus label t1..t_{k+1} and bp one per
-    tp1..tp_p; the left actions are -b1 on x1 for t1, -b_{j+2} on even
-    block j+1 for t_{j+2}, and -bp_j on odd block j for tp_j.  The
-    extension validates exactly at b1 = 1 with all other parameters 0 (when
-    every block is long enough to force its parameter), which reproduces
-    SNP(...).  On LP^{n,m} the point is (b1, b2, b3), and the left actions
-    carry the undetermined coefficients (b1 - 1) on x1, (b2 - 1) on x2..xn
-    and (b3 - 1) on the odd part, which is the NP spec at 1 - b.  The
-    extension validates only at (0, 1, 1), which reproduces SLP^{n,m}.
+    The right actions are the maximal torus of the nilradical, which is
+    the solvable family's: t1 weighs x1 by 1 and each chain label by its
+    place in the chain, counted from 0, and every other torus label is the
+    identity on its chain.  On NP(...) the point is (b, bp), b with one
+    entry per torus label t1..t_{k+1} and bp one per tp1..tp_p; the left
+    actions are -b1 on x1 for t1, -b_{j+2} on even block j+1 for t_{j+2},
+    and -bp_j on odd block j for tp_j.  The extension validates exactly at
+    b1 = 1 with all other parameters 0 (when every block is long enough to
+    force its parameter), which reproduces SNP(...).  On LP^{n,m} the point
+    is (b1, b2, b3), and the left actions carry the undetermined
+    coefficients (b1 - 1) on x1, (b2 - 1) on x2..xn and (b3 - 1) on the odd
+    part, which is the NP spec at 1 - b.  The extension validates only at
+    (0, 1, 1), which reproduces SLP^{n,m}.
     """
-    even_blocks, odd_blocks = _member_blocks(family, even, odd)
-    even_chains, odd_chains = _chains(even_blocks, odd_blocks)
-    chains = even_chains + odd_chains
-    nil = model_nilpotent_leibniz(even_blocks, odd_blocks)
+    even_chains, odd_chains = _chains(*_member_blocks(family, even, odd))
+    nil = member(family, even, odd)
     torus = _torus_labels("t", even_chains, odd_chains)
     if family == "LP":
-        nil, torus = _filiform(nil, "LP^{%d,%d}" % (even[0], odd[0])), _filiform(tuple(torus))
-    basis = nil.combined_basis
-    rights = ([_diag(dict([("x1", 1)] + _places(chains)), basis)]
-              + [_diag(dict.fromkeys(c, 1), basis) for c in chains])
+        torus = _filiform(tuple(torus))
+    rights = [_diagonal_rows(dict(w), nil.dim) for w in maximal_torus(nil)]
+    supports = [[nil.index(l) for l in c] for c in [["x1"]] + even_chains + odd_chains]
 
     def spec(point):
         if family == "LP":
@@ -292,7 +260,7 @@ def leibniz_torus_specs(family, even, odd):
         if len(b) != len(even_chains) + 1 or len(bp) != len(odd_chains):
             raise ValueError("need %d even and %d odd parameters"
                              % (len(even_chains) + 1, len(odd_chains)))
-        lefts = [_diag(dict.fromkeys(c, -Fraction(v)), basis)
-                 for c, v in zip([["x1"]] + chains, list(b) + list(bp))]
+        lefts = [_diagonal_rows(dict.fromkeys(s, -Fraction(v)), nil.dim)
+                 for s, v in zip(supports, list(b) + list(bp))]
         return ExtensionSpec(nil, torus, dict(zip(torus, zip(lefts, rights))))
     return spec

@@ -8,17 +8,19 @@ before j.  The generator x1 lies on no chain, so the display name shows a
 trailing 1 in the even block list, e.g. N(2,1|2) =
 model_nilpotent_lie((2,), (2,)).
 
-Solvable variants append a torus, t1..t_{k+1} and tp1..tp_p: t1 weighs the
-whole nilradical, and each other torus label is the identity on one chain.
+Solvable variants append a torus, t1..t_{k+1} and tp1..tp_p, as the paper
+writes it: t1 weighs the whole nilradical, and each other torus label is
+the identity on one chain.
 Filiform families take a pair (n, m) with n >= 3, m >= 2 and are the
 one-block members, L^{n,m} = N(n-1,1|m) and LP^{n,m} = NP(n-1,1|m), with
 tp1 and zp1 called t3 and z3.  member(family, even, odd) builds any of the
 eight families by name; member_dim gives its dimension without building it.
-The alternate z-basis presentations come with the canonical label map
+The z-basis presentations adjoin the maximal torus of N, with the label map
 sending t's to combinations of z's, for replay through change_of_basis.
 """
 
-from .core import LIE, LEIBNIZ, Element, SuperAlgebra
+from .core import LIE, LEIBNIZ, Element, SuperAlgebra, _adjoin_torus
+from .derivations import maximal_torus
 
 FAMILIES = ("L", "SL", "N", "SN", "LP", "SLP", "NP", "SNP")
 
@@ -76,11 +78,6 @@ def _torus_labels(prefix, even_chains, odd_chains):
             + ["%sp%d" % (prefix, i) for i in range(1, len(odd_chains) + 1)])
 
 
-def _places(chains):
-    """(a, place of a in its chain) for the chain labels past the first."""
-    return [(a, i) for c in chains for i, a in enumerate(c) if i]
-
-
 def _chain_law(kind, even_chains, odd_chains):
     """The bases, the nilpotent table and the block list of the name.
 
@@ -92,7 +89,7 @@ def _chain_law(kind, even_chains, odd_chains):
     table = {}
     for c in even_chains + odd_chains:
         for a, b in zip(c, c[1:]):
-            table[("x1", a) if kind == LIE else (a, "x1")] = Element.basis(b)
+            table[("x1", a) if kind == LIE else (a, "x1")] = [(b, 1)]
     sizes = [",".join(str(len(c)) for c in chains) for chains in (even_chains, odd_chains)]
     return xs, ys, table, "%s,1|%s" % tuple(sizes)
 
@@ -103,25 +100,20 @@ _FILIFORM_LABELS = {"tp1": "t3", "zp1": "z3"}
 def _filiform(obj, name=None):
     """A one-block model member in the filiform labels: tp1 is t3, zp1 is z3.
 
-    obj is a label, a tuple, an Element, a dict (keys and values renamed)
-    or an algebra, renamed to `name` and keeping its `integer_law`, whose
-    cells are indexed; anything else, such as the sparse rows of an action,
-    is returned as it is.
+    obj is a label, a tuple of them, or an algebra, renamed to `name` and
+    keeping its `integer_law`, whose cells are indexed.
     """
     if isinstance(obj, str):
         return _FILIFORM_LABELS.get(obj, obj)
     if isinstance(obj, tuple):
         return tuple(map(_filiform, obj))
-    if isinstance(obj, Element):
-        if _FILIFORM_LABELS.keys().isdisjoint(obj.labels()):
-            return obj
-        return Element((_filiform(l), c) for l, c in obj.items())
-    if isinstance(obj, dict):
-        return {_filiform(k): _filiform(v) for k, v in obj.items()}
-    if isinstance(obj, SuperAlgebra):
-        return SuperAlgebra.from_law(obj.kind, _filiform(obj.even_basis), obj.odd_basis,
-                                     obj.integer_law, name=name)
-    return obj
+    return SuperAlgebra.from_law(obj.kind, _filiform(obj.even_basis), obj.odd_basis,
+                                 obj.integer_law, name=name)
+
+
+def _diagonal_rows(weights, n):
+    """Sparse rows of the diagonal map on n indices with the nonzero weights[i]."""
+    return [[(i, weights[i])] if weights.get(i) else [] for i in range(n)]
 
 
 def member_dim(family, even, odd):
@@ -160,10 +152,10 @@ def model_nilpotent_lie(even_blocks, odd_blocks, solvable=False):
         return SuperAlgebra(LIE, xs, ys, table, name="N(%s)" % blocks)
     torus = _torus_labels("t", even_chains, odd_chains)
     for a in xs + ys:
-        table[("t1", a)] = Element({a: int(a[1:])})
+        table[("t1", a)] = [(a, int(a[1:]))]
     for t, c in zip(torus[1:], even_chains + odd_chains):
         for a in c:
-            table[(t, a)] = Element.basis(a)
+            table[(t, a)] = [(a, 1)]
     return SuperAlgebra(LIE, xs + torus, ys, table, name="SN(%s)" % blocks)
 
 
@@ -179,14 +171,45 @@ def model_nilpotent_leibniz(even_blocks, odd_blocks, solvable=False):
     if not solvable:
         return SuperAlgebra(LEIBNIZ, xs, ys, table, name="NP(%s)" % blocks)
     torus = _torus_labels("t", even_chains, odd_chains)
-    table[("t1", "x1")] = Element({"x1": -1})
-    table[("x1", "t1")] = Element.basis("x1")
-    for a, i in _places(even_chains + odd_chains):
-        table[(a, "t1")] = Element({a: i})
+    table[("t1", "x1")] = [("x1", -1)]
+    table[("x1", "t1")] = [("x1", 1)]
+    for c in even_chains + odd_chains:
+        for i, a in enumerate(c[1:], 1):
+            table[(a, "t1")] = [(a, i)]
     for t, c in zip(torus[1:], even_chains + odd_chains):
         for a in c:
-            table[(a, t)] = Element.basis(a)
+            table[(a, t)] = [(a, 1)]
     return SuperAlgebra(LEIBNIZ, xs + torus, ys, table, name="SNP(%s)" % blocks)
+
+
+def _lie_torus(family, even, odd):
+    """The nilradical of the SL or SN member with these sizes, its torus
+    labels with their diagonal actions as sparse rows, and the z-basis
+    presentation with its map (see z_basis_nilpotent_lie), from one
+    maximal_torus call: its basis is the z's, and each t their combination
+    in the map."""
+    even_blocks, odd_blocks = _member_blocks(family, even, odd)
+    even_chains, odd_chains = _chains(even_blocks, odd_blocks)
+    nil = member(family[1:], even, odd)
+    ts, zs = (tuple(_torus_labels(p, even_chains, odd_chains)) for p in "tz")
+    if family == "SL":
+        ts, zs = _filiform(ts), _filiform(zs)
+    torus = maximal_torus(nil)
+    heads = [1] + [int(c[0][1:]) for c in even_chains + odd_chains]
+    t1 = {}
+    for h, w in zip(heads, torus):
+        for i, v in w:
+            t1[i] = t1.get(i, 0) + h * v
+    z_rows = [_diagonal_rows(dict(w), nil.dim) for w in torus]
+    t_rows = [_diagonal_rows(t1, nil.dim)] + z_rows[1:]
+    zalg = SuperAlgebra.from_law(LIE, nil.even_basis + zs, nil.odd_basis,
+                                 _adjoin_torus(nil, [(r, None) for r in z_rows]),
+                                 name="S%s (z basis)" % nil.name)
+    zmap = {l: Element.basis(l) for l in nil.even_basis}
+    zmap[ts[0]] = Element(zip(zs, heads))
+    zmap.update({t: Element.basis(z) for t, z in zip(ts[1:], zs[1:])})
+    zmap.update({l: Element.basis(l) for l in nil.odd_basis})
+    return nil, ts, dict(zip(ts, t_rows)), zalg, zmap
 
 
 def z_basis_filiform_lie(n, m):
@@ -195,38 +218,18 @@ def z_basis_filiform_lie(n, m):
     Returns (algebra, map); pushing the algebra through change_of_basis
     with the map reproduces SL^{n,m} on the nose.
     """
-    alg, mapping = z_basis_nilpotent_lie(*_member_blocks("SL", (n,), (m,)))
-    return _filiform(alg, "SL^{%d,%d} (z basis)" % (n, m)), _filiform(mapping)
+    return _lie_torus("SL", (n,), (m,))[3:]
 
 
 def z_basis_nilpotent_lie(even_blocks, odd_blocks):
     """The z-basis presentation of the solvable model nilpotent Lie family.
 
     z1 acts like the Leibniz t1 but on the left, with [z1, x1] = x1, and
-    each other z is the identity on its chain.  Returns (algebra, map) as in
-    the filiform case; the map sends t1 to z1 plus, for each chain, the
-    number of its first label times the chain's z, so
+    each other z is the identity on its chain; the z's are the basis of the
+    maximal torus of N(...) that derivations.maximal_torus gives.  Returns
+    (algebra, map) as in the filiform case; the map sends t1 to z1 plus,
+    for each chain, the number of its first label times the chain's z, so
     t1 = z1 + 2 z2 + sum (N_j + 2) z_{j+2} + zp1 + sum (M_j + 1) zp_{j+1},
     and every other t to its z.
     """
-    even_chains, odd_chains = _chains(even_blocks, odd_blocks)
-    chains = even_chains + odd_chains
-    nil = model_nilpotent_lie(even_blocks, odd_blocks)
-    xs, ys = list(nil.even_basis), list(nil.odd_basis)
-    zs = _torus_labels("z", even_chains, odd_chains)
-    table = dict(nil.brackets)
-    table[("z1", "x1")] = Element.basis("x1")
-    for a, i in _places(chains):
-        table[("z1", a)] = Element({a: i})
-    for z, c in zip(zs[1:], chains):
-        for a in c:
-            table[(z, a)] = Element.basis(a)
-    alg = SuperAlgebra(LIE, xs + zs, ys, table, name="S%s (z basis)" % nil.name)
-    mapping = {l: Element.basis(l) for l in xs}
-    mapping["t1"] = Element([("z1", 1)]
-                            + [(z, int(c[0][1:])) for z, c in zip(zs[1:], chains)])
-    for t, z in zip(_torus_labels("t", even_chains, odd_chains)[1:], zs[1:]):
-        mapping[t] = Element.basis(z)
-    for l in ys:
-        mapping[l] = Element.basis(l)
-    return alg, mapping
+    return _lie_torus("SN", even_blocks, odd_blocks)[3:]

@@ -29,7 +29,6 @@ from json.encoder import encode_basestring_ascii as quote
 
 from .core import LIE, LEIBNIZ, Element, SuperAlgebra, validate
 from .extension import ExtensionSpec
-from .linalg import Matrix
 
 
 class ParseError(Exception):
@@ -153,10 +152,11 @@ def load_algebra(source, skip_validate=False):
 
 
 def _parse_action_matrix(raw, n, what):
+    """A dense n x n matrix as its sparse rows, the zero entries left out."""
     if not (isinstance(raw, list) and len(raw) == n
             and all(isinstance(r, list) and len(r) == n for r in raw)):
         raise ParseError("%s must be a %dx%d matrix" % (what, n, n))
-    return Matrix([[_parse_coeff(v) for v in row] for row in raw])
+    return [[(j, c) for j, v in enumerate(row) if (c := _parse_coeff(v))] for row in raw]
 
 
 def load_extension_spec(nil, source):

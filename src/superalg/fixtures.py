@@ -1,7 +1,7 @@
 """Verification fixtures: the paper's theorems re-checked on one family member.
 
 Theorems 3.1 and 4.1 rebuild SL and SN as semidirect extensions of L and N
-by their diagonal tori; 5.1 and 6.1 sweep the torus sign parameters of the
+by their maximal tori; 5.1 and 6.1 sweep the torus sign parameters of the
 Leibniz analogues SLP and SNP; 7.1 to 7.4 compute the superderivation
 spaces of the four solvable families and check that all of them are inner.
 
@@ -13,23 +13,17 @@ import itertools
 
 from .core import change_of_basis, equal_laws
 from .derivations import innerness_report
-from .extension import (IdentityViolation, filiform_lie_torus_spec, leibniz_torus_specs,
-                        model_nilpotent_lie_torus_spec, nil_independence_check,
-                        nilradical_verdict, semidirect_extension)
-from .families import (_member_blocks, member, z_basis_filiform_lie,
-                       z_basis_nilpotent_lie)
+from .extension import (ExtensionSpec, IdentityViolation, leibniz_torus_specs,
+                        nil_independence_check, nilradical_verdict, semidirect_extension)
+from .families import _lie_torus, _member_blocks, member
 from .invariants import span_of_labels
 
 
 def _lie_construction(family, even, odd):
     solvable = member(family, even, odd)
-    if family == "SL":
-        (n,), (m,) = even, odd
-        spec = filiform_lie_torus_spec(n, m)
-        zalg, zmap = z_basis_filiform_lie(n, m)
-    else:
-        spec = model_nilpotent_lie_torus_spec(even, odd)
-        zalg, zmap = z_basis_nilpotent_lie(even, odd)
+    # the spec and the z-basis presentation share one maximal torus of N
+    nil, torus, actions, zalg, zmap = _lie_torus(family, even, odd)
+    spec = ExtensionSpec(nil, torus, actions)
     even_blocks, odd_blocks = _member_blocks(family, even, odd)
     codim = len(even_blocks) + 1 + len(odd_blocks)
     checks = []

@@ -5,11 +5,10 @@ super-nilindex, nilpotency and solvability flags, the right annihilator,
 the characteristic sequence, and the generator count.
 """
 
-from functools import cached_property
 from itertools import combinations
 
-from .linalg import (NotNilpotent, _frac, _integer_row, _jordan_blocks, _kernel, _monic,
-                     _reduce, dense_rows, pivot_coefficients, sparse_rows)
+from .linalg import (NotNilpotent, _frac, _integer_row, _jordan_blocks, _kernel, _reduce,
+                     pivot_coefficients, sparse_rows)
 from .core import EVEN, LIE, Element, _products
 
 DESCENDING_CENTRAL = "descending_central"
@@ -20,9 +19,8 @@ SERIES_KINDS = (DESCENDING_CENTRAL, DERIVED, GRADED_EVEN, GRADED_ODD)
 
 
 class Subspace:
-    """Subspace held as canonical rows in `rows`, as _reduce emits them
-    (sparse primitive integers, positive lead), and as dense monic RREF rows
-    in `basis`, built on first access.
+    """Span of dense vectors, held as canonical rows in `rows`, as _reduce
+    emits them (sparse primitive integers, positive lead).
 
     Two subspaces of the same algebra are equal exactly when their rows are.
     """
@@ -33,18 +31,9 @@ class Subspace:
             raise ValueError("vector length mismatch")
         self.algebra, self.rows = algebra, _reduce(sparse_rows(vectors))[0]
 
-    @cached_property
-    def basis(self):
-        return dense_rows(map(_monic, self.rows), self.algebra.dim)
-
     @property
     def dim(self):
         return len(self.rows)
-
-    def contains(self, vec):
-        if len(vec) != self.algebra.dim:
-            raise ValueError("dimension mismatch")
-        return pivot_coefficients(self.rows, tuple(map(_frac, vec))) is not None
 
     def contains_element(self, el):
         A = self.algebra

@@ -37,8 +37,8 @@ def _frac(v):
 class Matrix:
     """Dense rational matrix, immutable; `cols` is needed only without rows.
 
-    The dense boundary: actions files, `ExtensionSpec.actions` and the
-    dense functions of this module."""
+    The dense boundary: `core.multiplication_matrix` and the dense
+    functions of this module."""
 
     def __init__(self, entries, cols=None):
         rows = tuple(tuple(_frac(v) for v in row) for row in entries)

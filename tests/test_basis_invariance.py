@@ -13,7 +13,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import Phase, assume, given, settings, strategies as st  # noqa: E402
 
-from superalg.core import change_of_basis  # noqa: E402
+from superalg.core import Element, change_of_basis  # noqa: E402
 from superalg.derivations import innerness_report  # noqa: E402
 from superalg.extension import nilradical_verdict  # noqa: E402
 from superalg.families import FAMILIES, member, member_dim  # noqa: E402
@@ -68,7 +68,8 @@ def _invariants(A):
 
 def _nilradical_vectors(A, family, even, odd):
     """Coordinates over A of the basis of N, the nilpotent member."""
-    return [A.coords(label) for label in member(family[1:], even, odd).combined_basis]
+    return [tuple(int(l == label) for l in A.combined_basis)
+            for label in member(family[1:], even, odd).combined_basis]
 
 
 def _verdict(A, vectors):
@@ -98,7 +99,7 @@ def test_invariants_survive_a_change_of_basis(family, data):
     # new labels: even ones first, so B's basis order is the order of vectors
     labels = (["e%d" % i for i in range(A.dim_even)]
               + ["o%d" % i for i in range(A.dim_odd)])
-    B = change_of_basis(A, {l: A.element_from_coords(v) for l, v in zip(labels, vectors)})
+    B = change_of_basis(A, {l: Element(zip(A.combined_basis, v)) for l, v in zip(labels, vectors)})
     got = _invariants(B)
     if family.startswith("S"):
         # the coordinates over B of a vector v of A are P^{-1} v

@@ -36,6 +36,14 @@ def test_algebra_construction_checks():
         SuperAlgebra(LIE, ["x1"], [], {("x1", "x1"): Element.basis("zz")})
 
 
+def _coords(A, el):
+    """The dense coordinates of an element over A's combined basis."""
+    vec = [0] * A.dim
+    for l, c in el.items():
+        vec[A.index(l)] = c
+    return tuple(vec)
+
+
 def test_parity_and_indexing():
     A = model_filiform_lie(3, 2)
     assert A.dim == 5 and A.dim_even == 3 and A.dim_odd == 2
@@ -47,9 +55,9 @@ def test_parity_and_indexing():
     assert A.element_parity(Element({"y1": 1, "y2": 2})) == ODD
     with pytest.raises(ValueError):
         A.element_parity(Element({"x1": 1, "y1": 1}))
-    assert A.coords(Element({"x3": Fraction(1, 2)})) == \
+    assert _coords(A, Element({"x3": Fraction(1, 2)})) == \
         (0, 0, Fraction(1, 2), 0, 0)
-    assert A.element_from_coords((1, 0, 0, 0, -1)) == \
+    assert Element(zip(A.combined_basis, (1, 0, 0, 0, -1))) == \
         Element({"x1": 1, "y2": -1})
 
 
@@ -101,6 +109,7 @@ def test_bracket_bilinear():
     assert bracket(A, u, Element()).is_zero()
     w = bracket(A, u, Element({"x2": 1, "x3": Fraction(1, 2)}))
     assert w == Element({"x3": 2, "x4": 1})
+    assert repr(bracket(A, Element({"x3": 1, "x2": 1}), u)) == "-2*x3 - 2*x4"  # index order
     assert bracket(A, "x1", "x2") == Element.basis("x3")
 
 

@@ -14,7 +14,8 @@ from naive_identities import DenseMap, dense_map, is_superderivation, super_comm
 
 def _embed(A, parity, images):
     """The map sending each label to the given image element."""
-    cols = [A.coords(images.get(label, Element())) for label in A.combined_basis]
+    cols = [[images.get(label, Element()).get(l) for l in A.combined_basis]
+            for label in A.combined_basis]
     return DenseMap(parity, [list(row) for row in zip(*cols)])
 
 

@@ -12,12 +12,16 @@ from superalg.extension import (ExtensionSpec, IdentityViolation,
 from superalg.families import (filiform_leibniz, model_filiform_lie,
                                model_nilpotent_leibniz, model_nilpotent_lie)
 from superalg.invariants import span_of_labels, whole_space
-from superalg.linalg import Matrix
+from superalg.linalg import sparse_rows
 
 
 def _diag(values):
-    n = len(values)
-    return Matrix([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    """The sparse rows of diag(values)."""
+    return [[(i, v)] if v else [] for i, v in enumerate(values)]
+
+
+def _transpose(dense):
+    return [list(col) for col in zip(*dense)]
 
 
 def test_extension_reproduces_solvable_lie_families():
@@ -92,10 +96,9 @@ def test_size_one_odd_block_leaves_its_parameter_free():
     assert survivors == {((1, 0, 0), (0, 0)), ((1, 0, 0), (1, 0))}
 
 
-def _diagonal_of(M):
-    assert not any(v for i, row in enumerate(M.entries)
-                   for j, v in enumerate(row) if i != j)
-    return [M.entries[i][i] for i in range(M.rows)]
+def _diagonal_of(rows):
+    assert all(j == i for i, row in enumerate(rows) for j, _ in row)
+    return [dict(row).get(i, 0) for i, row in enumerate(rows)]
 
 
 def _block_layout(even, odd):
@@ -127,7 +130,7 @@ def test_spec_actions_are_the_theorems_diagonals():
         assert spec.nilradical.combined_basis == tuple(basis)
         assert spec.torus_labels == tuple(torus)
         for t in torus:
-            left, right = spec.actions[t]
+            left, right = spec.action_rows[t]
             want = ([int(l[1:]) for l in basis] if t == "t1" else on_block(t, 1))
             assert _diagonal_of(left) == want, (even, odd, t)
             assert _diagonal_of(right) == [-v for v in want]
@@ -140,7 +143,7 @@ def test_spec_actions_are_the_theorems_diagonals():
             assert spec.nilradical.combined_basis == tuple(basis)
             assert spec.torus_labels == tuple(torus)
             for t, v in zip(torus, list(b) + list(bp)):
-                left, right = spec.actions[t]
+                left, right = spec.action_rows[t]
                 if t == "t1":
                     want_left = [-v if l == "x1" else 0 for l in basis]
                     want_right = [1 if l == "x1" else layout[l][1] for l in basis]
@@ -155,18 +158,18 @@ def test_spec_actions_are_the_theorems_diagonals():
                  + ["y%d" % j for j in range(1, m + 1)])
         spec = filiform_lie_torus_spec(n, m)
         assert spec.torus_labels == ("t1", "t2", "t3")
-        assert [_diagonal_of(spec.actions[t][0]) for t in spec.torus_labels] == [
+        assert [_diagonal_of(spec.action_rows[t][0]) for t in spec.torus_labels] == [
             [int(l[1:]) for l in basis],
             [int(l[0] == "x" and l != "x1") for l in basis],
             [int(l[0] == "y") for l in basis]]
         b = (Fraction(1, 2), -3, 2)
         spec = leibniz_torus_specs("LP", (n,), (m,))(b)
         assert spec.torus_labels == ("t1", "t2", "t3")
-        assert [_diagonal_of(spec.actions[t][0]) for t in spec.torus_labels] == [
+        assert [_diagonal_of(spec.action_rows[t][0]) for t in spec.torus_labels] == [
             [b[0] - 1 if l == "x1" else 0 for l in basis],
             [b[1] - 1 if l[0] == "x" and l != "x1" else 0 for l in basis],
             [b[2] - 1 if l[0] == "y" else 0 for l in basis]]
-        assert [_diagonal_of(spec.actions[t][1]) for t in spec.torus_labels] == [
+        assert [_diagonal_of(spec.action_rows[t][1]) for t in spec.torus_labels] == [
             [1] + [i - 2 for i in range(2, n + 1)] + [j - 1 for j in range(1, m + 1)],
             [int(l[0] == "x" and l != "x1") for l in basis],
             [int(l[0] == "y") for l in basis]]
@@ -181,10 +184,8 @@ def test_extension_spec_validation():
     with pytest.raises(ValueError):
         ExtensionSpec(nil, ["t", "t"], {"t": good})
     with pytest.raises(ValueError):
-        ExtensionSpec(nil, ["t"], {"t": Matrix([[0, 0], [0, 0]])})
-    mixing = Matrix([[0] * 5 for _ in range(5)])
-    mixing = Matrix([[1 if (i, j) == (4, 0) else 0 for j in range(5)]
-                     for i in range(5)])
+        ExtensionSpec(nil, ["t"], {"t": [[], []]})
+    mixing = [[], [], [], [], [(0, 1)]]
     with pytest.raises(ValueError):
         ExtensionSpec(nil, ["t"], {"t": mixing})
     with pytest.raises(ValueError):
@@ -193,7 +194,47 @@ def test_extension_spec_validation():
     with pytest.raises(ValueError):
         ExtensionSpec(leib, ["t"], {"t": good})  # leibniz wants both sides
     spec = ExtensionSpec(nil, ["t"], {"t": good})
-    assert spec.actions["t"][1] == _diag([-1] * 3 + [0] * 2)
+    assert spec.action_rows["t"][1] == _diag([-1] * 3 + [0] * 2)
+
+
+def test_explicit_zero_keeps_an_action_diagonal():
+    # diag(1, 2, 3, 1, 2) on L^{3,2} with an explicit zero at (2, 1): the
+    # zero is dropped where the rows enter, so the map is diagonal
+    nil = model_filiform_lie(3, 2)
+    left = [[(0, 1)], [(1, 2)], [(2, 3), (1, 0)], [(3, 1)], [(4, 2)]]
+    spec = ExtensionSpec(nil, ["t"], {"t": left})
+    assert nil_independence_check(spec)
+    assert spec.action_rows["t"] == (_diag([1, 2, 3, 1, 2]), _diag([-1, -2, -3, -1, -2]))
+
+
+def test_lie_right_action_with_an_explicit_zero_is_minus_left():
+    nil = model_filiform_lie(3, 2)
+    left = _diag([1, 2, 3, 1, 2])
+    right = [[(0, -1)], [(1, -2), (0, 0)], [(2, -3)], [(3, -1)], [(4, -2)]]
+    spec = ExtensionSpec(nil, ["t"], {"t": (left, right)})
+    assert spec.action_rows["t"][1] == _diag([-1, -2, -3, -1, -2])
+    assert equal_laws(semidirect_extension(spec),
+                      semidirect_extension(ExtensionSpec(nil, ["t"], {"t": left})))
+    # rows given as tuples come out as the same lists
+    as_tuples = [tuple(row) for row in right]
+    spec = ExtensionSpec(nil, ["t"], {"t": (left, as_tuples)})
+    assert spec.action_rows["t"][1] == _diag([-1, -2, -3, -1, -2])
+
+
+def test_action_rows_are_sorted_and_a_repeated_column_refused():
+    nil = model_filiform_lie(3, 2)
+    # an unsorted row comes out in column order; a zero may sit anywhere
+    mixed = [[(0, 1)], [(1, 2)], [(2, 3), (1, 1)], [(3, 1), (0, 0)], [(4, 2), (3, 1)]]
+    spec = ExtensionSpec(nil, ["t"], {"t": mixed})
+    assert spec.action_rows["t"][0] == [[(0, 1)], [(1, 2)], [(1, 1), (2, 3)], [(3, 1)],
+                                        [(3, 1), (4, 2)]]
+    assert semidirect_extension(spec).dim == 6
+    # a repeated column is refused, even where its values cancel
+    for bad in ([(1, 2), (1, 1)], [(1, 1), (2, 3), (1, -1)]):
+        with pytest.raises(ValueError, match="row 2 repeats column 1"):
+            ExtensionSpec(nil, ["t"], {"t": [[(0, 1)], [(1, 2)], bad, [], []]})
+    with pytest.raises(ValueError, match="matrix must be 5x5"):
+        ExtensionSpec(nil, ["t"], {"t": [[(5, 1)], [], [], [], []]})
 
 
 def test_nil_independence_checks():
@@ -202,8 +243,7 @@ def test_nil_independence_checks():
     d2 = _diag([2, 2, 2, 0, 0])
     spec = ExtensionSpec(nil, ["s", "t"], {"s": d1, "t": d2})
     assert not nil_independence_check(spec)
-    offdiag = Matrix([[1 if (i, j) in ((0, 0), (0, 1)) else 0
-                       for j in range(5)] for i in range(5)])
+    offdiag = [[(0, 1), (1, 1)], [], [], [], []]
     spec = ExtensionSpec(nil, ["s"], {"s": offdiag})
     with pytest.raises(NonDiagonalAction):
         nil_independence_check(spec)
@@ -292,12 +332,12 @@ def test_extension_reads_each_action_column_as_an_image():
     # t acts on L^{3,2} as diag(1, 2, 3, 1, 2) + ad x1, a derivation that is
     # not diagonal; column j of the matrix is the image of e_j
     L = model_filiform_lie(3, 2)
-    D = Matrix([[1, 0, 0, 0, 0],
-                [0, 2, 0, 0, 0],
-                [0, 1, 3, 0, 0],
-                [0, 0, 0, 1, 0],
-                [0, 0, 0, 1, 2]])
-    ext = semidirect_extension(ExtensionSpec(L, ("t",), {"t": D}))
+    D = [[1, 0, 0, 0, 0],
+         [0, 2, 0, 0, 0],
+         [0, 1, 3, 0, 0],
+         [0, 0, 0, 1, 0],
+         [0, 0, 0, 1, 2]]
+    ext = semidirect_extension(ExtensionSpec(L, ("t",), {"t": sparse_rows(D)}))
     assert ext.combined_basis == ("x1", "x2", "x3", "t", "y1", "y2")
     table = {("x1", "x2"): {"x3": 1}, ("x2", "x1"): {"x3": -1},
              ("x1", "y1"): {"y2": 1}, ("y1", "x1"): {"y2": -1},
@@ -308,7 +348,7 @@ def test_extension_reads_each_action_column_as_an_image():
              ("t", "y2"): {"y2": 2}, ("y2", "t"): {"y2": -2}}
     assert dict(ext.brackets) == {k: Element(v) for k, v in table.items()}
     with pytest.raises(IdentityViolation) as exc:
-        semidirect_extension(ExtensionSpec(L, ("t",), {"t": D.transpose()}))
+        semidirect_extension(ExtensionSpec(L, ("t",), {"t": sparse_rows(_transpose(D))}))
     assert len(exc.value.report.violations) == 24
 
 
@@ -317,24 +357,26 @@ def test_leibniz_extension_reads_left_and_right_actions_apart():
     # x1 -> -x1 + x3, on the right x1 -> x1, x2 -> x3, x3 -> x3, y1 -> y2,
     # y2 -> y2, and [t, t] = x3
     LP = filiform_leibniz(3, 2)
-    left = Matrix([[-1, 0, 0, 0, 0],
-                   [0, 0, 0, 0, 0],
-                   [1, 0, 0, 0, 0],
-                   [0, 0, 0, 0, 0],
-                   [0, 0, 0, 0, 0]])
-    right = Matrix([[1, 0, 0, 0, 0],
-                    [0, 0, 0, 0, 0],
-                    [0, 1, 1, 0, 0],
-                    [0, 0, 0, 0, 0],
-                    [0, 0, 0, 1, 1]])
+    left = [[-1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0],
+            [1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0]]
+    right = [[1, 0, 0, 0, 0],
+             [0, 0, 0, 0, 0],
+             [0, 1, 1, 0, 0],
+             [0, 0, 0, 0, 0],
+             [0, 0, 0, 1, 1]]
     square = {("t", "t"): {"x3": 1}}
-    ext = semidirect_extension(ExtensionSpec(LP, ("t",), {"t": (left, right)}, square))
+    pair = (sparse_rows(left), sparse_rows(right))
+    ext = semidirect_extension(ExtensionSpec(LP, ("t",), {"t": pair}, square))
     table = {("x2", "x1"): {"x3": 1}, ("y1", "x1"): {"y2": 1},
              ("t", "x1"): {"x1": -1, "x3": 1}, ("x1", "t"): {"x1": 1},
              ("x2", "t"): {"x3": 1}, ("x3", "t"): {"x3": 1},
              ("y1", "t"): {"y2": 1}, ("y2", "t"): {"y2": 1},
              ("t", "t"): {"x3": 1}}
     assert dict(ext.brackets) == {k: Element(v) for k, v in table.items()}
-    for pair in ((left.transpose(), right), (left, right.transpose()), (right, left)):
+    for pair in ((_transpose(left), right), (left, _transpose(right)), (right, left)):
+        pair = tuple(map(sparse_rows, pair))
         with pytest.raises(IdentityViolation):
             semidirect_extension(ExtensionSpec(LP, ("t",), {"t": pair}, square))

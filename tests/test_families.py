@@ -3,14 +3,15 @@ import random
 
 import pytest
 
-from superalg.core import (LEIBNIZ, LIE, Element, change_of_basis, equal_laws,
+from naive_identities import DenseMap, is_superderivation
+from superalg.core import (EVEN, LEIBNIZ, LIE, Element, change_of_basis, equal_laws,
                            validate)
-from superalg.derivations import innerness_report
+from superalg.derivations import innerness_report, maximal_torus
 from superalg.families import (filiform_leibniz, member, member_dim,
                                model_filiform_lie, model_nilpotent_leibniz,
                                model_nilpotent_lie, z_basis_filiform_lie,
                                z_basis_nilpotent_lie)
-from superalg.invariants import DESCENDING_CENTRAL, classify, series
+from superalg.invariants import DESCENDING_CENTRAL, classify, generator_count, series
 
 GRID_FILIFORM = ((3, 2), (4, 3), (5, 2), (6, 4))
 GRID_BLOCKS = (((2,), (2,)), ((2, 2), (1, 2)), ((3,), (3,)))
@@ -314,6 +315,45 @@ def test_z_basis_replay():
         assert validate(z).ok
         target = model_nilpotent_lie(even, odd, solvable=True)
         assert equal_laws(change_of_basis(z, zmap), target)
+
+
+def _diagonal_map(A, weights):
+    """A torus vector of maximal_torus as the DenseMap of its diagonal map."""
+    rows = [[0] * A.dim for _ in range(A.dim)]
+    for i, w in weights:
+        rows[i][i] = w
+    return DenseMap(EVEN, rows)
+
+
+def test_maximal_torus_rank_is_the_generator_count():
+    nilpotent = ([build(n, m) for n, m in GRID_FILIFORM
+                  for build in (model_filiform_lie, filiform_leibniz)]
+                 + [build(even, odd) for even, odd in GRID_BLOCKS + EDGE_BLOCKS
+                    for build in (model_nilpotent_lie, model_nilpotent_leibniz)])
+    for A in nilpotent:
+        torus = maximal_torus(A)
+        assert len(torus) == generator_count(A), A.name
+        for weights in torus:
+            assert all(type(w) is int for _, w in weights), A.name
+            assert is_superderivation(A, _diagonal_map(A, weights))[0], (A.name, weights)
+    for build in (model_nilpotent_lie, model_nilpotent_leibniz):
+        A = build((8, 8, 8, 7), (8, 8, 8, 8))
+        assert A.dim == 64 and len(maximal_torus(A)) == generator_count(A) == 9
+
+
+def test_maximal_torus_is_the_diagonal_torus_of_the_basis():
+    # after a dense unimodular change of basis (e_j -> e_1 + ... + e_j in
+    # each parity) fewer diagonal maps are derivations, while the rank
+    # bound dim N/[N, N] is unchanged
+    for A in (model_filiform_lie(4, 3), model_nilpotent_lie((2, 2), (1, 2)),
+              model_nilpotent_leibniz((2, 2), (1, 2))):
+        mapping = {"n" + l: Element({k: 1 for k in block[:j + 1]})
+                   for block in (A.even_basis, A.odd_basis) for j, l in enumerate(block)}
+        B = change_of_basis(A, mapping)
+        torus = maximal_torus(B)
+        assert len(torus) < len(maximal_torus(A)) == generator_count(B), A.name
+        for weights in torus:
+            assert is_superderivation(B, _diagonal_map(B, weights))[0], (A.name, weights)
 
 
 def test_z_basis_t1_image():

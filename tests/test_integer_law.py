@@ -107,7 +107,8 @@ def test_every_entry_point_writes_the_same_law(family, even, odd):
         block = build((even[0] - 1,), odd, solvable=family.startswith("S"))
         assert A.integer_law == block.integer_law
         assert A.even_basis == _filiform(block.even_basis)
-        assert_same(A, {_filiform(k): _filiform(v) for k, v in block.brackets.items()})
+        assert_same(A, {_filiform(k): [(_filiform(l), c) for l, c in v.items()]
+                        for k, v in block.brackets.items()})
 
 
 def test_extension_with_rational_torus_brackets():

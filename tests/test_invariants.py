@@ -24,7 +24,8 @@ def test_subspace_basics():
     assert S.contains_element(Element({"x3": 2, "y2": -1}))
     assert not S.contains_element(Element.basis("x1"))
     assert S <= W and not (W <= S)
-    assert Subspace(A, [A.coords(Element({"x3": 1, "y2": 1}))]).dim == 1
+    assert Subspace(A, [(0, 0, 1, 0, 1)]).dim == 1  # x3 + y2
+    assert Subspace(A, [(0, 0, 1, 0, 1)]).rows == [[(2, 1), (4, 1)]]
     # canonical basis makes equality structural
     assert span_of_labels(A, ["y2", "x3"]) == S
     for wrong in ([(1, 0, 0, 0)], [(1, 0, 0, 0, 0, 0)]):

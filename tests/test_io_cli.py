@@ -327,7 +327,7 @@ def test_der_text_images_match_the_matrix_columns_on_a_rational_law(tmp_path, ca
         want.append("dim Der_%s: %d" % (tag, len(space)))
         for idx, D in enumerate(space, 1):
             columns = list(zip(*dense_map(D).rows))
-            images = ["%s -> %s" % (label, B.element_from_coords(columns[j]))
+            images = ["%s -> %s" % (label, Element(zip(B.combined_basis, columns[j])))
                       for j, label in enumerate(B.combined_basis) if any(columns[j])]
             want.append("  D%d: %s" % (idx, "; ".join(images) or "0"))
     assert text == want

@@ -26,7 +26,7 @@ from superalg.extension import (ExtensionSpec, _diagonal, _restricted_operator,
                                 semidirect_extension)
 from superalg.families import member
 from superalg.invariants import Subspace
-from superalg.linalg import Matrix, NotNilpotent, _jordan_blocks
+from superalg.linalg import NotNilpotent, _jordan_blocks, sparse_rows
 
 
 def _product(A, u, v):
@@ -210,8 +210,8 @@ def test_candidate_that_is_not_invariant():
 def test_non_diagonal_restricted_operator():
     # t acts on L^{3,2} as diag(1, 2, 3, 1, 2) + ad x1
     L = member("L", (3,), (2,))
-    D = Matrix([[1, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 1, 3, 0, 0],
-                [0, 0, 0, 1, 0], [0, 0, 0, 1, 2]])
+    D = sparse_rows([[1, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 1, 3, 0, 0],
+                     [0, 0, 0, 1, 0], [0, 0, 0, 1, 2]])
     A = semidirect_extension(ExtensionSpec(L, ("t",), {"t": D}))
     S = _labels(A, L.combined_basis)
     op = _restricted_operator(A, A.index("t"), Subspace(A, S))
@@ -241,7 +241,7 @@ def test_nil_dependent_torus():
     # t1 and t2 act by one diagonal map: each is non-nilpotent, t1 - t2 is zero
     L = member("L", (3,), (2,))
     weights = (1, 2, 3, 1, 2)
-    action = Matrix([[w if i == j else 0 for j in range(5)] for i, w in enumerate(weights)])
+    action = [[(i, w)] for i, w in enumerate(weights)]
     A = semidirect_extension(ExtensionSpec(L, ("t1", "t2"), {"t1": action, "t2": action}))
     check(A, _labels(A, L.combined_basis))
     verdict = nilradical_verdict(A, Subspace(A, _labels(A, L.combined_basis)))
@@ -253,8 +253,8 @@ def test_extension_of_a_rational_torus():
     # the 4.1 torus scaled by rationals: same verdict, denominators in the law
     spec = model_nilpotent_lie_torus_spec((2,), (2,))
     n = spec.nilradical.dim
-    actions = {t: Matrix([[v * Fraction(1, k + 2) for v in row]
-                          for row in spec.actions[t][0].entries])
+    actions = {t: [[(j, v * Fraction(1, k + 2)) for j, v in row]
+                   for row in spec.action_rows[t][0]]
                for k, t in enumerate(spec.torus_labels)}
     A = semidirect_extension(ExtensionSpec(spec.nilradical, spec.torus_labels, actions))
     assert A.integer_law[0] > 1 and n < A.dim

@@ -16,6 +16,7 @@ import shlex
 
 from superalg.cli import main
 from superalg.extension import filiform_lie_torus_spec
+from superalg.linalg import dense_rows
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
@@ -51,7 +52,9 @@ def _write_tour_inputs(directory):
     """actions.json: the left actions of SL^{3,2}'s torus on L^{3,2};
     map.json: each label of the extension to itself."""
     spec = filiform_lie_torus_spec(3, 2)
-    actions = {t: {"left": [[str(v) for v in row] for row in spec.actions[t][0].entries]}
+    n = spec.nilradical.dim
+    actions = {t: {"left": [[str(v) for v in row]
+                            for row in dense_rows(spec.action_rows[t][0], n)]}
                for t in spec.torus_labels}
     with open(os.path.join(directory, "actions.json"), "w") as fh:
         json.dump({"torus_labels": list(spec.torus_labels), "actions": actions}, fh)
