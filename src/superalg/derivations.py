@@ -88,18 +88,19 @@ def _unknown_positions(A, parity):
 def derivation_space(A, parity):
     """The superderivations of the given parity: a canonical basis, as a list.
 
-    One linear equation per basis triple (i, j, k): coordinate k of the
-    rule applied to the pair (e_i, e_j).  Each structure constant of
-    `A.integer_law` (the law times the lcm of its denominators, which
-    leaves the solutions unchanged) adds its integer terms to the
-    equations it occurs in, visiting only the unknowns in its matrix
-    column or row.  A lie-kind law with `A.skew_symmetric` makes the rule
-    on (e_j, e_i) the rule on (e_i, e_j) times -(-1)^(|i||j|), so only the
-    terms of the equations with i <= j are formed; the row space is the
-    same.  The sparse rows go, in no column order, straight to the kernel,
-    where a row implied by earlier ones costs only dot products; its
-    canonical basis, which does not depend on the order of the equations,
-    comes back as the sparse entries of each matrix.
+    One linear equation per basis triple (i, j, k), keyed by the int
+    (i*n + j)*n + k: coordinate k of the rule applied to (e_i, e_j).  Each
+    structure constant c of `A.integer_law` (the law times the lcm of its
+    denominators, which leaves the solutions unchanged) adds its integer
+    terms to the equations it occurs in, visiting only the unknowns in its
+    matrix column or row, with the signed multiples of c formed once.  A
+    lie-kind law with `A.skew_symmetric` makes the rule on (e_j, e_i) the
+    rule on (e_i, e_j) times -(-1)^(|i||j|), so only the terms of the
+    equations with i <= j are formed; the row space is the same.  The
+    sparse rows go, in no column order, straight to the kernel, where a row
+    implied by earlier ones costs only its dot products; its canonical
+    basis, which does not depend on the order of the equations, comes back
+    as the sparse entries of each matrix.
     """
     n = A.dim
     positions = _unknown_positions(A, parity)
@@ -118,15 +119,17 @@ def derivation_space(A, parity):
         second = in_row[b][bisect(in_row[b], (a if half else 0,)):]  # a <= x
         for k, c in cell.items():
             if a <= b or not half:
+                ab = (a * n + b) * n
                 for x, t in in_col[k]:
-                    row = eqs.setdefault((a, b, x), {})
+                    row = eqs.setdefault(ab + x, {})
                     row[t] = row.get(t, 0) + c
+            c1, c2 = -s1 * c, -s2 * c
             for x, t in first:
-                row = eqs.setdefault((x, b, k), {})
-                row[t] = row.get(t, 0) - s1 * c
+                row = eqs.setdefault((x * n + b) * n + k, {})
+                row[t] = row.get(t, 0) + c1
             for x, t in second:
-                row = eqs.setdefault((a, x, k), {})
-                row[t] = row.get(t, 0) - s2 * c
+                row = eqs.setdefault((a * n + x) * n + k, {})
+                row[t] = row.get(t, 0) + c2
 
     flat = [k * n + l for k, l in positions]
     return [SuperDerivation(parity, dim=n, entries=sorted((flat[t], v) for t, v in vec))

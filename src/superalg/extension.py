@@ -8,10 +8,9 @@ IdentityViolation carrying the offending triples.  The module also checks
 nil-independence of diagonal actions and verifies nilradical candidates.
 """
 
-from fractions import Fraction
 from math import lcm
 
-from .linalg import NotNilpotent, _jordan_blocks, _reduce, pivot_coefficients
+from .linalg import NotNilpotent, _frac, _jordan_blocks, _reduce, pivot_coefficients
 from .core import (EVEN, LIE, SuperAlgebra, _adjoin_torus, _integer_cells, _label_cells,
                    _products, validate)
 from .derivations import _check_parity_blocks, maximal_torus
@@ -252,15 +251,18 @@ def leibniz_torus_specs(family, even, odd):
     rights = [_diagonal_rows(dict(w), nil.dim) for w in maximal_torus(nil)]
     supports = [[nil.index(l) for l in c] for c in [["x1"]] + even_chains + odd_chains]
 
+    def exact(v):  # an int stays an int; Fraction and "p/q" go through _frac
+        return v if isinstance(v, int) else _frac(v)
+
     def spec(point):
         if family == "LP":
-            point = [1 - Fraction(v) for v in point]
+            point = [1 - exact(v) for v in point]
             point = point[:2], point[2:]
         b, bp = point
         if len(b) != len(even_chains) + 1 or len(bp) != len(odd_chains):
             raise ValueError("need %d even and %d odd parameters"
                              % (len(even_chains) + 1, len(odd_chains)))
-        lefts = [_diagonal_rows(dict.fromkeys(s, -Fraction(v)), nil.dim)
+        lefts = [_diagonal_rows(dict.fromkeys(s, -exact(v)), nil.dim)
                  for s, v in zip(supports, list(b) + list(bp))]
         return ExtensionSpec(nil, torus, dict(zip(torus, zip(lefts, rights))))
     return spec

@@ -198,10 +198,11 @@ def _kernel(rows, cols):
 
     The kernel tracks the solution space: one integer unit vector
     {column: 1} per unknown to begin with, and `at` lists the vectors
-    nonzero in each column.  A row, shortest first, is dotted with the
-    vectors it touches and skipped when all values vanish; otherwise the
-    sparsest vector v0 with a nonzero value s0 is dropped, and each other
-    touched vector v, of value s, becomes s0*v - s*v0 over its content.
+    nonzero in each column.  A row, shortest first, is dotted in one pass
+    over its pairs (c, a), acc[i] += a*v[c] for each i in at[c] (a sparse
+    accumulator; Gustavson 1978), and skipped when all values vanish;
+    otherwise the sparsest vector v0 with a nonzero value s0 is dropped, and
+    each other vector v in acc, of value s, becomes s0*v - s*v0 over its content.
     The vectors' RREF over reversed columns is the canonical basis, its
     pivots being the free columns of the rows' RREF (matroid duality;
     Oxley, Matroid Theory, 2011, section 2.1).
@@ -211,12 +212,11 @@ def _kernel(rows, cols):
     for row in sorted(rows, key=len):
         if not vecs:  # nullity 0: no row can change the answer
             break
-        dots = []
-        for i in set().union(*[at[c] for c, _ in row]):
-            v = vecs[i]
-            s = sum([a * v[c] for c, a in row if c in v])
-            if s:
-                dots.append((len(v), i, s))
+        acc = {}
+        for c, a in row:
+            for i in at[c]:
+                acc[i] = acc.get(i, 0) + a * vecs[i][c]
+        dots = [(len(vecs[i]), i, s) for i, s in acc.items() if s]
         if not dots:
             continue
         # a Fraction row gives Fraction values; scale them to integers

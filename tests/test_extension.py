@@ -52,6 +52,26 @@ def test_leibniz_parameter_sweep_filiform():
     assert nil_independence_check(leibniz_torus_specs("LP", (3,), (2,))((0, 1, 1)))
 
 
+def test_sweep_keeps_int_parameters_as_ints():
+    make = leibniz_torus_specs("LP", (3,), (2,))
+
+    def left_values(point):
+        spec = make(point)
+        return [v for t in spec.torus_labels for row in spec.action_rows[t][0] for _, v in row]
+
+    values = left_values((0, 3, -2))  # b - 1 on x1, on x2..x3 and on y1..y2
+    assert values == [-1, 2, 2, -3, -3] and {type(v) for v in values} == {int}
+    values = left_values((Fraction(1, 2), 1, 1))
+    assert values == [Fraction(-1, 2)] and type(values[0]) is Fraction
+    assert left_values(("1/2", 1, 1)) == values
+    np_rows = leibniz_torus_specs("NP", (2,), (2,))(((1, 0), (0,))).action_rows["t1"][0]
+    assert [type(v) for row in np_rows for _, v in row] == [int]
+    # the theorem's point extends to SLP^{3,2}, given as ints or as Fractions
+    ext = semidirect_extension(make((0, 1, 1)))
+    assert equal_laws(ext, filiform_leibniz(3, 2, solvable=True))
+    assert ext.integer_law == semidirect_extension(make(tuple(map(Fraction, (0, 1, 1))))).integer_law
+
+
 def test_leibniz_sweep_violating_triple():
     # with b1 = 1 the left t1 action vanishes while the right one survives,
     # which the product rule on (x2, t1, x1) detects

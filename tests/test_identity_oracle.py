@@ -12,7 +12,7 @@ from naive_identities import (dense_map, naive_derivation_basis,
                               naive_multiplication_matrix, naive_validate)
 from superalg.core import (EVEN, LEIBNIZ, LIE, ODD, Element, SuperAlgebra,
                            change_of_basis, equal_laws, multiplication_matrix, validate)
-from superalg.derivations import derivation_space
+from superalg.derivations import derivation_space, inner_space
 from superalg.families import member
 
 COEFFS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(3))
@@ -131,17 +131,23 @@ def _unitriangular_change(A, rng):
 def test_derivation_basis_of_dense_laws_matches_label_oracle():
     """Many more equations than unknowns, most of them redundant, with
     integer constants of both signs: the regime the kernel's row order is
-    chosen for."""
+    chosen for.  On the solvable members every derivation is inner (the
+    kernel's nullity is dim Inn); L and LP have outer ones as well."""
     rng = random.Random(1968)
-    for family in ("SL", "SLP"):
-        A = member(family, (4,), (3,))
+    for family, even, odd in (("SL", (4,), (3,)), ("SLP", (4,), (3,)), ("SN", (2, 2), (2,)),
+                              ("SNP", (2, 3), (2,)), ("L", (4,), (3,)), ("LP", (4,), (3,))):
+        A = member(family, even, odd)
         B = change_of_basis(A, _unitriangular_change(A, rng))
         nnz = [sum(map(len, X.integer_law[1].values())) for X in (A, B)]
         assert validate(B).ok and nnz[1] > 2 * nnz[0], (family, nnz)
+        outer = 0
         for parity in (EVEN, ODD):
-            got = [dense_map(D).rows for D in derivation_space(B, parity)]
+            der = derivation_space(B, parity)
+            got = [dense_map(D).rows for D in der]
             assert got == naive_derivation_basis(B, parity), (family, parity)
             assert len(got) == len(derivation_space(A, parity)), (family, parity)
+            outer += len(der) - len(inner_space(B, parity))
+        assert (outer > 0) == (family in ("L", "LP")), (family, outer)
 
 
 def _labelwise_equal(A, B):
