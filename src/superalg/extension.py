@@ -4,8 +4,10 @@ An ExtensionSpec holds the nilpotent algebra, the new torus labels, and one
 (left, right) action pair per torus label as sparse rows.  semidirect_extension
 assembles the extended bracket table from those rows and returns it only
 when the kind's defining identity holds; otherwise it raises
-IdentityViolation carrying the offending triples.  The module also checks
-nil-independence of diagonal actions and verifies nilradical candidates.
+IdentityViolation carrying the offending triples.  leibniz_torus_specs
+gives the candidate specs of the 5.1 and 6.1 sweeps, and nilradical_verdict
+checks a nilradical candidate; its condition (c) decides nil-independence
+of a diagonal torus.
 """
 
 from math import lcm
@@ -15,8 +17,7 @@ from .core import (EVEN, LIE, SuperAlgebra, _adjoin_torus, _integer_cells, _labe
                    _products, validate)
 from .derivations import _check_parity_blocks, maximal_torus
 from .invariants import product_space, whole_space
-from .families import (_chains, _diagonal_rows, _filiform, _lie_torus, _member_blocks,
-                       _torus_labels, member)
+from .families import _chains, _diagonal_rows, _filiform, _member_blocks, _torus_labels, member
 
 
 class IdentityViolation(Exception):
@@ -28,10 +29,6 @@ class IdentityViolation(Exception):
         super().__init__("extension violates the %s identity on %d triples, first %r"
                          % (report.kind, len(report.violations),
                             first.labels if first else None))
-
-
-class NonDiagonalAction(Exception):
-    """Nil-independence is only decided for diagonal actions."""
 
 
 class ExtensionSpec:
@@ -98,25 +95,6 @@ def semidirect_extension(spec):
     if not report.ok:
         raise IdentityViolation(report)
     return extended
-
-
-def nil_independence_check(spec):
-    """Whether the diagonal weight vectors of the actions are independent.
-
-    For diagonal maps a linear combination is nilpotent exactly when its
-    diagonal vanishes, so independence of the diagonals decides
-    nil-independence.  The torus acts as derivations through left
-    multiplication for the Lie kind and right multiplication for the
-    Leibniz kind; that map must be diagonal, else the check refuses.
-    """
-    weights = []
-    side = 0 if spec.nilradical.kind == LIE else 1
-    for t in spec.torus_labels:
-        diag = _diagonal(spec.action_rows[t][side])
-        if diag is None:
-            raise NonDiagonalAction("action of %r is not diagonal" % (t,))
-        weights.append(diag)
-    return len(_reduce(weights)[1]) == len(spec.torus_labels)
 
 
 def _diagonal(lines):
@@ -207,21 +185,6 @@ def nilradical_verdict(A, candidate):
         "verdict": verdict,
         "codimension": A.dim - candidate.dim,
     }
-
-
-def filiform_lie_torus_spec(n, m):
-    """The diagonal torus acting on L^{n,m} whose extension is SL^{n,m}."""
-    return ExtensionSpec(*_lie_torus("SL", (n,), (m,))[:3])
-
-
-def model_nilpotent_lie_torus_spec(even_blocks, odd_blocks):
-    """The diagonal torus on N(...) whose extension is SN(...).
-
-    t1 weighs each label by its number; every other torus label is the
-    identity on its chain.  The actions are combinations of the maximal
-    torus of N(...) (see families.z_basis_nilpotent_lie).
-    """
-    return ExtensionSpec(*_lie_torus("SN", even_blocks, odd_blocks)[:3])
 
 
 def leibniz_torus_specs(family, even, odd):

@@ -15,8 +15,9 @@ Filiform families take a pair (n, m) with n >= 3, m >= 2 and are the
 one-block members, L^{n,m} = N(n-1,1|m) and LP^{n,m} = NP(n-1,1|m), with
 tp1 and zp1 called t3 and z3.  member(family, even, odd) builds any of the
 eight families by name; member_dim gives its dimension without building it.
-The z-basis presentations adjoin the maximal torus of N, with the label map
-sending t's to combinations of z's, for replay through change_of_basis.
+The z-basis presentations of SL and SN extend N by its maximal torus, the
+z's, with the label map sending t's to combinations of z's, for replay
+through change_of_basis: the fixtures of theorems 3.1 and 4.1.
 """
 
 from .core import LIE, LEIBNIZ, Element, SuperAlgebra, _adjoin_torus
@@ -183,33 +184,25 @@ def model_nilpotent_leibniz(even_blocks, odd_blocks, solvable=False):
 
 
 def _lie_torus(family, even, odd):
-    """The nilradical of the SL or SN member with these sizes, its torus
-    labels with their diagonal actions as sparse rows, and the z-basis
-    presentation with its map (see z_basis_nilpotent_lie), from one
-    maximal_torus call: its basis is the z's, and each t their combination
-    in the map."""
+    """The nilradical N of the SL or SN member with these sizes, and its
+    z-basis presentation, the extension of N by T = maximal_torus(N) acting
+    on the left, with the map (see z_basis_nilpotent_lie): T's basis is
+    the z's, and the map sends each t to its combination of them."""
     even_blocks, odd_blocks = _member_blocks(family, even, odd)
     even_chains, odd_chains = _chains(even_blocks, odd_blocks)
     nil = member(family[1:], even, odd)
     ts, zs = (tuple(_torus_labels(p, even_chains, odd_chains)) for p in "tz")
     if family == "SL":
         ts, zs = _filiform(ts), _filiform(zs)
-    torus = maximal_torus(nil)
-    heads = [1] + [int(c[0][1:]) for c in even_chains + odd_chains]
-    t1 = {}
-    for h, w in zip(heads, torus):
-        for i, v in w:
-            t1[i] = t1.get(i, 0) + h * v
-    z_rows = [_diagonal_rows(dict(w), nil.dim) for w in torus]
-    t_rows = [_diagonal_rows(t1, nil.dim)] + z_rows[1:]
+    rows = [(_diagonal_rows(dict(w), nil.dim), None) for w in maximal_torus(nil)]
     zalg = SuperAlgebra.from_law(LIE, nil.even_basis + zs, nil.odd_basis,
-                                 _adjoin_torus(nil, [(r, None) for r in z_rows]),
-                                 name="S%s (z basis)" % nil.name)
+                                 _adjoin_torus(nil, rows), name="S%s (z basis)" % nil.name)
+    heads = [1] + [int(c[0][1:]) for c in even_chains + odd_chains]
     zmap = {l: Element.basis(l) for l in nil.even_basis}
     zmap[ts[0]] = Element(zip(zs, heads))
     zmap.update({t: Element.basis(z) for t, z in zip(ts[1:], zs[1:])})
     zmap.update({l: Element.basis(l) for l in nil.odd_basis})
-    return nil, ts, dict(zip(ts, t_rows)), zalg, zmap
+    return nil, zalg, zmap
 
 
 def z_basis_filiform_lie(n, m):
@@ -218,7 +211,7 @@ def z_basis_filiform_lie(n, m):
     Returns (algebra, map); pushing the algebra through change_of_basis
     with the map reproduces SL^{n,m} on the nose.
     """
-    return _lie_torus("SL", (n,), (m,))[3:]
+    return _lie_torus("SL", (n,), (m,))[1:]
 
 
 def z_basis_nilpotent_lie(even_blocks, odd_blocks):
@@ -232,4 +225,4 @@ def z_basis_nilpotent_lie(even_blocks, odd_blocks):
     t1 = z1 + 2 z2 + sum (N_j + 2) z_{j+2} + zp1 + sum (M_j + 1) zp_{j+1},
     and every other t to its z.
     """
-    return _lie_torus("SN", even_blocks, odd_blocks)[3:]
+    return _lie_torus("SN", even_blocks, odd_blocks)[1:]

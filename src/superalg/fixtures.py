@@ -1,9 +1,11 @@
 """Verification fixtures: the paper's theorems re-checked on one family member.
 
-Theorems 3.1 and 4.1 rebuild SL and SN as semidirect extensions of L and N
-by their maximal tori; 5.1 and 6.1 sweep the torus sign parameters of the
-Leibniz analogues SLP and SNP; 7.1 to 7.4 compute the superderivation
-spaces of the four solvable families and check that all of them are inner.
+Theorems 3.1 and 4.1 extend L and N by their maximal tori (computed by
+derivations.maximal_torus) and compare the result with SL and SN; 5.1 and
+6.1 sweep the torus sign parameters of SLP and SNP.  Each of the four checks
+torus rank = generator count of the nilradical = k + 1 + p, the paper's
+codimension.  7.1 to 7.4 compute the superderivation spaces of the four
+solvable families and check that all of them are inner.
 
 verify(theorem, even, odd) builds the instance, runs the checks and returns
 both.  Each check is a triple (name, ok, detail).
@@ -11,53 +13,54 @@ both.  Each check is a triple (name, ok, detail).
 
 import itertools
 
-from .core import change_of_basis, equal_laws
+from .core import change_of_basis, equal_laws, validate
 from .derivations import innerness_report
-from .extension import (ExtensionSpec, IdentityViolation, leibniz_torus_specs,
-                        nil_independence_check, nilradical_verdict, semidirect_extension)
+from .extension import (IdentityViolation, leibniz_torus_specs, nilradical_verdict,
+                        semidirect_extension)
 from .families import _lie_torus, _member_blocks, member
-from .invariants import span_of_labels
+from .invariants import generator_count, span_of_labels
+
+
+def _rank_check(nil, ext, codim):
+    """Whether dim T = dim ext - dim nil, nil's generator count and codim agree."""
+    rank, gens = ext.dim - nil.dim, generator_count(nil)
+    return ("torus rank = generator count = %d" % codim, rank == gens == codim,
+            "rank %d, %d generators" % (rank, gens))
 
 
 def _lie_construction(family, even, odd):
     solvable = member(family, even, odd)
-    # the spec and the z-basis presentation share one maximal torus of N
-    nil, torus, actions, zalg, zmap = _lie_torus(family, even, odd)
-    spec = ExtensionSpec(nil, torus, actions)
     even_blocks, odd_blocks = _member_blocks(family, even, odd)
     codim = len(even_blocks) + 1 + len(odd_blocks)
-    checks = []
-    try:
-        ext = semidirect_extension(spec)
-        checks.append(("extension satisfies the identities", True, ""))
-        checks.append(("extension matches the solvable law",
-                       equal_laws(ext, solvable), ""))
-    except IdentityViolation as exc:
-        checks.append(("extension satisfies the identities", False,
-                       "%d violations" % len(exc.report.violations)))
-    checks.append(("torus is nil-independent", nil_independence_check(spec), ""))
-    replay = change_of_basis(zalg, zmap)
-    checks.append(("z-basis replay matches the solvable law",
-                   equal_laws(replay, solvable), ""))
-    nil = span_of_labels(solvable, spec.nilradical.combined_basis)
-    verdict = nilradical_verdict(solvable, nil)
-    checks.append(("nilradical verdict", verdict["verdict"], ""))
-    checks.append(("nilradical codimension = %d" % codim,
-                   verdict["codimension"] == codim,
-                   "got %d" % verdict["codimension"]))
-    return solvable, checks
+    # N extended by its computed maximal torus, in the z basis
+    nil, ext, zmap = _lie_torus(family, even, odd)
+    report = validate(ext)
+    verdict = nilradical_verdict(solvable, span_of_labels(solvable, nil.combined_basis))
+    return solvable, [
+        ("extension satisfies the identities", report.ok,
+         "%d violations" % len(report.violations)),
+        ("extension matches the solvable law",
+         equal_laws(change_of_basis(ext, zmap), solvable), ""),
+        _rank_check(nil, ext, codim),
+        ("nilradical verdict", verdict["verdict"], ""),
+        ("nilradical codimension = %d" % codim, verdict["codimension"] == codim,
+         "got %d" % verdict["codimension"]),
+    ]
 
 
 def _leibniz_sweep(family, even, odd):
+    even_blocks, odd_blocks = _member_blocks(family, even, odd)
+    if 1 in even_blocks + odd_blocks:
+        raise ValueError("theorem 6.1 is checked on blocks of length >= 2, since "
+                         "a block of length 1 leaves its parameter free")
     solvable = member(family, even, odd)
     make = leibniz_torus_specs(family[1:], even, odd)
     if family == "SLP":
         points = list(itertools.product((0, 1), repeat=3))
         expected = (0, 1, 1)
     else:
-        k, p = len(even), len(odd)
-        points = [(b, bp)
-                  for b in itertools.product((0, 1), repeat=k + 1)
+        k, p = len(even_blocks), len(odd_blocks)
+        points = [(b, bp) for b in itertools.product((0, 1), repeat=k + 1)
                   for bp in itertools.product((0, 1), repeat=p)]
         expected = ((1,) + (0,) * k, (0,) * p)
     successes = set()
@@ -75,11 +78,11 @@ def _leibniz_sweep(family, even, odd):
                successes == {expected},
                "got {%s}" % ", ".join(map(str, sorted(successes))))]
     if witness is not None:
-        # the theorem's own point, whether or not others extend too
         spec, ext = witness
         checks.append(("surviving extension matches the solvable law",
                        equal_laws(ext, solvable), ""))
-        checks.append(("torus is nil-independent", nil_independence_check(spec), ""))
+        codim = len(even_blocks) + 1 + len(odd_blocks)
+        checks.append(_rank_check(spec.nilradical, ext, codim))
     return solvable, checks
 
 

@@ -3,16 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from superalg.core import Element, equal_laws, validate
-from superalg.extension import (ExtensionSpec, IdentityViolation,
-                                NonDiagonalAction, filiform_lie_torus_spec,
-                                leibniz_torus_specs, model_nilpotent_lie_torus_spec,
-                                nil_independence_check, nilradical_verdict,
-                                semidirect_extension)
+from superalg.core import Element, change_of_basis, equal_laws, validate
+from superalg.extension import (ExtensionSpec, IdentityViolation, leibniz_torus_specs,
+                                nilradical_verdict, semidirect_extension)
 from superalg.families import (filiform_leibniz, model_filiform_lie,
-                               model_nilpotent_leibniz, model_nilpotent_lie)
+                               model_nilpotent_leibniz, model_nilpotent_lie,
+                               z_basis_filiform_lie, z_basis_nilpotent_lie)
 from superalg.invariants import span_of_labels, whole_space
 from superalg.linalg import sparse_rows
+
+from naive_torus import lie_torus_spec
 
 
 def _diag(values):
@@ -24,17 +24,27 @@ def _transpose(dense):
     return [list(col) for col in zip(*dense)]
 
 
+def _nil_independent(ext, nil):
+    """Condition (c) of the verdict on nil in its extension: no nonzero
+    combination of the torus acts nilpotently."""
+    verdict = nilradical_verdict(ext, span_of_labels(ext, nil.combined_basis))
+    return verdict["complement_acts_nonnilpotently"]
+
+
 def test_extension_reproduces_solvable_lie_families():
-    for n, m in ((3, 2), (4, 3)):
-        spec = filiform_lie_torus_spec(n, m)
+    # the paper's torus, written out in naive_torus, extends to the solvable
+    # law of families.py and to the replay of the computed z-basis extension
+    cases = [("SL", (n,), (m,), model_filiform_lie(n, m, solvable=True),
+              z_basis_filiform_lie(n, m)) for n, m in ((3, 2), (4, 3))]
+    cases += [("SN", even, odd, model_nilpotent_lie(even, odd, solvable=True),
+               z_basis_nilpotent_lie(even, odd))
+              for even, odd in (((2,), (2,)), ((2, 2), (1, 2)))]
+    for family, even, odd, solvable, (zalg, zmap) in cases:
+        spec = lie_torus_spec(family, even, odd)
         ext = semidirect_extension(spec)
-        assert equal_laws(ext, model_filiform_lie(n, m, solvable=True))
-        assert nil_independence_check(spec)
-    for even, odd in (((2,), (2,)), ((2, 2), (1, 2))):
-        spec = model_nilpotent_lie_torus_spec(even, odd)
-        ext = semidirect_extension(spec)
-        assert equal_laws(ext, model_nilpotent_lie(even, odd, solvable=True))
-        assert nil_independence_check(spec)
+        assert equal_laws(ext, solvable)
+        assert equal_laws(ext, change_of_basis(zalg, zmap))
+        assert _nil_independent(ext, spec.nilradical)
 
 
 def test_leibniz_parameter_sweep_filiform():
@@ -49,7 +59,7 @@ def test_leibniz_parameter_sweep_filiform():
     assert survivors == {(0, 1, 1)}
     winner = semidirect_extension(leibniz_torus_specs("LP", (3,), (2,))((0, 1, 1)))
     assert equal_laws(winner, filiform_leibniz(3, 2, solvable=True))
-    assert nil_independence_check(leibniz_torus_specs("LP", (3,), (2,))((0, 1, 1)))
+    assert _nil_independent(winner, filiform_leibniz(3, 2))
 
 
 def test_sweep_keeps_int_parameters_as_ints():
@@ -144,9 +154,9 @@ def test_spec_actions_are_the_theorems_diagonals():
                       ((1, 3), (2, 1)), ((3, 1, 2), (1, 2, 3))):
         basis, torus, layout = _block_layout(even, odd)
         on_block = lambda t, v: [v if layout.get(l, (None,))[0] == t else 0 for l in basis]
-        # Lie: [t1, x_i] = i x_i, [t1, y_i] = i y_i; the other t are the
-        # identity on their block; the right action is minus the left one
-        spec = model_nilpotent_lie_torus_spec(even, odd)
+        # Lie (the oracle): [t1, x_i] = i x_i, [t1, y_i] = i y_i; the other
+        # t are the identity on their block; the right action is minus the left one
+        spec = lie_torus_spec("SN", even, odd)
         assert spec.nilradical.combined_basis == tuple(basis)
         assert spec.torus_labels == tuple(torus)
         for t in torus:
@@ -176,7 +186,7 @@ def test_spec_actions_are_the_theorems_diagonals():
     for n, m in ((3, 2), (5, 4)):
         basis = (["x%d" % i for i in range(1, n + 1)]
                  + ["y%d" % j for j in range(1, m + 1)])
-        spec = filiform_lie_torus_spec(n, m)
+        spec = lie_torus_spec("SL", (n,), (m,))
         assert spec.torus_labels == ("t1", "t2", "t3")
         assert [_diagonal_of(spec.action_rows[t][0]) for t in spec.torus_labels] == [
             [int(l[1:]) for l in basis],
@@ -223,7 +233,7 @@ def test_explicit_zero_keeps_an_action_diagonal():
     nil = model_filiform_lie(3, 2)
     left = [[(0, 1)], [(1, 2)], [(2, 3), (1, 0)], [(3, 1)], [(4, 2)]]
     spec = ExtensionSpec(nil, ["t"], {"t": left})
-    assert nil_independence_check(spec)
+    assert _nil_independent(semidirect_extension(spec), nil)
     assert spec.action_rows["t"] == (_diag([1, 2, 3, 1, 2]), _diag([-1, -2, -3, -1, -2]))
 
 
@@ -258,15 +268,12 @@ def test_action_rows_are_sorted_and_a_repeated_column_refused():
 
 
 def test_nil_independence_checks():
+    # t = 2 s, so t - 2 s acts as zero: the verdict's condition (c) fails
     nil = model_filiform_lie(3, 2)
-    d1 = _diag([1, 1, 1, 0, 0])
-    d2 = _diag([2, 2, 2, 0, 0])
-    spec = ExtensionSpec(nil, ["s", "t"], {"s": d1, "t": d2})
-    assert not nil_independence_check(spec)
-    offdiag = [[(0, 1), (1, 1)], [], [], [], []]
-    spec = ExtensionSpec(nil, ["s"], {"s": offdiag})
-    with pytest.raises(NonDiagonalAction):
-        nil_independence_check(spec)
+    d1 = _diag([1, 2, 3, 1, 2])
+    d2 = _diag([2, 4, 6, 2, 4])
+    ext = semidirect_extension(ExtensionSpec(nil, ["s", "t"], {"s": d1, "t": d2}))
+    assert not _nil_independent(ext, nil)
 
 
 def test_nilradical_verdict_positive():
@@ -307,7 +314,6 @@ def test_nilradical_verdict_rejects_nil_dependent_torus():
     action = _diag([1, 2, 3, 1, 2])
     spec = ExtensionSpec(nil, ["t1", "t2"], {"t1": action, "t2": action})
     ext = semidirect_extension(spec)
-    assert not nil_independence_check(spec)
     verdict = nilradical_verdict(ext, span_of_labels(ext, nil.combined_basis))
     assert verdict["complement_directions"] == {"t1": True, "t2": True}
     assert verdict["is_ideal"] and verdict["restriction_nilpotent"]
@@ -341,8 +347,7 @@ def test_extension_with_torus_brackets():
     # giving the torus a bracket with itself must still validate
     from superalg.core import Element
 
-    nil = model_filiform_lie(3, 2)
-    spec = filiform_lie_torus_spec(3, 2)
+    spec = lie_torus_spec("SL", (3,), (2,))
     spec.torus_brackets[("t2", "t3")] = Element()
     ext = semidirect_extension(spec)
     assert validate(ext).ok

@@ -495,6 +495,31 @@ def test_verify_fixture_exit_codes(monkeypatch, capsys):
     assert captured.out == "" and "exceeds" in captured.err
 
 
+def test_sweep_refuses_blocks_of_length_one(monkeypatch):
+    # SNP(1x15,1|1x15) has dimension 62 and 2^31 sweep points: refused
+    # before the first candidate extension is built
+    def fail(spec):
+        raise AssertionError("an extension was built")
+
+    monkeypatch.setattr(fixtures, "semidirect_extension", fail)
+    for even, odd in (((1,) * 15, (1,) * 15), ((1,), (2,)), ((2, 2), (1, 2))):
+        with pytest.raises(ValueError, match="a block of length 1 leaves its parameter free"):
+            fixtures.verify("6.1", even, odd)
+
+
+def test_torus_rank_check_can_fail(monkeypatch, capsys):
+    # a generator count one too large: only the rank check fails
+    count = fixtures.generator_count
+    monkeypatch.setattr(fixtures, "generator_count", lambda A: count(A) + 1)
+    for theorem in ("3.1", "4.1", "5.1", "6.1"):
+        _, checks = fixtures.verify(theorem, *fixtures.default_sizes(theorem))
+        assert {name: ok for name, ok, _ in checks if not ok} == {
+            "torus rank = generator count = 3": False}, theorem
+        assert main(["verify", "--theorem", theorem]) == 1
+        out = capsys.readouterr().out
+        assert "  torus rank = generator count = 3: FAIL (rank 3, 4 generators)\n" in out
+
+
 def test_dimension_cap(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SUPERALG_MAX_DIM", "5")
     assert main(["gen", "--family", "SL", "--even", "3", "--odd", "2"]) == 2
@@ -554,19 +579,6 @@ def test_element_expression_parser():
             parse_element_expression(A, bad)
 
 
-def test_leibniz_sweep_checks_the_theorems_point(capsys):
-    # on these members the sweep extends at more points than the theorem's;
-    # the law and nil-independence checks are still taken at the theorem's
-    # point ((1, 0, ...), (0, ...)), which extends to the member itself
-    for sizes in (["--even", "1", "--odd", "2"],
-                  ["--even", "2", "--even", "2", "--odd", "1", "--odd", "2"]):
-        assert main(["verify", "--theorem", "6.1", "--format", "json"] + sizes) == 1
-        checks = {c["name"]: c["ok"] for c in json.loads(capsys.readouterr().out)["checks"]}
-        assert checks == {"sweep succeeds exactly on the expected parameters": False,
-                          "surviving extension matches the solvable law": True,
-                          "torus is nil-independent": True}, sizes
-
-
 # argv (with file placeholders), environment, and the one line on stderr
 ERROR_LINES = [
     (["gen", "--family", "L", "--even", "3", "--odd", "2"], {"SUPERALG_MAX_DIM": "abc"},
@@ -586,6 +598,9 @@ ERROR_LINES = [
     (["iso", "{l}", "{l}", "{singular}"], {}, "the change-of-basis map is singular"),
     (["charseq", "{l}", "--candidate", "\u0663 x2"], {},
      "cannot parse element expression '\u0663 x2' at offset 0"),
+    (["verify", "--theorem", "6.1", "--even", "2", "--even", "2", "--odd", "1", "--odd", "2"],
+     {}, "theorem 6.1 is checked on blocks of length >= 2, since a block of length 1 leaves "
+     "its parameter free"),
 ]
 
 

@@ -78,7 +78,7 @@ def test_every_command_emits_the_standard_bytes(tmp_path, monkeypatch, capsys):
             ["inner", sl], ["inner", l], ["extend", l, str(actions)],
             ["extend", l, str(actions), "-o", str(tmp_path / "ext.json")],
             ["iso", sl, sl, str(ident)], ["verify", "--theorem", "3.1"],
-            ["verify", "--theorem", "6.1", "--even", "1", "--odd", "1"],
+            ["verify", "--theorem", "6.1"],
             ["gen", "--family", "SNP", "--even", "2", "--odd", "2"]]
     runs += [["series", l, "--which", w] for w in ("lcs", "derived", "graded-even",
                                                   "graded-odd")]

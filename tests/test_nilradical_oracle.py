@@ -20,10 +20,10 @@ from fractions import Fraction
 import pytest
 
 from naive_gauss import naive_inverse, naive_rank, naive_rref, naive_solve
+from naive_torus import lie_torus_spec
 from superalg.core import LIE, Element, change_of_basis
 from superalg.extension import (ExtensionSpec, _diagonal, _restricted_operator,
-                                model_nilpotent_lie_torus_spec, nilradical_verdict,
-                                semidirect_extension)
+                                nilradical_verdict, semidirect_extension)
 from superalg.families import member
 from superalg.invariants import Subspace
 from superalg.linalg import NotNilpotent, _jordan_blocks, sparse_rows
@@ -251,7 +251,7 @@ def test_nil_dependent_torus():
 
 def test_extension_of_a_rational_torus():
     # the 4.1 torus scaled by rationals: same verdict, denominators in the law
-    spec = model_nilpotent_lie_torus_spec((2,), (2,))
+    spec = lie_torus_spec("SN", (2,), (2,))
     n = spec.nilradical.dim
     actions = {t: [[(j, v * Fraction(1, k + 2)) for j, v in row]
                    for row in spec.action_rows[t][0]]

@@ -15,8 +15,9 @@ import re
 import shlex
 
 from superalg.cli import main
-from superalg.extension import filiform_lie_torus_spec
 from superalg.linalg import dense_rows
+
+from naive_torus import lie_torus_spec
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
@@ -51,7 +52,7 @@ def _tour():
 def _write_tour_inputs(directory):
     """actions.json: the left actions of SL^{3,2}'s torus on L^{3,2};
     map.json: each label of the extension to itself."""
-    spec = filiform_lie_torus_spec(3, 2)
+    spec = lie_torus_spec("SL", (3,), (2,))
     n = spec.nilradical.dim
     actions = {t: {"left": [[str(v) for v in row]
                             for row in dense_rows(spec.action_rows[t][0], n)]}
