@@ -78,11 +78,11 @@ def _unknown_positions(A, parity):
     """Matrix positions (target row, source column) an unknown may occupy.
 
     Those with par[row] == par[col] ^ parity: the even-source block first,
-    then the odd-source block, each row-major.
-    """
-    n, par = A.dim, A.parities
-    return [(k, l) for source in (EVEN, ODD) for k in range(n) for l in range(n)
-            if par[l] == source and par[k] == source ^ parity]
+    then the odd-source block, each row-major, built from the two parities'
+    index lists without forming an inadmissible pair."""
+    block = [[i for i, p in enumerate(A.parities) if p == q] for q in (EVEN, ODD)]
+    return [(k, l) for source in (EVEN, ODD)
+            for k in block[source ^ parity] for l in block[source]]
 
 
 def derivation_space(A, parity):

@@ -246,8 +246,8 @@ def characteristic_sequence(A, candidates=None):
 
 
 def generator_count(A):
-    """dim(A) - dim([A, A]) for a nilpotent algebra."""
-    if series(A, DESCENDING_CENTRAL)[-1].dim:
+    """dim(A) - dim([A, A]) for a nilpotent A; [A, A] is lcs term 1 (term 0 if A = 0)."""
+    lcs = series(A, DESCENDING_CENTRAL)
+    if lcs[-1].dim:
         raise NotNilpotent("generator count of a non-nilpotent algebra")
-    whole = whole_space(A)
-    return A.dim - product_space(A, whole, whole).dim
+    return A.dim - lcs[min(1, len(lcs) - 1)].dim

@@ -93,7 +93,10 @@ def _reduce(rows):
     """
     pivot_rows = {}
     for row in sorted(rows, key=len):
-        r = {j: v for j, v in row if v}
+        r = {}
+        for j, v in row:
+            if v:
+                r[j] = v
         if Fraction in map(type, r.values()):
             r = dict(_integer_row(r.items()))
         todo = [j for j in r if j in pivot_rows]
@@ -196,38 +199,55 @@ def _kernel(rows, cols):
     vector is 1 at one free column and 0 at the others; the vectors come in
     free-column order, each a list of its nonzero pairs, free column first.
 
-    The kernel tracks the solution space: one integer unit vector
-    {column: 1} per unknown to begin with, and `at` lists the vectors
-    nonzero in each column.  A row, shortest first, is dotted in one pass
-    over its pairs (c, a), acc[i] += a*v[c] for each i in at[c] (a sparse
+    The kernel tracks the solution space.  A pre-pass reads the rows of one
+    pair, as shortest-first order would while every vector is a unit vector:
+    a nonzero value kills its column, a zero one says nothing (singleton
+    rows; Andersen and Andersen 1995).  Each live column then has an integer
+    unit vector {column: 1}, and `at` lists the vectors nonzero in each
+    column.  Each longer row, shortest first, is dotted in one pass over its
+    pairs (c, a), acc[i] += a*v[c] for each i in at[c] (a sparse
     accumulator; Gustavson 1978), and skipped when all values vanish;
-    otherwise the sparsest vector v0 with a nonzero value s0 is dropped, and
-    each other vector v in acc, of value s, becomes s0*v - s*v0 over its content.
+    otherwise the walk over acc picks the sparsest vector v0 with a nonzero
+    value s0, the lower index on a tie, and drops it.  The values, Fractions
+    from a Fraction row, are scaled to integers only then, and each other
+    vector v in acc, of value s, becomes s0*v - s*v0 over its content.
     The vectors' RREF over reversed columns is the canonical basis, its
     pivots being the free columns of the rows' RREF (matroid duality;
     Oxley, Matroid Theory, 2011, section 2.1).
     """
-    vecs = {f: {f: 1} for f in range(cols)}
-    at = [{f} for f in range(cols)]
-    for row in sorted(rows, key=len):
+    dead, longer = set(), []
+    for row in rows:
+        if len(row) == 1:
+            (c, a), = row
+            if a:
+                dead.add(c)
+        else:
+            longer.append(row)
+    vecs = {f: {f: 1} for f in range(cols) if f not in dead}
+    at = [{f} if f in vecs else set() for f in range(cols)]
+    for row in sorted(longer, key=len):
         if not vecs:  # nullity 0: no row can change the answer
             break
         acc = {}
         for c, a in row:
             for i in at[c]:
                 acc[i] = acc.get(i, 0) + a * vecs[i][c]
-        dots = [(len(vecs[i]), i, s) for i, s in acc.items() if s]
-        if not dots:
+        i0, n0 = -1, cols + 1
+        for i, s in acc.items():
+            if s:
+                n = len(vecs[i])
+                if n < n0 or n == n0 and i < i0:
+                    i0, n0 = i, n
+        if i0 < 0:
             continue
-        # a Fraction row gives Fraction values; scale them to integers
-        d = lcm(*[s.denominator for _, _, s in dots])
-        dots = [(n, i, s.numerator * (d // s.denominator)) for n, i, s in dots]
-        _, i0, s0 = min(dots)
+        if Fraction in map(type, acc.values()):
+            acc = dict(_integer_row(acc.items()))
+        s0 = acc[i0]
         v0 = vecs.pop(i0)
         for c in v0:
             at[c].discard(i0)
-        for _, i, s in dots:
-            if i != i0:
+        for i, s in acc.items():
+            if s and i != i0:
                 v = vecs[i]
                 _eliminate(v, v0.items(), s0, s)
                 _divide_content(v)

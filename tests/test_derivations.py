@@ -1,13 +1,14 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from superalg.core import (EVEN, LIE, ODD, Element, SuperAlgebra,
                            change_of_basis)
-from superalg.derivations import (SuperDerivation, derivation_space,
+from superalg.derivations import (SuperDerivation, _unknown_positions, derivation_space,
                                   inner_space, innerness_report)
 from superalg.families import (filiform_leibniz, model_filiform_lie,
-                               model_nilpotent_leibniz)
+                               model_nilpotent_leibniz, model_nilpotent_lie)
 
 from naive_identities import DenseMap, dense_map, is_superderivation, super_commutator
 
@@ -172,3 +173,23 @@ def test_empty_system_leaves_every_unknown_free():
         space = derivation_space(flat, parity)
         assert len(space) == 2
         assert all(is_superderivation(flat, dense_map(D))[0] for D in space)
+
+
+def test_unknown_positions_walk_only_the_admissible_blocks():
+    """The positions come block by block in the order of the filtered
+    comprehension over all (target, source) pairs: source parity, then
+    target row, then source column; also when the parities interleave."""
+    algebras = [SuperAlgebra(LIE, ["a", "b", "c"], [], {}),
+                SuperAlgebra(LIE, [], ["p", "q"], {}),
+                model_filiform_lie(3, 2, solvable=True), filiform_leibniz(5, 4),
+                model_nilpotent_lie((2, 3), (2,)), model_nilpotent_leibniz((2, 2), (3,)),
+                SimpleNamespace(dim=6, parities=(ODD, EVEN, EVEN, ODD, EVEN, ODD))]
+    sizes = set()
+    for A in algebras:
+        n, par = A.dim, A.parities
+        for parity in (EVEN, ODD):
+            filtered = [(k, l) for source in (EVEN, ODD) for k in range(n) for l in range(n)
+                        if par[l] == source and par[k] == source ^ parity]
+            assert _unknown_positions(A, parity) == filtered, (par, parity)
+            sizes.add(len(filtered))
+    assert 0 in sizes and 9 in sizes and 4 in sizes

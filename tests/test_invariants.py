@@ -136,3 +136,22 @@ def test_generator_count():
     assert generator_count(model_nilpotent_leibniz((2, 2), (1, 2))) == 5
     with pytest.raises(NotNilpotent):
         generator_count(model_filiform_lie(3, 2, solvable=True))
+
+
+def test_generator_count_reads_the_derived_algebra_off_the_series():
+    """[A, A] is the lower central series' term 1 (term 0 on a dim-0
+    algebra, whose series has one term): the count agrees with forming
+    [A, A] on its own, and a non-nilpotent law still raises."""
+    zero = SuperAlgebra(LIE, [], [], {})
+    abelian = SuperAlgebra(LIE, ["a", "b"], ["c"], {})
+    assert len(series(zero, DESCENDING_CENTRAL)) == 1
+    assert generator_count(zero) == 0 and generator_count(abelian) == 3
+    for A in (zero, abelian, model_filiform_lie(3, 2), model_filiform_lie(7, 6),
+              filiform_leibniz(5, 4), model_nilpotent_lie((2, 3), (2, 2)),
+              model_nilpotent_lie((3, 3, 2), (2,)), model_nilpotent_leibniz((2, 3), (3,))):
+        whole = whole_space(A)
+        assert generator_count(A) == A.dim - product_space(A, whole, whole).dim, A.name
+    for A in (model_filiform_lie(4, 3, solvable=True), filiform_leibniz(4, 3, solvable=True),
+              model_nilpotent_lie((2, 2), (2,), solvable=True)):
+        with pytest.raises(NotNilpotent):
+            generator_count(A)

@@ -1,15 +1,20 @@
+import importlib
+import os
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+import superalg
+from superalg.derivations import derivation_space
 from superalg.linalg import (ZERO, Matrix, NotNilpotent, _kernel, _monic, _reduce,
                              dense_rows, invert, nilpotent_jordan_blocks, nullspace, rank,
                              row_space_basis, span_contains)
 
 from naive_gauss import (naive_inverse, naive_nullspace, naive_rank, naive_rref,
                          naive_solve)
+from naive_identities import dense_map, naive_derivation_basis
 
 
 def F(v):
@@ -559,3 +564,60 @@ def test_kernel_reads_no_row_after_nullity_zero():
     rows = [[(0, 1)], [(1, 2), (0, 1)], [(0, 1), (1, 1), (5, "not read")]]
     assert _kernel(rows, 2) == []
     assert _kernel(rows[:1], 2) == [[(1, 1)]]
+
+
+# ---- the one-pair pre-pass ------------------------------------------------
+
+def _dense(rows, cols):
+    out = [[0] * cols for _ in rows]
+    for row, vec in zip(rows, out):
+        for c, v in row:
+            vec[c] = v
+    return out
+
+
+def test_kernel_one_pair_row_of_zero_leaves_its_column_free():
+    longer = [[(0, 1), (1, -1)], [(1, 2), (2, 1), (3, -2)]]
+    for zero in (0, Fraction(0)):
+        assert _kernel([[(1, zero)]], 3) == [[(0, 1)], [(1, 1)], [(2, 1)]]
+        rows = [[(3, zero)]] + longer + [[(1, zero)]]
+        ker = _kernel(rows, 4)
+        assert list(dense_rows(ker, 4)) == naive_nullspace(_dense(rows, 4), 4), zero
+        assert ker == _kernel(longer, 4) and any(3 in dict(vec) for vec in ker), zero
+
+
+def test_kernel_one_pair_row_kills_its_column_wherever_it_comes():
+    """Last in the input, as a dict's items or with a Fraction value, a row
+    of one nonzero pair still removes its column from every kernel vector."""
+    longer = [[(0, 1), (1, 1), (2, 1)], [(1, 2), (2, -1), (3, 1)], [(3, 1), (4, -1)]]
+    free = _kernel(longer, 5)
+    assert any(2 in dict(vec) for vec in free)
+    for single in ([(2, 5)], {2: -1}.items(), [(2, Fraction(-3, 7))]):
+        rows = longer + [single]
+        ker = _kernel(rows, 5)
+        assert all(2 not in dict(vec) for vec in ker), single
+        assert list(dense_rows(ker, 5)) == naive_nullspace(_dense(rows, 5), 5), single
+        assert ker == _kernel([single] + longer, 5), single
+
+
+def test_kernel_one_pair_rows_alone_reach_nullity_zero():
+    # the longest row comes first and is not even a valid row of two unknowns:
+    # the one-pair rows after it kill both columns, so it must not be read
+    rows = [[(0, 1), (1, 1), (5, "not read")], [(1, Fraction(1, 2))], {0: -3}.items()]
+    assert _kernel(rows, 2) == []
+    assert _kernel(rows[1:2], 2) == [[(0, 1)]]
+
+
+def test_derivation_space_of_the_sparse_benchmark_members_matches_oracle(monkeypatch):
+    """Most rows of a sparse derivation system hold one pair: on each
+    derive_sparse member of seed 1, both parities, the basis is the dense
+    oracle's, entry by entry."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench"))
+    rungs = importlib.import_module("workloads").Plan("derive_sparse", 1).rungs
+    assert len(rungs) == 5
+    for rung in rungs:
+        A = rung.build(superalg)
+        for parity in (0, 1):
+            got = [dense_map(D).rows for D in derivation_space(A, parity)]
+            assert got == naive_derivation_basis(A, parity), (rung.tag, parity)
