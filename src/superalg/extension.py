@@ -5,14 +5,15 @@ An ExtensionSpec holds the nilpotent algebra, the new torus labels, and one
 assembles the extended bracket table from those rows and returns it only
 when the kind's defining identity holds; otherwise it raises
 IdentityViolation carrying the offending triples.  leibniz_torus_specs
-gives the candidate specs of the 5.1 and 6.1 sweeps, and nilradical_verdict
-checks a nilradical candidate; its condition (c) decides nil-independence
-of a diagonal torus.
+gives the candidate specs of theorems 5.1 and 6.1, affine in their
+parameters, and _parameter_solutions solves for the parameters with one
+kernel call; nilradical_verdict checks a nilradical candidate, and its
+condition (c) decides nil-independence of a diagonal torus.
 """
 
 from math import lcm
 
-from .linalg import NotNilpotent, _frac, _jordan_blocks, _reduce, pivot_coefficients
+from .linalg import NotNilpotent, _frac, _jordan_blocks, _kernel, _reduce, pivot_coefficients
 from .core import (EVEN, LIE, SuperAlgebra, _adjoin_torus, _integer_cells, _label_cells,
                    _products, validate)
 from .derivations import _check_parity_blocks, maximal_torus
@@ -188,23 +189,18 @@ def nilradical_verdict(A, candidate):
 
 
 def leibniz_torus_specs(family, even, odd):
-    """Sign point -> candidate torus spec on the LP or NP member at these
-    sizes; the nilradical and the right actions are built once, so a sweep
-    builds only the left actions of each point.
+    """Parameter point -> candidate torus spec on the LP or NP member at
+    these sizes; the nilradical and the right actions are built once.
 
-    The right actions are the maximal torus of the nilradical, which is
-    the solvable family's: t1 weighs x1 by 1 and each chain label by its
-    place in the chain, counted from 0, and every other torus label is the
-    identity on its chain.  On NP(...) the point is (b, bp), b with one
-    entry per torus label t1..t_{k+1} and bp one per tp1..tp_p; the left
-    actions are -b1 on x1 for t1, -b_{j+2} on even block j+1 for t_{j+2},
-    and -bp_j on odd block j for tp_j.  The extension validates exactly at
-    b1 = 1 with all other parameters 0 (when every block is long enough to
-    force its parameter), which reproduces SNP(...).  On LP^{n,m} the point
-    is (b1, b2, b3), and the left actions carry the undetermined
-    coefficients (b1 - 1) on x1, (b2 - 1) on x2..xn and (b3 - 1) on the odd
-    part, which is the NP spec at 1 - b.  The extension validates only at
-    (0, 1, 1), which reproduces SLP^{n,m}.
+    The right actions are the nilradical's maximal torus, the solvable
+    family's: t1 weighs x1 by 1 and each chain label by its place in the
+    chain from 0, and each other torus label is the identity on its chain.
+    On NP(...) the point is (b, bp), one entry per t1..t_{k+1} and one per
+    tp1..tp_p; the left actions are -b1 on x1 for t1, -b_{j+2} on even
+    block j+1 and -bp_j on odd block j, and SNP(...) is b1 = 1, all else 0.
+    On LP^{n,m} the point (b1, b2, b3) is the NP one at 1 - b: the left
+    actions are (b1 - 1) on x1, (b2 - 1) on x2..xn and (b3 - 1) on the odd
+    part, and SLP^{n,m} is (0, 1, 1).
     """
     even_chains, odd_chains = _chains(*_member_blocks(family, even, odd))
     nil = member(family, even, odd)
@@ -229,3 +225,66 @@ def leibniz_torus_specs(family, even, odd):
                  for s, v in zip(supports, list(b) + list(bp))]
         return ExtensionSpec(nil, torus, dict(zip(torus, zip(lefts, rights))))
     return spec
+
+
+def _linear_residuals(nil, left, right, res, f=1):
+    """Add f*d times the Leibniz residuals of (t, e_q, e_r), keyed (0, q,
+    r, k) at e_k, and of (e_q, t, e_r), keyed (1, q, r, k), to res, for an
+    even label t acting on nil by the sparse rows (left, right), d from
+    nil's integer law.  These triples are linear in t's action pair, and
+    each of their terms holds one law cell."""
+    cols = [[[] for _ in range(nil.dim)] for _ in "lr"]
+    for side, rows in zip(cols, (left, right)):
+        for i, row in enumerate(rows):
+            for j, v in row:
+                side[j].append((i, v))
+    par = nil.parities
+
+    def add(key, v):
+        res[key] = res.get(key, 0) + f * v
+
+    for (i, j), cell in nil.integer_law[1].items():
+        for m, c in cell.items():
+            for side, col in enumerate(cols):  # [t, [e_i, e_j]] and [[e_i, e_j], t]
+                for k, v in col[m]:
+                    add((side, i, j, k), c * v)
+            for w, v in left[i]:  # -[[t, e_w], e_j], and +-[[t, e_w], e_j] at (t, e_j, e_w)
+                add((0, w, j, m), -v * c)
+                add((0, j, w, m), -v * c if par[j] and par[w] else v * c)
+            for w, v in left[j]:  # [e_i, [t, e_w]]
+                add((1, i, w, m), v * c)
+            for w, v in right[i]:  # -[[e_w, t], e_j]
+                add((1, w, j, m), -v * c)
+
+
+def _parameter_solutions(make, r):
+    """The solutions b in Q^r of the triples (t, e_q, e_r) and (e_q, t, e_r)
+    of the Leibniz identity, t a torus label, for specs make(b) affine in
+    b: None, or (b*, directions), b* the solution with its free parameters
+    at 0, integral values as ints.  Per label, the residual of the change
+    of its rows from 0 to e_c is the coefficient of b_c, and the residual
+    at 0 the constant, in column r; one _kernel call solves these rows, and
+    column r is free exactly when a solution exists.  The triples with two
+    torus labels in front, quadratic in b, are left to a validation at b*.
+    """
+    specs = [make([int(a == c) for a in range(r)]) for c in range(r + 1)]
+    nil, eqs = specs[r].nilradical, {}
+    for t in specs[r].torus_labels:
+        pair0 = specs[r].action_rows[t]
+        for c, spec in enumerate(specs):
+            pair = spec.action_rows[t]
+            if c < r and pair == pair0:
+                continue
+            res = {}
+            _linear_residuals(nil, *pair, res)
+            if c < r:  # the change from 0
+                _linear_residuals(nil, *pair0, res, -1)
+            for key, v in res.items():
+                if v:
+                    eqs.setdefault((t,) + key, {})[c] = v
+    kernel = _kernel([eq.items() for eq in eqs.values()], r + 1)
+    if not kernel or kernel[-1][0][0] != r:
+        return None
+    vecs = [[x.numerator if x.denominator == 1 else x for x in map(v.get, range(r), [0] * r)]
+            for v in map(dict, kernel)]
+    return vecs[-1], vecs[:-1]

@@ -2,21 +2,21 @@
 
 Theorems 3.1 and 4.1 extend L and N by their maximal tori (computed by
 derivations.maximal_torus) and compare the result with SL and SN; 5.1 and
-6.1 sweep the torus sign parameters of SLP and SNP.  Each of the four checks
-torus rank = generator count of the nilradical = k + 1 + p, the paper's
-codimension.  7.1 to 7.4 compute the superderivation spaces of the four
-solvable families and check that all of them are inner.
+6.1 solve for the left-action parameters of SLP and SNP exactly
+(extension._parameter_solutions) and validate the extension at the
+solution.  Each of the four checks torus rank = generator count of the
+nilradical = k + 1 + p, the paper's codimension.  7.1 to 7.4 compute the
+superderivation spaces of the four solvable families and check that all
+of them are inner.
 
 verify(theorem, even, odd) builds the instance, runs the checks and returns
 both.  Each check is a triple (name, ok, detail).
 """
 
-import itertools
-
 from .core import change_of_basis, equal_laws, validate
 from .derivations import innerness_report
-from .extension import (IdentityViolation, leibniz_torus_specs, nilradical_verdict,
-                        semidirect_extension)
+from .extension import (IdentityViolation, _parameter_solutions, leibniz_torus_specs,
+                        nilradical_verdict, semidirect_extension)
 from .families import _lie_torus, _member_blocks, member
 from .invariants import generator_count, span_of_labels
 
@@ -48,41 +48,34 @@ def _lie_construction(family, even, odd):
     ]
 
 
-def _leibniz_sweep(family, even, odd):
+def _leibniz_solve(family, even, odd):
     even_blocks, odd_blocks = _member_blocks(family, even, odd)
     if 1 in even_blocks + odd_blocks:
         raise ValueError("theorem 6.1 is checked on blocks of length >= 2, since "
                          "a block of length 1 leaves its parameter free")
     solvable = member(family, even, odd)
     make = leibniz_torus_specs(family[1:], even, odd)
-    if family == "SLP":
-        points = list(itertools.product((0, 1), repeat=3))
-        expected = (0, 1, 1)
-    else:
-        k, p = len(even_blocks), len(odd_blocks)
-        points = [(b, bp) for b in itertools.product((0, 1), repeat=k + 1)
-                  for bp in itertools.product((0, 1), repeat=p)]
-        expected = ((1,) + (0,) * k, (0,) * p)
-    successes = set()
-    witness = None
-    for pt in points:
-        spec = make(pt)
+    k, r = len(even_blocks) + 1, len(even_blocks) + 1 + len(odd_blocks)
+    # a flat parameter list as the spec source's point
+    point = tuple if family == "SLP" else lambda b: (tuple(b[:k]), tuple(b[k:]))
+    expected = (0, 1, 1) if family == "SLP" else point([1] + [0] * (r - 1))
+    solution = _parameter_solutions(lambda b: make(point(b)), r)
+    b, free = (point(solution[0]), solution[1]) if solution else (None, ())
+    got, ext = "", None
+    if free:  # the solutions of the linear triples
+        got = "%s + span(%s)" % (b, ", ".join(str(point(v)) for v in free))
+    elif solution:
+        spec = make(b)
         try:
             ext = semidirect_extension(spec)
+            got = str(b)
         except IdentityViolation:
-            continue
-        successes.add(pt)
-        if pt == expected:
-            witness = (spec, ext)
-    checks = [("sweep succeeds exactly on the expected parameters",
-               successes == {expected},
-               "got {%s}" % ", ".join(map(str, sorted(successes))))]
-    if witness is not None:
-        spec, ext = witness
-        checks.append(("surviving extension matches the solvable law",
-                       equal_laws(ext, solvable), ""))
-        codim = len(even_blocks) + 1 + len(odd_blocks)
-        checks.append(_rank_check(spec.nilradical, ext, codim))
+            pass
+    ok = ext is not None and b == expected
+    checks = [("sweep succeeds exactly on the expected parameters", ok, "got {%s}" % got)]
+    if ok:
+        checks += [("surviving extension matches the solvable law", equal_laws(ext, solvable), ""),
+                   _rank_check(spec.nilradical, ext, r)]
     return solvable, checks
 
 
@@ -110,8 +103,8 @@ def _derivations(family, even, odd):
 THEOREMS = {
     "3.1": (_lie_construction, "SL"),
     "4.1": (_lie_construction, "SN"),
-    "5.1": (_leibniz_sweep, "SLP"),
-    "6.1": (_leibniz_sweep, "SNP"),
+    "5.1": (_leibniz_solve, "SLP"),
+    "6.1": (_leibniz_solve, "SNP"),
     "7.1": (_derivations, "SL"),
     "7.2": (_derivations, "SN"),
     "7.3": (_derivations, "SLP"),

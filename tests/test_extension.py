@@ -1,10 +1,14 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from superalg.core import Element, change_of_basis, equal_laws, validate
-from superalg.extension import (ExtensionSpec, IdentityViolation, leibniz_torus_specs,
+from superalg import fixtures
+from superalg.core import (LEIBNIZ, Element, SuperAlgebra, change_of_basis, equal_laws,
+                           validate)
+from superalg.extension import (ExtensionSpec, IdentityViolation, _linear_residuals,
+                                _parameter_solutions, leibniz_torus_specs,
                                 nilradical_verdict, semidirect_extension)
 from superalg.families import (filiform_leibniz, model_filiform_lie,
                                model_nilpotent_leibniz, model_nilpotent_lie,
@@ -12,6 +16,8 @@ from superalg.families import (filiform_leibniz, model_filiform_lie,
 from superalg.invariants import span_of_labels, whole_space
 from superalg.linalg import sparse_rows
 
+from naive_identities import naive_validate
+from naive_sweep import point_form, sweep
 from naive_torus import lie_torus_spec
 
 
@@ -48,15 +54,7 @@ def test_extension_reproduces_solvable_lie_families():
 
 
 def test_leibniz_parameter_sweep_filiform():
-    survivors = set()
-    for b in itertools.product((0, 1), repeat=3):
-        spec = leibniz_torus_specs("LP", (3,), (2,))(b)
-        try:
-            ext = semidirect_extension(spec)
-            survivors.add(b)
-        except IdentityViolation:
-            continue
-    assert survivors == {(0, 1, 1)}
+    assert sweep("LP", (3,), (2,)) == {(0, 1, 1)}
     winner = semidirect_extension(leibniz_torus_specs("LP", (3,), (2,))((0, 1, 1)))
     assert equal_laws(winner, filiform_leibniz(3, 2, solvable=True))
     assert _nil_independent(winner, filiform_leibniz(3, 2))
@@ -95,16 +93,7 @@ def test_leibniz_sweep_violating_triple():
 
 
 def test_leibniz_parameter_sweep_blocks():
-    survivors = set()
-    for b in itertools.product((0, 1), repeat=2):
-        for bp in itertools.product((0, 1), repeat=1):
-            spec = leibniz_torus_specs("NP", (2,), (2,))((b, bp))
-            try:
-                semidirect_extension(spec)
-                survivors.add((b, bp))
-            except IdentityViolation:
-                continue
-    assert survivors == {((1, 0), (0,))}
+    assert sweep("NP", (2,), (2,)) == {((1, 0), (0,))}
     winner = semidirect_extension(
         leibniz_torus_specs("NP", (2,), (2,))(((1, 0), (0,))))
     assert equal_laws(winner, model_nilpotent_leibniz((2,), (2,),
@@ -113,17 +102,81 @@ def test_leibniz_parameter_sweep_blocks():
 
 def test_size_one_odd_block_leaves_its_parameter_free():
     # an odd block with a single element has no chain forcing its sign
-    # parameter, so exactly two sweep points survive
-    survivors = set()
-    for b in itertools.product((0, 1), repeat=3):
-        for bp in itertools.product((0, 1), repeat=2):
-            spec = leibniz_torus_specs("NP", (2, 2), (1, 2))((b, bp))
-            try:
-                semidirect_extension(spec)
-                survivors.add((b, bp))
-            except IdentityViolation:
-                continue
+    # parameter, so exactly two sweep points survive; the solve of the
+    # linear triples leaves that parameter free, on a line through both
+    survivors = sweep("NP", (2, 2), (1, 2))
     assert survivors == {((1, 0, 0), (0, 0)), ((1, 0, 0), (1, 0))}
+    make = leibniz_torus_specs("NP", (2, 2), (1, 2))
+    point, r = point_form("NP", (2, 2), (1, 2))
+    base, directions = _parameter_solutions(lambda b: make(point(b)), r)
+    assert point(base) == ((1, 0, 0), (0, 0))
+    assert [point(v) for v in directions] == [((0, 0, 0), (1, 0))]
+    on_line = {point([x + s * y for x, y in zip(base, directions[0])]) for s in (0, 1)}
+    assert on_line == survivors
+
+
+def test_linear_residuals_match_the_naive_identity():
+    # one even label t with seeded non-diagonal integer actions: the terms
+    # _linear_residuals adds are the naive Leibniz residuals of (t, e_q, e_r)
+    # and (e_q, t, e_r), over nil's d; the residuals are read on any graded
+    # table, here also a seeded one with brackets of two odd labels
+    rng = random.Random(25)
+    xs, ys = ("x1", "x2", "x3"), ("y1", "y2")
+    law = {(a, b): {c: Fraction(rng.choice((-1, 1, 2)), rng.choice((1, 2)))
+                      for c in (ys if (a in ys) != (b in ys) else xs) if rng.random() < 0.4}
+             for a in xs + ys for b in xs + ys if rng.random() < 0.5}
+    for nil in (filiform_leibniz(4, 3), model_nilpotent_leibniz((2, 3), (2,)),
+                SuperAlgebra(LEIBNIZ, xs, ys, law)):
+        basis, n, d = nil.combined_basis, nil.dim, nil.integer_law[0]
+        same = [[j for j in range(n) if nil.parities[j] == nil.parities[i]] for i in range(n)]
+        left, right = ([[(j, rng.choice((-2, -1, 1, 3))) for j in same[i] if rng.random() < 0.3]
+                        for i in range(n)] for _ in "lr")
+        table = dict(nil.brackets)
+        for j in range(n):
+            table["t", basis[j]] = {basis[i]: v for i, row in enumerate(left) for c, v in row if c == j}
+            table[basis[j], "t"] = {basis[i]: v for i, row in enumerate(right) for c, v in row if c == j}
+        ext = SuperAlgebra(nil.kind, nil.even_basis + ("t",), nil.odd_basis, table)
+        want = {}
+        for _, (x, y, z), res in naive_validate(ext, nil.kind):
+            if "t" in (x, y) and z != "t" and (x, y).count("t") == 1:
+                side, q = (0, y) if x == "t" else (1, x)
+                want.update({(side, q, z, l): c for l, c in res.items()})
+        got = {}
+        _linear_residuals(nil, left, right, got)
+        assert {(side, basis[q], basis[r], basis[k]): Fraction(v, d)
+                for (side, q, r, k), v in got.items() if v} == want != {}
+
+
+def _solve_shapes():
+    """A seeded grid of LP sizes and NP shapes, every block at least 2
+    long and the solvable member of dimension at most 24."""
+    rng = random.Random(2525)
+    lp = [((n,), (m,)) for n in range(3, 19) for m in range(2, 19) if n + m + 3 <= 24]
+    blocks = [b for k in (1, 2, 3) for b in itertools.product((2, 3, 4), repeat=k)]
+    np_ = [(e, o) for e in blocks for o in blocks
+           if sum(e) + 1 + sum(o) + len(e) + 1 + len(o) <= 24]
+    return ([("LP",) + s for s in rng.sample(lp, 7)]
+            + [("NP",) + s for s in rng.sample(np_, 13)])
+
+
+@pytest.mark.parametrize("family, even, odd", _solve_shapes(),
+                         ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_solve_matches_the_corner_sweep(family, even, odd):
+    # the exact solve and the corner sweep reach the same verdict, with the
+    # same detail, and the solution is the one surviving corner
+    survivors = sweep(family, even, odd)
+    make = leibniz_torus_specs(family, even, odd)
+    point, r = point_form(family, even, odd)
+    base, directions = _parameter_solutions(lambda b: make(point(b)), r)
+    assert directions == [] and survivors == {point(base)}
+    assert all(type(v) is int for v in base)
+    theorem, expected = (("5.1", (0, 1, 1)) if family == "LP"
+                         else ("6.1", point([1] + [0] * (r - 1))))
+    _, checks = fixtures.verify(theorem, even, odd)
+    assert checks[0] == ("sweep succeeds exactly on the expected parameters",
+                         survivors == {expected},
+                         "got {%s}" % ", ".join(map(str, sorted(survivors))))
+    assert all(ok for _, ok, _ in checks)
 
 
 def _diagonal_of(rows):

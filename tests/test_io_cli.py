@@ -9,6 +9,7 @@ from superalg import cli, families, fixtures
 from superalg.cli import main, parse_element_expression
 from superalg.core import EVEN, ODD, Element, bracket, change_of_basis, equal_laws
 from superalg.derivations import SuperDerivation, derivation_space
+from superalg.extension import ExtensionSpec
 from superalg.families import (filiform_leibniz, model_filiform_lie,
                                model_nilpotent_leibniz, model_nilpotent_lie)
 from superalg.fileformat import (ParseError, ValidationError, dump_algebra,
@@ -507,6 +508,18 @@ def test_sweep_refuses_blocks_of_length_one(monkeypatch):
             fixtures.verify("6.1", even, odd)
 
 
+def test_refusal_comes_before_the_solve(monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("the parameters were solved for")
+
+    monkeypatch.setattr(fixtures, "_parameter_solutions", fail)
+    assert main(["verify", "--theorem", "6.1", "--even", "2", "--even", "2",
+                 "--odd", "1", "--odd", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: theorem 6.1 is checked on blocks of length >= 2, since a block of "
+        "length 1 leaves its parameter free\n")
+
+
 def test_torus_rank_check_can_fail(monkeypatch, capsys):
     # a generator count one too large: only the rank check fails
     count = fixtures.generator_count
@@ -518,6 +531,65 @@ def test_torus_rank_check_can_fail(monkeypatch, capsys):
         assert main(["verify", "--theorem", theorem]) == 1
         out = capsys.readouterr().out
         assert "  torus rank = generator count = 3: FAIL (rank 3, 4 generators)\n" in out
+
+
+def _wrapped_specs(monkeypatch, change):
+    """Make verify take its 5.1/6.1 specs through change(spec)."""
+    source = fixtures.leibniz_torus_specs
+    monkeypatch.setattr(fixtures, "leibniz_torus_specs",
+                        lambda *sizes: lambda point: change(source(*sizes)(point)))
+
+
+def test_parameter_check_can_fail(monkeypatch, capsys):
+    # t1's right action doubled: the linear triples move their solution off
+    # the theorem's point, where the extension still validates
+    def doubled(spec):
+        actions = dict(spec.action_rows)
+        left, right = actions["t1"]
+        actions["t1"] = left, [[(j, 2 * v) for j, v in row] for row in right]
+        return ExtensionSpec(spec.nilradical, spec.torus_labels, actions)
+
+    _wrapped_specs(monkeypatch, doubled)
+    for theorem, got in (("5.1", "(-1, 1, 1)"), ("6.1", "((2, 0), (0,))")):
+        _, checks = fixtures.verify(theorem, *fixtures.default_sizes(theorem))
+        assert checks == [("sweep succeeds exactly on the expected parameters", False,
+                           "got {%s}" % got)]
+        assert main(["verify", "--theorem", theorem]) == 1
+        out = capsys.readouterr().out
+        assert ("  sweep succeeds exactly on the expected parameters: FAIL (got {%s})\n"
+                % got) in out
+        assert "surviving extension" not in out and out.endswith("result: FAIL\n")
+
+
+def test_parameter_check_fails_when_the_solution_does_not_extend(monkeypatch, capsys):
+    # a bracket [t1, t2] = x1 is outside the linear triples, so their
+    # solution is still the theorem's point, but the extension there fails
+    _wrapped_specs(monkeypatch, lambda spec: ExtensionSpec(
+        spec.nilradical, spec.torus_labels, spec.action_rows, {("t1", "t2"): {"x1": 1}}))
+    for theorem in ("5.1", "6.1"):
+        assert main(["verify", "--theorem", theorem]) == 1
+        out = capsys.readouterr().out
+        assert "  sweep succeeds exactly on the expected parameters: FAIL (got {})\n" in out
+        assert "surviving extension" not in out and out.endswith("result: FAIL\n")
+
+
+def test_parameter_check_shows_a_free_parameter(monkeypatch, capsys):
+    # the odd chain's torus label made to ignore its parameter: the linear
+    # triples leave that parameter free, and the check prints their line
+    def ignored(spec):
+        actions = dict(spec.action_rows)
+        t = spec.torus_labels[-1]
+        actions[t] = [[] for _ in actions[t][0]], actions[t][1]
+        return ExtensionSpec(spec.nilradical, spec.torus_labels, actions)
+
+    _wrapped_specs(monkeypatch, ignored)
+    for theorem, got in (("5.1", "(0, 1, 0) + span((0, 0, 1))"),
+                         ("6.1", "((1, 0), (0,)) + span(((0, 0), (1,)))")):
+        assert main(["verify", "--theorem", theorem]) == 1
+        out = capsys.readouterr().out
+        assert ("  sweep succeeds exactly on the expected parameters: FAIL (got {%s})\n"
+                % got) in out
+        assert "surviving extension" not in out
 
 
 def test_dimension_cap(tmp_path, monkeypatch, capsys):
