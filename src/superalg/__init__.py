@@ -20,8 +20,7 @@ from .invariants import (CharacteristicSequence, DERIVED, DESCENDING_CENTRAL,
 from .families import (filiform_leibniz, member, member_dim, model_filiform_lie,
                        model_nilpotent_leibniz, model_nilpotent_lie,
                        z_basis_filiform_lie, z_basis_nilpotent_lie)
-from .extension import (ExtensionSpec, IdentityViolation, leibniz_torus_specs,
-                        nilradical_verdict, semidirect_extension)
+from .extension import ExtensionSpec, IdentityViolation, nilradical_verdict, semidirect_extension
 from .derivations import (SuperDerivation, derivation_space, inner_space,
                           innerness_report)
 from .fileformat import (ParseError, ValidationError, dump_algebra,

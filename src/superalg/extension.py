@@ -4,21 +4,21 @@ An ExtensionSpec holds the nilpotent algebra, the new torus labels, and one
 (left, right) action pair per torus label as sparse rows.  semidirect_extension
 assembles the extended bracket table from those rows and returns it only
 when the kind's defining identity holds; otherwise it raises
-IdentityViolation carrying the offending triples.  leibniz_torus_specs
-gives the candidate specs of theorems 5.1 and 6.1, affine in their
-parameters, and _parameter_solutions solves for the parameters with one
-kernel call; nilradical_verdict checks a nilradical candidate, and its
-condition (c) decides nil-independence of a diagonal torus.
+IdentityViolation carrying the offending triples.  _parameter_solutions
+solves exactly for the left-action parameters of theorems 5.1 and 6.1,
+given the chains they act on and the right actions, with one kernel call;
+nilradical_verdict checks a nilradical candidate, and its condition (c)
+decides nil-independence of a diagonal torus.
 """
 
 from math import lcm
 
-from .linalg import NotNilpotent, _frac, _jordan_blocks, _kernel, _reduce, pivot_coefficients
+from .linalg import NotNilpotent, _jordan_blocks, _kernel, _reduce, pivot_coefficients
 from .core import (EVEN, LIE, SuperAlgebra, _adjoin_torus, _integer_cells, _label_cells,
                    _products, validate)
-from .derivations import _check_parity_blocks, maximal_torus
+from .derivations import _check_parity_blocks
 from .invariants import product_space, whole_space
-from .families import _chains, _diagonal_rows, _filiform, _member_blocks, _torus_labels, member
+from .families import _diagonal_rows
 
 
 class IdentityViolation(Exception):
@@ -188,48 +188,9 @@ def nilradical_verdict(A, candidate):
     }
 
 
-def leibniz_torus_specs(family, even, odd):
-    """Parameter point -> candidate torus spec on the LP or NP member at
-    these sizes; the nilradical and the right actions are built once.
-
-    The right actions are the nilradical's maximal torus, the solvable
-    family's: t1 weighs x1 by 1 and each chain label by its place in the
-    chain from 0, and each other torus label is the identity on its chain.
-    On NP(...) the point is (b, bp), one entry per t1..t_{k+1} and one per
-    tp1..tp_p; the left actions are -b1 on x1 for t1, -b_{j+2} on even
-    block j+1 and -bp_j on odd block j, and SNP(...) is b1 = 1, all else 0.
-    On LP^{n,m} the point (b1, b2, b3) is the NP one at 1 - b: the left
-    actions are (b1 - 1) on x1, (b2 - 1) on x2..xn and (b3 - 1) on the odd
-    part, and SLP^{n,m} is (0, 1, 1).
-    """
-    even_chains, odd_chains = _chains(*_member_blocks(family, even, odd))
-    nil = member(family, even, odd)
-    torus = _torus_labels("t", even_chains, odd_chains)
-    if family == "LP":
-        torus = _filiform(tuple(torus))
-    rights = [_diagonal_rows(dict(w), nil.dim) for w in maximal_torus(nil)]
-    supports = [[nil.index(l) for l in c] for c in [["x1"]] + even_chains + odd_chains]
-
-    def exact(v):  # an int stays an int; Fraction and "p/q" go through _frac
-        return v if isinstance(v, int) else _frac(v)
-
-    def spec(point):
-        if family == "LP":
-            point = [1 - exact(v) for v in point]
-            point = point[:2], point[2:]
-        b, bp = point
-        if len(b) != len(even_chains) + 1 or len(bp) != len(odd_chains):
-            raise ValueError("need %d even and %d odd parameters"
-                             % (len(even_chains) + 1, len(odd_chains)))
-        lefts = [_diagonal_rows(dict.fromkeys(s, -exact(v)), nil.dim)
-                 for s, v in zip(supports, list(b) + list(bp))]
-        return ExtensionSpec(nil, torus, dict(zip(torus, zip(lefts, rights))))
-    return spec
-
-
-def _linear_residuals(nil, left, right, res, f=1):
-    """Add f*d times the Leibniz residuals of (t, e_q, e_r), keyed (0, q,
-    r, k) at e_k, and of (e_q, t, e_r), keyed (1, q, r, k), to res, for an
+def _linear_residuals(nil, left, right):
+    """d times the Leibniz residuals of (t, e_q, e_r), keyed (0, q, r, k)
+    at e_k, and of (e_q, t, e_r), keyed (1, q, r, k), as a dict, for an
     even label t acting on nil by the sparse rows (left, right), d from
     nil's integer law.  These triples are linear in t's action pair, and
     each of their terms holds one law cell."""
@@ -238,10 +199,10 @@ def _linear_residuals(nil, left, right, res, f=1):
         for i, row in enumerate(rows):
             for j, v in row:
                 side[j].append((i, v))
-    par = nil.parities
+    par, res = nil.parities, {}
 
     def add(key, v):
-        res[key] = res.get(key, 0) + f * v
+        res[key] = res.get(key, 0) + v
 
     for (i, j), cell in nil.integer_law[1].items():
         for m, c in cell.items():
@@ -255,33 +216,28 @@ def _linear_residuals(nil, left, right, res, f=1):
                 add((1, i, w, m), v * c)
             for w, v in right[i]:  # -[[e_w, t], e_j]
                 add((1, w, j, m), -v * c)
+    return res
 
 
-def _parameter_solutions(make, r):
-    """The solutions b in Q^r of the triples (t, e_q, e_r) and (e_q, t, e_r)
-    of the Leibniz identity, t a torus label, for specs make(b) affine in
-    b: None, or (b*, directions), b* the solution with its free parameters
-    at 0, integral values as ints.  Per label, the residual of the change
-    of its rows from 0 to e_c is the coefficient of b_c, and the residual
-    at 0 the constant, in column r; one _kernel call solves these rows, and
-    column r is free exactly when a solution exists.  The triples with two
-    torus labels in front, quadratic in b, are left to a validation at b*.
+def _parameter_solutions(nil, supports, rights):
+    """The solutions b in Q^r of the triples (t_c, e_q, e_r) and (e_q, t_c,
+    e_r) of the Leibniz identity, for r torus labels t_c acting on nil on
+    the left by -b_c on the indices supports[c] and on the right by the
+    sparse rows rights[c]: None, or (b*, directions), b* the solution with
+    its free parameters at 0, integral values as ints.  The residuals are
+    linear in each action, so per label the residual of the right action
+    alone is the constant, in column r, and that of -1 on the support the
+    coefficient of b_c; one _kernel call solves these rows, and column r is
+    free exactly when a solution exists.  The triples with two torus labels
+    in front, quadratic in b, are left to a validation at b*.
     """
-    specs = [make([int(a == c) for a in range(r)]) for c in range(r + 1)]
-    nil, eqs = specs[r].nilradical, {}
-    for t in specs[r].torus_labels:
-        pair0 = specs[r].action_rows[t]
-        for c, spec in enumerate(specs):
-            pair = spec.action_rows[t]
-            if c < r and pair == pair0:
-                continue
-            res = {}
-            _linear_residuals(nil, *pair, res)
-            if c < r:  # the change from 0
-                _linear_residuals(nil, *pair0, res, -1)
-            for key, v in res.items():
+    r, none, eqs = len(rights), [[] for _ in range(nil.dim)], {}
+    for c, (support, right) in enumerate(zip(supports, rights)):
+        left = _diagonal_rows(dict.fromkeys(support, -1), nil.dim)
+        for col, pair in ((r, (none, right)), (c, (left, none))):
+            for key, v in _linear_residuals(nil, *pair).items():
                 if v:
-                    eqs.setdefault((t,) + key, {})[c] = v
+                    eqs.setdefault((c,) + key, {})[col] = v
     kernel = _kernel([eq.items() for eq in eqs.values()], r + 1)
     if not kernel or kernel[-1][0][0] != r:
         return None

@@ -1,23 +1,24 @@
 """Verification fixtures: the paper's theorems re-checked on one family member.
 
 Theorems 3.1 and 4.1 extend L and N by their maximal tori (computed by
-derivations.maximal_torus) and compare the result with SL and SN; 5.1 and
-6.1 solve for the left-action parameters of SLP and SNP exactly
-(extension._parameter_solutions) and validate the extension at the
-solution.  Each of the four checks torus rank = generator count of the
-nilradical = k + 1 + p, the paper's codimension.  7.1 to 7.4 compute the
-superderivation spaces of the four solvable families and check that all
-of them are inner.
+derivations.maximal_torus) and compare the result with SL and SN.  5.1 and
+6.1 take N's maximal torus as the right actions and solve exactly for the
+left-action parameters, one per torus label acting by -b on x1 or on its
+chain (extension._parameter_solutions); the extension at the solution is
+validated and compared with SLP and SNP.  Each of the four checks torus
+rank = generator count of the nilradical = k + 1 + p, the paper's
+codimension.  7.1 to 7.4 compute the superderivation spaces of the four
+solvable families and check that all of them are inner.
 
 verify(theorem, even, odd) builds the instance, runs the checks and returns
 both.  Each check is a triple (name, ok, detail).
 """
 
 from .core import change_of_basis, equal_laws, validate
-from .derivations import innerness_report
-from .extension import (IdentityViolation, _parameter_solutions, leibniz_torus_specs,
+from .derivations import innerness_report, maximal_torus
+from .extension import (ExtensionSpec, IdentityViolation, _parameter_solutions,
                         nilradical_verdict, semidirect_extension)
-from .families import _lie_torus, _member_blocks, member
+from .families import _chains, _diagonal_rows, _lie_torus, _member_blocks, member
 from .invariants import generator_count, span_of_labels
 
 
@@ -53,29 +54,31 @@ def _leibniz_solve(family, even, odd):
     if 1 in even_blocks + odd_blocks:
         raise ValueError("theorem 6.1 is checked on blocks of length >= 2, since "
                          "a block of length 1 leaves its parameter free")
-    solvable = member(family, even, odd)
-    make = leibniz_torus_specs(family[1:], even, odd)
-    k, r = len(even_blocks) + 1, len(even_blocks) + 1 + len(odd_blocks)
-    # a flat parameter list as the spec source's point
-    point = tuple if family == "SLP" else lambda b: (tuple(b[:k]), tuple(b[k:]))
-    expected = (0, 1, 1) if family == "SLP" else point([1] + [0] * (r - 1))
-    solution = _parameter_solutions(lambda b: make(point(b)), r)
-    b, free = (point(solution[0]), solution[1]) if solution else (None, ())
-    got, ext = "", None
-    if free:  # the solutions of the linear triples
-        got = "%s + span(%s)" % (b, ", ".join(str(point(v)) for v in free))
-    elif solution:
-        spec = make(b)
-        try:
-            ext = semidirect_extension(spec)
-            got = str(b)
-        except IdentityViolation:
-            pass
-    ok = ext is not None and b == expected
-    checks = [("sweep succeeds exactly on the expected parameters", ok, "got {%s}" % got)]
-    if ok:
-        checks += [("surviving extension matches the solvable law", equal_laws(ext, solvable), ""),
-                   _rank_check(spec.nilradical, ext, r)]
+    solvable, nil = member(family, even, odd), member(family[1:], even, odd)
+    # t1 acts on the left by -b_1 on x1, each other torus label by -b_c on
+    # its chain; the right actions are N's maximal torus
+    even_chains, odd_chains = _chains(even_blocks, odd_blocks)
+    supports = [[nil.index(l) for l in c] for c in [["x1"]] + even_chains + odd_chains]
+    rights = [_diagonal_rows(dict(w), nil.dim) for w in maximal_torus(nil)]
+    solution = _parameter_solutions(nil, supports, rights)
+    got, ext = "no solution", None
+    if solution:
+        b, free = tuple(solution[0]), list(map(tuple, solution[1]))
+        got = "%s + span(%s)" % (b, ", ".join(map(str, free))) if free else str(b)
+        if not free:
+            torus = solvable.even_basis[nil.dim_even:]
+            lefts = [_diagonal_rows(dict.fromkeys(s, -v), nil.dim) for s, v in zip(supports, b)]
+            try:
+                ext = semidirect_extension(
+                    ExtensionSpec(nil, torus, dict(zip(torus, zip(lefts, rights)))))
+            except IdentityViolation as exc:
+                got += ": %s" % exc
+    checks = [("the linear triples have one solution, where the extension validates",
+               ext is not None, "got " + got)]
+    if ext is not None:
+        checks += [("extension at the solution matches the solvable law",
+                    equal_laws(ext, solvable), ""),
+                   _rank_check(nil, ext, len(supports))]
     return solvable, checks
 
 

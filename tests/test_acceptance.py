@@ -10,8 +10,7 @@ import random
 from superalg.core import (EVEN, ODD, Element, change_of_basis, equal_laws,
                            validate)
 from superalg.derivations import derivation_space, inner_space, innerness_report
-from superalg.extension import (IdentityViolation, leibniz_torus_specs,
-                                nilradical_verdict, semidirect_extension)
+from superalg.extension import IdentityViolation, nilradical_verdict, semidirect_extension
 from superalg.families import (filiform_leibniz, model_filiform_lie,
                                model_nilpotent_leibniz, model_nilpotent_lie,
                                z_basis_filiform_lie, z_basis_nilpotent_lie)
@@ -21,6 +20,7 @@ from superalg.linalg import Matrix, nullspace, rank, row_space_basis, span_conta
 
 from naive_gauss import naive_nullspace, naive_rank, naive_rref
 from naive_identities import DenseMap, dense_map, is_superderivation, super_commutator
+from naive_torus import leibniz_torus_specs
 
 FILIFORM_GRID = ((3, 2), (4, 3), (5, 2), (6, 4))
 LIE_BLOCK_GRID = (((2,), (2,)), ((2, 2), (1, 2)), ((3,), (3,)))

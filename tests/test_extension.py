@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from superalg import fixtures
+import superalg
+from superalg import extension, fixtures
 from superalg.core import (LEIBNIZ, Element, SuperAlgebra, change_of_basis, equal_laws,
                            validate)
+from superalg.derivations import maximal_torus
 from superalg.extension import (ExtensionSpec, IdentityViolation, _linear_residuals,
-                                _parameter_solutions, leibniz_torus_specs,
-                                nilradical_verdict, semidirect_extension)
-from superalg.families import (filiform_leibniz, model_filiform_lie,
+                                _parameter_solutions, nilradical_verdict,
+                                semidirect_extension)
+from superalg.families import (_diagonal_rows, filiform_leibniz, model_filiform_lie,
                                model_nilpotent_leibniz, model_nilpotent_lie,
                                z_basis_filiform_lie, z_basis_nilpotent_lie)
 from superalg.invariants import span_of_labels, whole_space
@@ -18,7 +20,7 @@ from superalg.linalg import sparse_rows
 
 from naive_identities import naive_validate
 from naive_sweep import point_form, sweep
-from naive_torus import lie_torus_spec
+from naive_torus import leibniz_torus_rows, leibniz_torus_specs, lie_torus_spec
 
 
 def _diag(values):
@@ -100,15 +102,21 @@ def test_leibniz_parameter_sweep_blocks():
                                                       solvable=True))
 
 
+def test_the_leibniz_spec_source_left_the_library():
+    # the paper's candidate specs of 5.1/6.1 are a test oracle only
+    assert not hasattr(superalg, "leibniz_torus_specs")
+    assert not hasattr(extension, "leibniz_torus_specs")
+
+
 def test_size_one_odd_block_leaves_its_parameter_free():
     # an odd block with a single element has no chain forcing its sign
     # parameter, so exactly two sweep points survive; the solve of the
     # linear triples leaves that parameter free, on a line through both
     survivors = sweep("NP", (2, 2), (1, 2))
     assert survivors == {((1, 0, 0), (0, 0)), ((1, 0, 0), (1, 0))}
-    make = leibniz_torus_specs("NP", (2, 2), (1, 2))
+    nil, _, supports, rights = leibniz_torus_rows("NP", (2, 2), (1, 2))
     point, r = point_form("NP", (2, 2), (1, 2))
-    base, directions = _parameter_solutions(lambda b: make(point(b)), r)
+    base, directions = _parameter_solutions(nil, supports, rights)
     assert point(base) == ((1, 0, 0), (0, 0))
     assert [point(v) for v in directions] == [((0, 0, 0), (1, 0))]
     on_line = {point([x + s * y for x, y in zip(base, directions[0])]) for s in (0, 1)}
@@ -117,7 +125,7 @@ def test_size_one_odd_block_leaves_its_parameter_free():
 
 def test_linear_residuals_match_the_naive_identity():
     # one even label t with seeded non-diagonal integer actions: the terms
-    # _linear_residuals adds are the naive Leibniz residuals of (t, e_q, e_r)
+    # _linear_residuals returns are the naive Leibniz residuals of (t, e_q, e_r)
     # and (e_q, t, e_r), over nil's d; the residuals are read on any graded
     # table, here also a seeded one with brackets of two odd labels
     rng = random.Random(25)
@@ -141,8 +149,7 @@ def test_linear_residuals_match_the_naive_identity():
             if "t" in (x, y) and z != "t" and (x, y).count("t") == 1:
                 side, q = (0, y) if x == "t" else (1, x)
                 want.update({(side, q, z, l): c for l, c in res.items()})
-        got = {}
-        _linear_residuals(nil, left, right, got)
+        got = _linear_residuals(nil, left, right)
         assert {(side, basis[q], basis[r], basis[k]): Fraction(v, d)
                 for (side, q, r, k), v in got.items() if v} == want != {}
 
@@ -162,20 +169,20 @@ def _solve_shapes():
 @pytest.mark.parametrize("family, even, odd", _solve_shapes(),
                          ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else v)
 def test_solve_matches_the_corner_sweep(family, even, odd):
-    # the exact solve and the corner sweep reach the same verdict, with the
-    # same detail, and the solution is the one surviving corner
+    # the exact solve on the paper's torus rows and the corner sweep over
+    # its specs agree, LP's sweep point being 1 - b; the solution is the
+    # one surviving corner, and the fixture, on the computed torus, reports it
     survivors = sweep(family, even, odd)
-    make = leibniz_torus_specs(family, even, odd)
+    nil, _, supports, rights = leibniz_torus_rows(family, even, odd)
+    assert rights == [_diagonal_rows(dict(w), nil.dim) for w in maximal_torus(nil)]
     point, r = point_form(family, even, odd)
-    base, directions = _parameter_solutions(lambda b: make(point(b)), r)
-    assert directions == [] and survivors == {point(base)}
-    assert all(type(v) is int for v in base)
-    theorem, expected = (("5.1", (0, 1, 1)) if family == "LP"
-                         else ("6.1", point([1] + [0] * (r - 1))))
-    _, checks = fixtures.verify(theorem, even, odd)
-    assert checks[0] == ("sweep succeeds exactly on the expected parameters",
-                         survivors == {expected},
-                         "got {%s}" % ", ".join(map(str, sorted(survivors))))
+    base, directions = _parameter_solutions(nil, supports, rights)
+    assert directions == [] and all(type(v) is int for v in base)
+    assert survivors == {point([1 - v for v in base] if family == "LP" else base)}
+    assert base == [1] + [0] * (r - 1)
+    _, checks = fixtures.verify("5.1" if family == "LP" else "6.1", even, odd)
+    assert checks[0] == ("the linear triples have one solution, where the extension validates",
+                         True, "got %s" % (tuple(base),))
     assert all(ok for _, ok, _ in checks)
 
 

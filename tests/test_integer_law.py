@@ -1,8 +1,8 @@
 """Every entry point that builds a law writes the same integer cells.
 
 Each family's member is built again through the label constructor, the
-file parser, `semidirect_extension` of its torus spec (for SL and SN the
-hand-written one of naive_torus), `change_of_basis`
+file parser, `semidirect_extension` of its torus spec (the hand-written
+one of naive_torus), `change_of_basis`
 with a seeded rational map and, for the filiform families, the renaming of
 the one-block member.  Each result is compared with the label constructor
 applied to a label table assembled here, label first, in the order the
@@ -18,12 +18,12 @@ from math import lcm
 import pytest
 
 from superalg.core import LIE, Element, SuperAlgebra, change_of_basis, equal_laws
-from superalg.extension import ExtensionSpec, leibniz_torus_specs, semidirect_extension
+from superalg.extension import ExtensionSpec, semidirect_extension
 from superalg.families import (_filiform, member, model_nilpotent_leibniz,
                                model_nilpotent_lie)
 from superalg.fileformat import ParseError, dumps, emit_algebra, parse_algebra
 
-from naive_torus import lie_torus_spec
+from naive_torus import leibniz_torus_specs, lie_torus_spec
 from test_change_of_basis_oracle import oracle_law, random_map
 
 SIZES = {"L": ((4,), (3,)), "LP": ((4,), (3,)), "N": ((2, 1), (2,)), "NP": ((2, 1), (2,))}

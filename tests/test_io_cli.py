@@ -488,12 +488,22 @@ def test_verify_fixture_exit_codes(monkeypatch, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["ok"] and all(c["ok"] for c in obj["checks"])
 
-    # SL^{3,2} has dimension 8; the refusal comes before any extension is built
+    # each default member has dimension 8; the refusal comes before 3.1/4.1
+    # compute their torus and before 5.1/6.1 solve for their parameters,
+    # both of which each theorem reaches without the cap
+    def reached(*args):
+        raise AssertionError("the fixture ran")
+
+    for name in ("_lie_torus", "_parameter_solutions"):
+        monkeypatch.setattr(fixtures, name, reached)
+    for theorem in ("3.1", "4.1", "5.1", "6.1"):
+        with pytest.raises(AssertionError, match="the fixture ran"):
+            fixtures.verify(theorem, *fixtures.default_sizes(theorem))
     monkeypatch.setenv("SUPERALG_MAX_DIM", "7")
-    monkeypatch.setattr(fixtures, "semidirect_extension", None)
-    assert main(["verify", "--theorem", "3.1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "exceeds" in captured.err
+    for theorem in ("3.1", "4.1", "5.1", "6.1"):
+        assert main(["verify", "--theorem", theorem]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceeds SUPERALG_MAX_DIM=7" in captured.err
 
 
 def test_sweep_refuses_blocks_of_length_one(monkeypatch):
@@ -533,63 +543,51 @@ def test_torus_rank_check_can_fail(monkeypatch, capsys):
         assert "  torus rank = generator count = 3: FAIL (rank 3, 4 generators)\n" in out
 
 
-def _wrapped_specs(monkeypatch, change):
-    """Make verify take its 5.1/6.1 specs through change(spec)."""
-    source = fixtures.leibniz_torus_specs
-    monkeypatch.setattr(fixtures, "leibniz_torus_specs",
-                        lambda *sizes: lambda point: change(source(*sizes)(point)))
+SOLVED = "the linear triples have one solution, where the extension validates"
 
 
 def test_parameter_check_can_fail(monkeypatch, capsys):
     # t1's right action doubled: the linear triples move their solution off
-    # the theorem's point, where the extension still validates
-    def doubled(spec):
-        actions = dict(spec.action_rows)
-        left, right = actions["t1"]
-        actions["t1"] = left, [[(j, 2 * v) for j, v in row] for row in right]
-        return ExtensionSpec(spec.nilradical, spec.torus_labels, actions)
-
-    _wrapped_specs(monkeypatch, doubled)
-    for theorem, got in (("5.1", "(-1, 1, 1)"), ("6.1", "((2, 0), (0,))")):
+    # the theorem's point, where the extension still validates, so only the
+    # comparison with the solvable law fails
+    torus = fixtures.maximal_torus
+    monkeypatch.setattr(fixtures, "maximal_torus", lambda nil: [
+        [(i, 2 * w) for i, w in row] if c == 0 else row for c, row in enumerate(torus(nil))])
+    for theorem in ("5.1", "6.1"):
         _, checks = fixtures.verify(theorem, *fixtures.default_sizes(theorem))
-        assert checks == [("sweep succeeds exactly on the expected parameters", False,
-                           "got {%s}" % got)]
+        assert checks[:2] == [(SOLVED, True, "got (2, 0, 0)"),
+                              ("extension at the solution matches the solvable law", False, "")]
         assert main(["verify", "--theorem", theorem]) == 1
         out = capsys.readouterr().out
-        assert ("  sweep succeeds exactly on the expected parameters: FAIL (got {%s})\n"
-                % got) in out
-        assert "surviving extension" not in out and out.endswith("result: FAIL\n")
+        assert "  extension at the solution matches the solvable law: FAIL\n" in out
+        assert out.endswith("result: FAIL\n")
 
 
 def test_parameter_check_fails_when_the_solution_does_not_extend(monkeypatch, capsys):
     # a bracket [t1, t2] = x1 is outside the linear triples, so their
     # solution is still the theorem's point, but the extension there fails
-    _wrapped_specs(monkeypatch, lambda spec: ExtensionSpec(
-        spec.nilradical, spec.torus_labels, spec.action_rows, {("t1", "t2"): {"x1": 1}}))
+    build = fixtures.semidirect_extension
+    monkeypatch.setattr(fixtures, "semidirect_extension", lambda spec: build(ExtensionSpec(
+        spec.nilradical, spec.torus_labels, spec.action_rows, {("t1", "t2"): {"x1": 1}})))
     for theorem in ("5.1", "6.1"):
         assert main(["verify", "--theorem", theorem]) == 1
         out = capsys.readouterr().out
-        assert "  sweep succeeds exactly on the expected parameters: FAIL (got {})\n" in out
-        assert "surviving extension" not in out and out.endswith("result: FAIL\n")
+        assert ("  %s: FAIL (got (1, 0, 0): extension violates the leibniz_super identity on "
+                % SOLVED) in out
+        assert "extension at the solution" not in out and out.endswith("result: FAIL\n")
 
 
 def test_parameter_check_shows_a_free_parameter(monkeypatch, capsys):
-    # the odd chain's torus label made to ignore its parameter: the linear
+    # the last chain's torus label made to ignore its parameter: the linear
     # triples leave that parameter free, and the check prints their line
-    def ignored(spec):
-        actions = dict(spec.action_rows)
-        t = spec.torus_labels[-1]
-        actions[t] = [[] for _ in actions[t][0]], actions[t][1]
-        return ExtensionSpec(spec.nilradical, spec.torus_labels, actions)
-
-    _wrapped_specs(monkeypatch, ignored)
-    for theorem, got in (("5.1", "(0, 1, 0) + span((0, 0, 1))"),
-                         ("6.1", "((1, 0), (0,)) + span(((0, 0), (1,)))")):
+    solve = fixtures._parameter_solutions
+    monkeypatch.setattr(fixtures, "_parameter_solutions", lambda nil, supports, rights:
+                        solve(nil, supports[:-1] + [[]], rights))
+    for theorem in ("5.1", "6.1"):
         assert main(["verify", "--theorem", theorem]) == 1
         out = capsys.readouterr().out
-        assert ("  sweep succeeds exactly on the expected parameters: FAIL (got {%s})\n"
-                % got) in out
-        assert "surviving extension" not in out
+        assert "  %s: FAIL (got (1, 0, 0) + span((0, 0, 1)))\n" % SOLVED in out
+        assert "extension at the solution" not in out and out.endswith("result: FAIL\n")
 
 
 def test_dimension_cap(tmp_path, monkeypatch, capsys):
