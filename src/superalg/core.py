@@ -11,8 +11,8 @@ Every constructor builds `integer_law`, the one form of the law: (d,
 {(i, j): {k: d*c}}) by combined-basis index, d the lcm of the reduced
 denominators, with `parities` by index; `brackets`, the table by labels,
 is a view made from it on first read.  Validation, the derivation
-equations and the products (through `integer_left_index`) run on it in
-integers, and a Fraction is made only where a value leaves the library;
+equations and the products (_products, and ad x through _ad) run on it
+in integers, and a Fraction is made only where a value leaves the library;
 `skew_symmetric` lets the first two skip what super skew-symmetry implies.
 """
 
@@ -278,34 +278,24 @@ def _products(A, us, vs):
         yield ws
 
 
+def _ad(A, x, vs, left):
+    """ad x on the sparse rows vs: {t: d*[x, vs[t]]} (left) or {t: d*[vs[t],
+    x]} (right), as _products gives them; a product that meets no law cell
+    is left out, its value being zero."""
+    if left:
+        return next(_products(A, [x], vs))
+    return {t: w[0] for t, w in enumerate(_products(A, vs, [x])) if w}
+
+
 def bracket(A, u, v):
     """Bilinear extension of A's law to elements or basis labels."""
     u, v = ([(A.index(l), c) for l, c in A.as_element(x).items()] for x in (u, v))
-    w = next(_products(A, [u], [v])).get(0, {})
+    w = _ad(A, u, [v], True).get(0, {})
     d, basis = A.integer_law[0], A.combined_basis
     return Element((basis[k], Fraction(c, d)) for k, c in sorted(w.items()))
 
 
-def _adjoin_torus(nil, actions):
-    """The integer law (d, cells) of nil with one even label adjoined per
-    (left, right) pair of sparse rows in `actions`, after nil's even labels
-    (its odd indices move past them): d times nil's law and, for the a-th
-    new label t, d*v at e_i in [t, e_j] (left) and in [e_j, t] (right, or
-    None) for each entry (i, j) = v of its rows."""
-    d, law = nil.integer_law
-    new = [k + len(actions) * (k >= nil.dim_even) for k in range(nil.dim)]
-    table = {(new[i], new[j]): {new[k]: c for k, c in cell.items()}
-             for (i, j), cell in law.items()}
-    for a, (left, right) in enumerate(actions, nil.dim_even):
-        for i, row in enumerate(left):
-            for j, v in row:
-                table.setdefault((a, new[j]), {})[new[i]] = d * v
-            for j, v in right[i] if right else ():
-                table.setdefault((new[j], a), {})[new[i]] = d * v
-    return d, table
-
-
-def validate(A, kind=None):
+def validate(A):
     """Check the grading and the defining identity from the nonzero constants.
 
     Only the nonzero double products [p,[q,r]] and [[q,r],p] are formed, in
@@ -315,14 +305,10 @@ def validate(A, kind=None):
     skew-symmetric law a transposition of (x,y,z) multiplies the Jacobi
     residual by eps = -(-1)^(|x||y|+|y||z|+|z||x|) (Scheunert 1979), so the
     Lie kind sums only nondecreasing triples and copies each nonzero one to
-    its permutations, times eps at the odd ones.  `kind` overrides A.kind,
-    so a Lie-kind table can be checked against the Leibniz identity (it
-    must also pass).  Violations are report entries, never exceptions.
+    its permutations, times eps at the odd ones.  Violations are report
+    entries, never exceptions.
     """
-    kind = A.kind if kind is None else kind
-    if kind not in KINDS:
-        raise ValueError("unknown kind %r" % (kind,))
-    basis, par = A.combined_basis, A.parities
+    kind, basis, par = A.kind, A.combined_basis, A.parities
     d, ilaw = A.integer_law
     ordered = kind == LIE and A.skew_symmetric
     violations = []
@@ -398,24 +384,21 @@ def validate(A, kind=None):
 def multiplication_matrix(A, x, side):
     """Matrix of y -> [x,y] (side "left") or y -> [y,x] (side "right").
 
-    Columns follow the combined basis order (even labels first).  x must be
-    homogeneous; the zero element is allowed and gives the zero matrix.
+    Columns follow the combined basis order (even labels first); column j
+    is _ad of x on e_j divided by d.  x must be homogeneous; the zero
+    element is allowed and gives the zero matrix.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     x = A.as_element(x)
     A.element_parity(x)
-    vec = {A.index(l): c for l, c in x.items()}
-    left = side == "left"
-    d, law = A.integer_law
-    rows = [[0] * A.dim for _ in range(A.dim)]
-    for (i, j), cell in law.items():
-        a = vec.get(i if left else j)
-        if a:
-            col = j if left else i
-            for k, c in cell.items():
-                rows[k][col] += a * c
-    return Matrix([[v / d if v else ZERO for v in row] for row in rows])
+    n, d = A.dim, A.integer_law[0]
+    units = [[(j, 1)] for j in range(n)]
+    rows = [[ZERO] * n for _ in range(n)]
+    for j, col in _ad(A, [(A.index(l), c) for l, c in x.items()], units, side == "left").items():
+        for k, v in col.items():
+            rows[k][j] = v / d if v else ZERO
+    return Matrix(rows)
 
 
 def change_of_basis(A, mapping):

@@ -11,8 +11,8 @@ entries of D, with integer coefficients from A.integer_law (half of it
 when A.skew_symmetric), handed to the kernel as sparse rows; inner_space
 spans the multiplication operators (left for the lie kind, right for the
 leibniz kind) read from A.integer_law; innerness_report compares the two
-per parity.  maximal_torus gives the diagonal derivations, the torus a
-solvable extension of a nilpotent algebra adjoins.
+per parity.  maximal_torus gives the diagonal derivations as weight
+vectors; extension adjoins them as action rows.
 """
 
 from bisect import bisect
@@ -39,32 +39,6 @@ class SuperDerivation:
 
     def __repr__(self):
         return "SuperDerivation(parity=%d, dim=%d)" % (self.parity, self.dim)
-
-
-def _check_parity_blocks(A, parity, rows):
-    """The sparse rows of a dim x dim map (row i lists (j, entry (i, j))),
-    each as a list sorted by column with its zero values dropped, after
-    checking that no row repeats a column and that the map moves each basis
-    vector's parity by `parity`."""
-    n, par = A.dim, A.parities
-    if len(rows) != n:
-        raise ValueError("matrix must be %dx%d" % (n, n))
-    out = []
-    for i, row in enumerate(rows):
-        row = sorted(row)
-        kept = []
-        for a, (j, v) in enumerate(row):
-            if not 0 <= j < n:
-                raise ValueError("matrix must be %dx%d" % (n, n))
-            if a and row[a - 1][0] == j:
-                raise ValueError("row %d repeats column %d" % (i, j))
-            if v:
-                if par[i] != par[j] ^ parity:
-                    raise ValueError("entry (%d, %d) breaks the parity-%d block structure"
-                                     % (i, j, parity))
-                kept.append((j, v))
-        out.append(kept)
-    return out
 
 
 def _rule_signs(A, parity, a, b):

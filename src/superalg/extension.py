@@ -1,8 +1,9 @@
 """Solvable extensions of a nilpotent algebra by prescribed torus actions.
 
 An ExtensionSpec holds the nilpotent algebra, the new torus labels, and one
-(left, right) action pair per torus label as sparse rows.  semidirect_extension
-assembles the extended bracket table from those rows and returns it only
+(left, right) action pair per torus label as sparse rows, checked by
+_check_parity_blocks.  semidirect_extension, the one place a torus is
+adjoined, writes the extended law from those rows and returns it only
 when the kind's defining identity holds; otherwise it raises
 IdentityViolation carrying the offending triples.  _parameter_solutions
 solves exactly for the left-action parameters of theorems 5.1 and 6.1,
@@ -14,11 +15,8 @@ decides nil-independence of a diagonal torus.
 from math import lcm
 
 from .linalg import NotNilpotent, _jordan_blocks, _kernel, _reduce, pivot_coefficients
-from .core import (EVEN, LIE, SuperAlgebra, _adjoin_torus, _integer_cells, _label_cells,
-                   _products, validate)
-from .derivations import _check_parity_blocks
+from .core import EVEN, LIE, SuperAlgebra, _ad, _integer_cells, _label_cells, validate
 from .invariants import product_space, whole_space
-from .families import _diagonal_rows
 
 
 class IdentityViolation(Exception):
@@ -30,6 +28,37 @@ class IdentityViolation(Exception):
         super().__init__("extension violates the %s identity on %d triples, first %r"
                          % (report.kind, len(report.violations),
                             first.labels if first else None))
+
+
+def _diagonal_rows(weights, n):
+    """Sparse rows of the diagonal map on n indices with the nonzero weights[i]."""
+    return [[(i, weights[i])] if weights.get(i) else [] for i in range(n)]
+
+
+def _check_parity_blocks(A, parity, rows):
+    """The sparse rows of a dim x dim map (row i lists (j, entry (i, j))),
+    each as a list sorted by column with its zero values dropped, after
+    checking that no row repeats a column and that the map moves each basis
+    vector's parity by `parity`."""
+    n, par = A.dim, A.parities
+    if len(rows) != n:
+        raise ValueError("matrix must be %dx%d" % (n, n))
+    out = []
+    for i, row in enumerate(rows):
+        row = sorted(row)
+        kept = []
+        for a, (j, v) in enumerate(row):
+            if not 0 <= j < n:
+                raise ValueError("matrix must be %dx%d" % (n, n))
+            if a and row[a - 1][0] == j:
+                raise ValueError("row %d repeats column %d" % (i, j))
+            if v:
+                if par[i] != par[j] ^ parity:
+                    raise ValueError("entry (%d, %d) breaks the parity-%d block structure"
+                                     % (i, j, parity))
+                kept.append((j, v))
+        out.append(kept)
+    return out
 
 
 class ExtensionSpec:
@@ -85,9 +114,17 @@ def semidirect_extension(spec):
     the given brackets among torus labels.
     """
     nil, torus = spec.nilradical, spec.torus_labels
-    d, table = _adjoin_torus(nil, [spec.action_rows[t] for t in torus])
-    even = nil.even_basis + torus
+    (d, law), even = nil.integer_law, nil.even_basis + torus
     index = {l: i for i, l in enumerate(even + nil.odd_basis)}
+    new = [index[l] for l in nil.combined_basis]
+    table = {(new[i], new[j]): {new[k]: c for k, c in cell.items()}
+             for (i, j), cell in law.items()}
+    for a, t in enumerate(torus, nil.dim_even):
+        for i, (left, right) in enumerate(zip(*spec.action_rows[t])):
+            for j, v in left:
+                table.setdefault((a, new[j]), {})[new[i]] = d * v
+            for j, v in right:
+                table.setdefault((new[j], a), {})[new[i]] = d * v
     for key, cell in _label_cells(index, spec.torus_brackets).items():
         table[key] = {k: d * c for k, c in cell.items()}
     D, cells = _integer_cells(table)
@@ -113,11 +150,7 @@ def _restricted_operator(A, direction, candidate):
     is the candidate's rows r_c and the operator is scaled by d and the lcm
     L of their leads, so column a holds w[pivot c] * L / lead c for w =
     d*[x, r_a]; neither change alters the Jordan profile or the diagonal."""
-    rows, x = candidate.rows, [(direction, 1)]
-    if A.kind == LIE:
-        ws = next(_products(A, [x], rows))
-    else:
-        ws = {a: w[0] for a, w in enumerate(_products(A, rows, [x])) if w}
+    rows, ws = candidate.rows, _ad(A, [(direction, 1)], candidate.rows, A.kind == LIE)
     scale = lcm(*[row[0][1] for row in rows])
     cols = []
     for a in range(len(rows)):

@@ -16,12 +16,13 @@ one-block members, L^{n,m} = N(n-1,1|m) and LP^{n,m} = NP(n-1,1|m), with
 tp1 and zp1 called t3 and z3.  member(family, even, odd) builds any of the
 eight families by name; member_dim gives its dimension without building it.
 The z-basis presentations of SL and SN extend N by its maximal torus, the
-z's, with the label map sending t's to combinations of z's, for replay
+z's, through semidirect_extension, with the t -> z label map for replay
 through change_of_basis: the fixtures of theorems 3.1 and 4.1.
 """
 
-from .core import LIE, LEIBNIZ, Element, SuperAlgebra, _adjoin_torus
+from .core import LIE, LEIBNIZ, Element, SuperAlgebra
 from .derivations import maximal_torus
+from .extension import ExtensionSpec, _diagonal_rows, semidirect_extension
 
 FAMILIES = ("L", "SL", "N", "SN", "LP", "SLP", "NP", "SNP")
 
@@ -112,11 +113,6 @@ def _filiform(obj, name=None):
                                  obj.integer_law, name=name)
 
 
-def _diagonal_rows(weights, n):
-    """Sparse rows of the diagonal map on n indices with the nonzero weights[i]."""
-    return [[(i, weights[i])] if weights.get(i) else [] for i in range(n)]
-
-
 def member_dim(family, even, odd):
     """Dimension of member(family, even, odd), without building it; sizes
     member refuses raise the same ValueError."""
@@ -185,7 +181,7 @@ def model_nilpotent_leibniz(even_blocks, odd_blocks, solvable=False):
 
 def _lie_torus(family, even, odd):
     """The nilradical N of the SL or SN member with these sizes, and its
-    z-basis presentation, the extension of N by T = maximal_torus(N) acting
+    z-basis presentation, semidirect_extension of N by T = maximal_torus(N)
     on the left, with the map (see z_basis_nilpotent_lie): T's basis is
     the z's, and the map sends each t to its combination of them."""
     even_blocks, odd_blocks = _member_blocks(family, even, odd)
@@ -194,9 +190,9 @@ def _lie_torus(family, even, odd):
     ts, zs = (tuple(_torus_labels(p, even_chains, odd_chains)) for p in "tz")
     if family == "SL":
         ts, zs = _filiform(ts), _filiform(zs)
-    rows = [(_diagonal_rows(dict(w), nil.dim), None) for w in maximal_torus(nil)]
-    zalg = SuperAlgebra.from_law(LIE, nil.even_basis + zs, nil.odd_basis,
-                                 _adjoin_torus(nil, rows), name="S%s (z basis)" % nil.name)
+    rows = [_diagonal_rows(dict(w), nil.dim) for w in maximal_torus(nil)]
+    zalg = semidirect_extension(ExtensionSpec(nil, zs, dict(zip(zs, rows))))
+    zalg.name = "S%s (z basis)" % nil.name
     heads = [1] + [int(c[0][1:]) for c in even_chains + odd_chains]
     zmap = {l: Element.basis(l) for l in nil.even_basis}
     zmap[ts[0]] = Element(zip(zs, heads))

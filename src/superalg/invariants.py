@@ -9,7 +9,7 @@ from itertools import combinations
 
 from .linalg import (NotNilpotent, _frac, _integer_row, _jordan_blocks, _kernel, _reduce,
                      pivot_coefficients, sparse_rows)
-from .core import EVEN, LIE, Element, _products
+from .core import EVEN, LIE, Element, _ad, _products
 
 DESCENDING_CENTRAL = "descending_central"
 DERIVED = "derived"
@@ -188,13 +188,9 @@ def _jordan_profile(A, x):
     """Jordan profiles of ad x, left multiplication for the Lie kind and
     right for the Leibniz kind, on the even and odd parts of an even x.
     The blocks are sparse integer columns of a multiple of ad x, which has
-    the same profile: the products of x scaled to integers (see _products)."""
+    the same profile: the products of x scaled to integers (see _ad)."""
     x = _integer_row([(A.index(l), c) for l, c in x.items()])
-    units = [[(j, 1)] for j in range(A.dim)]
-    if A.kind == LIE:
-        cols = next(_products(A, [x], units))
-    else:
-        cols = {j: ws[0] for j, ws in enumerate(_products(A, units, [x])) if ws}
+    cols = _ad(A, x, [[(j, 1)] for j in range(A.dim)], A.kind == LIE)
     ne, cols = A.dim_even, [cols.get(j, {}).items() for j in range(A.dim)]
     return (_jordan_blocks([[(k, v) for k, v in col if k < ne] for col in cols[:ne]]),
             _jordan_blocks([[(k - ne, v) for k, v in col if k >= ne] for col in cols[ne:]]))

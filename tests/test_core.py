@@ -6,7 +6,7 @@ from superalg.core import (EVEN, LEIBNIZ, LIE, ODD, Element, SuperAlgebra,
                            bracket, change_of_basis, equal_laws,
                            multiplication_matrix, validate)
 from superalg.families import filiform_leibniz, model_filiform_lie
-from superalg.linalg import Matrix
+from superalg.linalg import ZERO, Matrix
 
 
 def test_element_arithmetic():
@@ -100,7 +100,9 @@ def test_validate_flags_broken_law():
 
 def test_lie_families_also_satisfy_leibniz():
     A = model_filiform_lie(3, 2)
-    assert validate(A, kind=LEIBNIZ).ok
+    B = SuperAlgebra.from_law(LEIBNIZ, A.even_basis, A.odd_basis, A.integer_law)
+    report = validate(B)
+    assert report.ok and report.kind == LEIBNIZ and B.integer_law == A.integer_law
 
 
 def test_bracket_bilinear():
@@ -125,6 +127,12 @@ def test_multiplication_matrix_sides():
     assert multiplication_matrix(LP, "x1", "left") == Matrix([[0] * 5] * 5)
     R = multiplication_matrix(LP, "x1", "right")
     assert column(R, 1) == (0, 0, 1, 0, 0)
+    # the zero element meets no law cell: the zero matrix, every entry the shared ZERO
+    for A in (L, LP):
+        for side in ("left", "right"):
+            Z = multiplication_matrix(A, Element(), side)
+            assert Z == Matrix([[0] * 5] * 5)
+            assert all(v is ZERO for row in Z.entries for v in row), (A.name, side)
     with pytest.raises(ValueError):
         multiplication_matrix(L, "x1", "middle")
     with pytest.raises(ValueError):

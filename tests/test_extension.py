@@ -9,10 +9,10 @@ from superalg import extension, fixtures
 from superalg.core import (LEIBNIZ, Element, SuperAlgebra, change_of_basis, equal_laws,
                            validate)
 from superalg.derivations import maximal_torus
-from superalg.extension import (ExtensionSpec, IdentityViolation, _linear_residuals,
-                                _parameter_solutions, nilradical_verdict,
+from superalg.extension import (ExtensionSpec, IdentityViolation, _diagonal_rows,
+                                _linear_residuals, _parameter_solutions, nilradical_verdict,
                                 semidirect_extension)
-from superalg.families import (_diagonal_rows, filiform_leibniz, model_filiform_lie,
+from superalg.families import (filiform_leibniz, model_filiform_lie,
                                model_nilpotent_leibniz, model_nilpotent_lie,
                                z_basis_filiform_lie, z_basis_nilpotent_lie)
 from superalg.invariants import span_of_labels, whole_space

@@ -49,9 +49,11 @@ def _label_law(A):
 
 
 def _report(A, kind):
-    """(grading entries sorted by index pair, the other entries in order)."""
+    """(grading entries sorted by index pair, the other entries in order), of
+    A's table checked against the identity of `kind`."""
+    B = SuperAlgebra.from_law(kind, A.even_basis, A.odd_basis, A.integer_law)
     entries = [(v.identity, v.labels, dict(v.residual.items()))
-               for v in validate(A, kind).violations]
+               for v in validate(B).violations]
     return _split(A, entries)
 
 

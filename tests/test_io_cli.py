@@ -7,7 +7,8 @@ import pytest
 
 from superalg import cli, families, fixtures
 from superalg.cli import main, parse_element_expression
-from superalg.core import EVEN, ODD, Element, bracket, change_of_basis, equal_laws
+from superalg.core import (EVEN, LIE, ODD, Element, SuperAlgebra, bracket,
+                           change_of_basis, equal_laws)
 from superalg.derivations import SuperDerivation, derivation_space
 from superalg.extension import ExtensionSpec
 from superalg.families import (filiform_leibniz, model_filiform_lie,
@@ -15,7 +16,7 @@ from superalg.families import (filiform_leibniz, model_filiform_lie,
 from superalg.fileformat import (ParseError, ValidationError, dump_algebra,
                                  emit_algebra, load_algebra, parse_algebra)
 
-from naive_identities import dense_map
+from naive_identities import dense_map, naive_validate
 
 
 ALL_FAMILIES = [
@@ -541,6 +542,61 @@ def test_torus_rank_check_can_fail(monkeypatch, capsys):
         assert main(["verify", "--theorem", theorem]) == 1
         out = capsys.readouterr().out
         assert "  torus rank = generator count = 3: FAIL (rank 3, 4 generators)\n" in out
+
+
+def test_extension_identity_check_can_fail(monkeypatch, capsys):
+    # a bracket [z1, z2] = x1 planted in the z-basis extension breaks Jacobi:
+    # semidirect_extension refuses it, the identities check fails with the
+    # oracle's count of violations, the checks on the extension are not
+    # reached, and the nilradical checks on the solvable member still pass
+    build = families.semidirect_extension
+    planted = {("z1", "z2"): Element({"x1": 1})}
+    for theorem, z_basis, sizes in (("3.1", families.z_basis_filiform_lie, (3, 2)),
+                                    ("4.1", families.z_basis_nilpotent_lie, ((2,), (2,)))):
+        z, _ = z_basis(*sizes)
+        count = len(naive_validate(SuperAlgebra(LIE, z.even_basis, z.odd_basis,
+                                                {**z.brackets, **planted}), LIE))
+        monkeypatch.setattr(families, "semidirect_extension", lambda spec: build(ExtensionSpec(
+            spec.nilradical, spec.torus_labels, spec.action_rows, planted)))
+        _, checks = fixtures.verify(theorem, *fixtures.default_sizes(theorem))
+        assert count and checks == [
+            ("extension satisfies the identities", False, "%d violations" % count),
+            ("nilradical verdict", True, ""), ("nilradical codimension = 3", True, "got 3")]
+        assert main(["verify", "--theorem", theorem]) == 1
+        out = capsys.readouterr().out
+        assert "  extension satisfies the identities: FAIL (%d violations)\n" % count in out
+        assert "extension matches" not in out and out.endswith("result: FAIL\n")
+        monkeypatch.undo()
+
+
+def test_extension_law_check_can_fail(monkeypatch, capsys):
+    # z1 acting doubled is still a derivation of N, so the extension
+    # validates, but its replay through the z map is not the solvable law
+    torus = families.maximal_torus
+    monkeypatch.setattr(families, "maximal_torus", lambda nil: [
+        [(i, 2 * w) for i, w in row] if c == 0 else row for c, row in enumerate(torus(nil))])
+    for theorem in ("3.1", "4.1"):
+        _, checks = fixtures.verify(theorem, *fixtures.default_sizes(theorem))
+        assert {name: ok for name, ok, _ in checks if not ok} == {
+            "extension matches the solvable law": False}, theorem
+        assert main(["verify", "--theorem", theorem]) == 1
+        out = capsys.readouterr().out
+        assert "  extension matches the solvable law: FAIL\n" in out
+        assert out.endswith("result: FAIL\n")
+
+
+def test_nilradical_checks_can_fail(monkeypatch, capsys):
+    # a candidate missing N's last label is no ideal and one dimension short
+    span = fixtures.span_of_labels
+    monkeypatch.setattr(fixtures, "span_of_labels", lambda A, labels: span(A, labels[:-1]))
+    for theorem in ("3.1", "4.1", "5.1", "6.1"):
+        _, checks = fixtures.verify(theorem, *fixtures.default_sizes(theorem))
+        assert {name: ok for name, ok, _ in checks if not ok} == {
+            "nilradical verdict": False, "nilradical codimension = 3": False}, theorem
+        assert main(["verify", "--theorem", theorem]) == 1
+        out = capsys.readouterr().out
+        assert "  nilradical verdict: FAIL\n" in out
+        assert "  nilradical codimension = 3: FAIL (got 4)\n" in out
 
 
 SOLVED = "the linear triples have one solution, where the extension validates"
