@@ -179,14 +179,13 @@ def model_nilpotent_leibniz(even_blocks, odd_blocks, solvable=False):
     return SuperAlgebra(LEIBNIZ, xs + torus, ys, table, name="SNP(%s)" % blocks)
 
 
-def _lie_torus(family, even, odd):
-    """The nilradical N of the SL or SN member with these sizes, and its
-    z-basis presentation, semidirect_extension of N by T = maximal_torus(N)
-    on the left, with the map (see z_basis_nilpotent_lie): T's basis is
-    the z's, and the map sends each t to its combination of them."""
-    even_blocks, odd_blocks = _member_blocks(family, even, odd)
-    even_chains, odd_chains = _chains(even_blocks, odd_blocks)
-    nil = member(family[1:], even, odd)
+def _lie_torus(family, even, odd, nil):
+    """The z-basis presentation of the SL or SN member with these sizes,
+    semidirect_extension of its nilradical `nil` (the L or N member) by
+    T = maximal_torus(nil) on the left, with the map (see
+    z_basis_nilpotent_lie): T's basis is the z's, and the map sends each t
+    to its combination of them."""
+    even_chains, odd_chains = _chains(*_member_blocks(family, even, odd))
     ts, zs = (tuple(_torus_labels(p, even_chains, odd_chains)) for p in "tz")
     if family == "SL":
         ts, zs = _filiform(ts), _filiform(zs)
@@ -198,7 +197,7 @@ def _lie_torus(family, even, odd):
     zmap[ts[0]] = Element(zip(zs, heads))
     zmap.update({t: Element.basis(z) for t, z in zip(ts[1:], zs[1:])})
     zmap.update({l: Element.basis(l) for l in nil.odd_basis})
-    return nil, zalg, zmap
+    return zalg, zmap
 
 
 def z_basis_filiform_lie(n, m):
@@ -207,7 +206,7 @@ def z_basis_filiform_lie(n, m):
     Returns (algebra, map); pushing the algebra through change_of_basis
     with the map reproduces SL^{n,m} on the nose.
     """
-    return _lie_torus("SL", (n,), (m,))[1:]
+    return _lie_torus("SL", (n,), (m,), member("L", (n,), (m,)))
 
 
 def z_basis_nilpotent_lie(even_blocks, odd_blocks):
@@ -221,4 +220,4 @@ def z_basis_nilpotent_lie(even_blocks, odd_blocks):
     t1 = z1 + 2 z2 + sum (N_j + 2) z_{j+2} + zp1 + sum (M_j + 1) zp_{j+1},
     and every other t to its z.
     """
-    return _lie_torus("SN", even_blocks, odd_blocks)[1:]
+    return _lie_torus("SN", even_blocks, odd_blocks, member("N", even_blocks, odd_blocks))

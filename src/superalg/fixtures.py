@@ -44,7 +44,7 @@ def _lie_construction(family, even, odd):
     codim = len(even_blocks) + 1 + len(odd_blocks)
     # N extended by its computed maximal torus, in the z basis
     try:
-        _, ext, zmap = _lie_torus(family, even, odd)
+        ext, zmap = _lie_torus(family, even, odd, nil)
     except IdentityViolation as exc:
         checks = [("extension satisfies the identities", False,
                    "%d violations" % len(exc.report.violations))]

@@ -79,23 +79,30 @@ def _reduce(rows):
     leading columns of the row space, which fixes the canonical form used
     everywhere below.
 
-    The elimination is fraction-free.  Rows are taken shortest first, the
-    fill-reducing order (Markowitz 1957); the reduced row echelon form of a
-    row space is unique, so the order changes the work, never the output.
-    Each nonzero row becomes a dict {column: int}; only a row holding a
-    Fraction is scaled, by the lcm of its denominators.  It is reduced
-    against the pivot rows found so far, smallest pivot column first, by
-    integer row operations a*row - b*pivot_row; unless the result is zero
-    (a repeated or dependent row), it is divided by its content (the gcd
-    of its entries), given a positive lead and kept as the pivot row of
-    its smallest column.  Back-substitution clears the other pivot columns
-    the same way, in the rows that hold any; the rest are emitted as kept.
+    The elimination is fraction-free.  The pre-pass _split_units, shared
+    with _kernel, makes each nonzero row of one pair the unit pivot row
+    {column: 1} and drops a zero one (singleton rows; Andersen and Andersen
+    1995); a longer row drops the unit columns on arrival, which is all
+    that eliminating against a unit row does, so no other pivot row holds
+    one.  The longer rows are taken shortest first, the fill-reducing order
+    (Markowitz 1957); the reduced row echelon form of a row space is
+    unique, so the order changes the work, never the output.  Each nonzero
+    row becomes a dict {column: int}; only a row holding a Fraction is
+    scaled, by the lcm of its denominators.  It is reduced against the
+    pivot rows found so far, smallest pivot column first, by integer row
+    operations a*row - b*pivot_row; unless the result is zero (a repeated
+    or dependent row), it is divided by its content (the gcd of its
+    entries), given a positive lead and kept as the pivot row of its
+    smallest column.  Back-substitution clears the other pivot columns the
+    same way, in the rows that hold any; the rest are emitted as kept, and
+    each unit row as [(column, 1)].
     """
+    units, longer = _split_units(rows)
     pivot_rows = {}
-    for row in sorted(rows, key=len):
+    for row in sorted(longer, key=len):
         r = {}
         for j, v in row:
-            if v:
+            if v and j not in units:
                 r[j] = v
         if Fraction in map(type, r.values()):
             r = dict(_integer_row(r.items()))
@@ -115,9 +122,7 @@ def _reduce(rows):
             c = min(r)
             _divide_content(r, r[c] < 0)
             pivot_rows[c] = r
-    pivots = sorted(pivot_rows)
-    reduced = []
-    for c in reversed(pivots):
+    for c in sorted(pivot_rows, reverse=True):
         r = pivot_rows[c]
         others = [j for j in r if j != c and j in pivot_rows]
         for j in others:  # each p has a positive lead, so r[c] stays positive
@@ -125,9 +130,21 @@ def _reduce(rows):
             _eliminate(r, p.items(), p[j], r[j])
         if others:
             _divide_content(r)
-        reduced.append(sorted(r.items()))
-    reduced.reverse()
-    return reduced, pivots
+    pivots = sorted(units.union(pivot_rows))
+    return [[(c, 1)] if c in units else sorted(pivot_rows[c].items()) for c in pivots], pivots
+
+
+def _split_units(rows):
+    """The columns of the rows of one nonzero pair, and the rows of other lengths."""
+    units, longer = set(), []
+    for row in rows:
+        if len(row) == 1:
+            (c, a), = row
+            if a:
+                units.add(c)
+        else:
+            longer.append(row)
+    return units, longer
 
 
 def _integer_row(row):
@@ -199,11 +216,12 @@ def _kernel(rows, cols):
     vector is 1 at one free column and 0 at the others; the vectors come in
     free-column order, each a list of its nonzero pairs, free column first.
 
-    The kernel tracks the solution space.  A pre-pass reads the rows of one
-    pair, as shortest-first order would while every vector is a unit vector:
-    a nonzero value kills its column, a zero one says nothing (singleton
-    rows; Andersen and Andersen 1995).  Each live column then has an integer
-    unit vector {column: 1}, and `at` lists the vectors nonzero in each
+    The kernel tracks the solution space.  The pre-pass _split_units,
+    shared with _reduce, reads the rows of one pair, as shortest-first
+    order would while every vector is a unit vector: a nonzero value kills
+    its column, a zero one says nothing (singleton rows; Andersen and
+    Andersen 1995).  Each live column then has an integer unit vector
+    {column: 1}, and `at` lists the vectors nonzero in each
     column.  Each longer row, shortest first, is dotted in one pass over its
     pairs (c, a), acc[i] += a*v[c] for each i in at[c] (a sparse
     accumulator; Gustavson 1978), and skipped when all values vanish;
@@ -215,14 +233,7 @@ def _kernel(rows, cols):
     pivots being the free columns of the rows' RREF (matroid duality;
     Oxley, Matroid Theory, 2011, section 2.1).
     """
-    dead, longer = set(), []
-    for row in rows:
-        if len(row) == 1:
-            (c, a), = row
-            if a:
-                dead.add(c)
-        else:
-            longer.append(row)
+    dead, longer = _split_units(rows)
     vecs = {f: {f: 1} for f in range(cols) if f not in dead}
     at = [{f} if f in vecs else set() for f in range(cols)]
     for row in sorted(longer, key=len):

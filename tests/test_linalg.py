@@ -2,12 +2,16 @@ import importlib
 import os
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 import superalg
+from superalg import linalg
+from superalg.core import change_of_basis
 from superalg.derivations import derivation_space
+from superalg.families import member
+from superalg.invariants import DESCENDING_CENTRAL, classify, series
 from superalg.linalg import (ZERO, Matrix, NotNilpotent, _kernel, _monic, _reduce,
                              dense_rows, invert, nilpotent_jordan_blocks, nullspace, rank,
                              row_space_basis, span_contains)
@@ -606,6 +610,89 @@ def test_kernel_one_pair_rows_alone_reach_nullity_zero():
     rows = [[(0, 1), (1, 1), (5, "not read")], [(1, Fraction(1, 2))], {0: -3}.items()]
     assert _kernel(rows, 2) == []
     assert _kernel(rows[1:2], 2) == [[(0, 1)]]
+
+
+def _check_reduce_against_oracle(rows, cols):
+    """_reduce on rows (any sized iterables of pairs) equals the dense
+    oracle's RREF, each emitted row primitive integers with a positive lead."""
+    dense = _dense([list(row) for row in rows], cols)
+    reduced, pivots = _reduce(rows)
+    assert ([tuple(r) for r in dense_rows(map(_monic, reduced), cols)], pivots) == \
+        naive_rref(dense), dense
+    for row, c in zip(reduced, pivots):
+        assert row[0][0] == c and row[0][1] > 0, dense
+        assert all(type(v) is int for _, v in row) and gcd(*dict(row).values()) == 1, dense
+    return reduced, pivots
+
+
+def test_reduce_one_pair_rows_match_oracle():
+    """The pre-pass on hand-made cases: zero-valued one-pair rows (dropped),
+    negative and Fraction values, also as a dict's items, repeated unit
+    columns, a longer row that the unit columns empty, and unit columns
+    between other pivots, so that back-substitution still runs."""
+    longer = [[(0, 1), (2, 1), (3, 1)], [(2, 1), (3, -1), (6, 2)], [(4, 1), (6, -3)]]
+    cases = [
+        [[(2, 0)], [(4, Fraction(0))], {5: 0}.items(), {1: Fraction(0)}.items()] + longer,
+        [[(1, -3)], {5: Fraction(-2, 7)}.items(), [(3, Fraction(4, 9))], {6: -1}.items()]
+        + longer,
+        [[(1, 2)], [(1, -5)], {1: Fraction(1, 3)}.items(), [(3, 1)], [(3, -1)]] + longer,
+        [[(1, 4), (5, -1)], [(5, 7)], [(1, Fraction(-1, 2))]] + longer,
+        [[(3, 2)], [(1, 1)], [(5, 1)]] + longer,
+        [[(0, 1)], [(3, Fraction(-5, 2))], {6: 4}.items(), [(1, 0)], [(0, -1)]],
+    ]
+    for rows in cases:
+        _check_reduce_against_oracle(rows, 7)
+    # the unit column 3 is emptied out of longer[1] and longer[0], so the
+    # pivot rows of 0 and 2 meet in column 2 and back-substitution runs
+    reduced, pivots = _check_reduce_against_oracle(cases[4], 7)
+    assert pivots == [0, 1, 2, 3, 4, 5] and reduced[0] == [(0, 1), (6, -2)]
+    # a longer row holding only unit columns adds nothing
+    assert _reduce(cases[3]) == _reduce(cases[3][1:])
+    assert _reduce([]) == ([], [])
+    assert _reduce([[(2, 0)], [(0, Fraction(0))]]) == ([], [])
+
+
+def test_reduce_mostly_one_pair_rows_match_oracle():
+    """Random systems whose rows mostly hold one pair, as the monomial
+    laws' product spaces do, with the longer rows over few columns."""
+    rng = random.Random(1995)
+    values = (0, 0, -3, -1, 1, 2, Fraction(-2, 3), Fraction(5, 4), Fraction(0))
+    for _ in range(200):
+        cols = rng.randint(1, 9)
+        rows = []
+        for _ in range(rng.randint(0, 14)):
+            if rng.random() < 0.7:
+                row = [(rng.randrange(cols), rng.choice(values))]
+            else:
+                picks = rng.sample(range(cols), rng.randint(min(2, cols), cols))
+                row = [(c, rng.choice(values)) for c in picks]
+            rows.append(dict(row).items() if rng.random() < 0.3 else row)
+        _check_reduce_against_oracle(rows, cols)
+
+
+def test_monomial_laws_reach_their_invariants_without_elimination(monkeypatch):
+    """On L^{6,5} as built every bracket is one term, and series and
+    classify reach their answers through the one-pair pre-pass with no row
+    operation; after the benchmark's seeded unitriangular change of basis
+    the rows are longer and the same calls eliminate."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench"))
+    change = importlib.import_module("workloads").change_of_basis_map
+    count = [0]
+    eliminate = linalg._eliminate
+
+    def counted(*args):
+        count[0] += 1
+        return eliminate(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    A = member("L", (6,), (5,))
+    B = change_of_basis(A, change(superalg, A, random.Random(1)))
+    for C, some in ((A, False), (B, True)):
+        for run in (lambda: series(C, DESCENDING_CENTRAL), lambda: classify(C)):
+            count[0] = 0
+            run()
+            assert (count[0] > 0) == some, (C.name, count[0])
 
 
 def test_derivation_space_of_the_sparse_benchmark_members_matches_oracle(monkeypatch):
