@@ -45,8 +45,12 @@ def _check_cap(dim):
 
 
 def _load(path, skip_validate=False):
-    A = load_algebra(path, skip_validate=skip_validate)
+    A = load_algebra(path, skip_validate=True)  # an over-cap law is refused unvalidated
     _check_cap(A.dim)
+    if not skip_validate:
+        report = validate(A)
+        if not report.ok:
+            raise ValidationError(report)
     return A
 
 
@@ -315,6 +319,8 @@ def cmd_iso(args):
     A = _load(args.file_a, skip_validate=args.skip_validate)
     B = _load(args.file_b, skip_validate=args.skip_validate)
     mapping = load_basis_map(args.map)
+    if set(mapping) == set(B.combined_basis):  # the file's key order does not matter
+        mapping = {l: mapping[l] for l in B.combined_basis}
     same = equal_laws(change_of_basis(A, mapping), B)
     obj = {"equal_laws": same}
     lines = ["laws equal: %s" % ("yes" if same else "no")]

@@ -10,9 +10,9 @@ kept as given so that validate() can report contradictions.
 Every constructor builds `integer_law`, the one form of the law: (d,
 {(i, j): {k: d*c}}) by combined-basis index, d the lcm of the reduced
 denominators, with `parities` by index; `brackets`, the table by labels,
-is a view made from it on first read.  Validation, the derivation
-equations and the products (_products, and ad x through _ad) run on it
-in integers, and a Fraction is made only where a value leaves the library;
+is a view made from it on first read.  Validation (_residuals), the
+derivation equations and the products (_products, ad x through _ad) run
+on it in integers, a Fraction made only where a value leaves the library;
 `skew_symmetric` lets the first two skip what super skew-symmetry implies.
 """
 
@@ -295,23 +295,13 @@ def bracket(A, u, v):
     return Element((basis[k], Fraction(c, d)) for k, c in sorted(w.items()))
 
 
-def validate(A):
-    """Check the grading and the defining identity from the nonzero constants.
-
-    Only the nonzero double products [p,[q,r]] and [[q,r],p] are formed, in
-    integers from `A.integer_law` (d times the law), and added into the
-    residual of each basis triple whose identity holds them; a residual
-    entry c is reported as c / d^2, the triples in index order.  On a super
-    skew-symmetric law a transposition of (x,y,z) multiplies the Jacobi
-    residual by eps = -(-1)^(|x||y|+|y||z|+|z||x|) (Scheunert 1979), so the
-    Lie kind sums only nondecreasing triples and copies each nonzero one to
-    its permutations, times eps at the odd ones.  Violations are report
-    entries, never exceptions.
-    """
-    kind, basis, par = A.kind, A.combined_basis, A.parities
-    d, ilaw = A.integer_law
+def _residuals(A):
+    """{(x, y, z): {k: d^2*c}} by index, the defining identity's residuals,
+    summed from the nonzero double products [p,[q,r]] and [[q,r],p] of
+    `A.integer_law` (d times the law); a super skew-symmetric Lie law keeps
+    only the nondecreasing rotation of each triple (see validate)."""
+    kind, par, ilaw = A.kind, A.parities, A.integer_law[1]
     ordered = kind == LIE and A.skew_symmetric
-    violations = []
     residuals = {}
 
     def add(triple, f, cell):
@@ -320,15 +310,10 @@ def validate(A):
             res[k] = res.get(k, 0) + f * c
 
     # the cells (p, k) by right index k, and (k, p) by left index k
-    by_right = [[] for _ in basis]
-    by_left = [[] for _ in basis]
+    by_right, by_left = [[] for _ in par], [[] for _ in par]
     for (i, j), cell in ilaw.items():
         by_right[j].append((i, cell))
         by_left[i].append((j, cell))
-    for (q, r), cell in ilaw.items():
-        bad = [(basis[k], Fraction(c, d)) for k, c in cell.items() if par[k] != par[q] ^ par[r]]
-        if bad:
-            violations.append(Violation("grading", (basis[q], basis[r]), Element(bad)))
     # Jacobi residual of (x,y,z): (-1)^{|z||x|}[x,[y,z]]
     #   + (-1)^{|x||y|}[y,[z,x]] + (-1)^{|y||z|}[z,[x,y]], which holds
     #   [p,[q,r]] at each rotation of (p,q,r) with sign (-1)^{|p||r|}.
@@ -355,7 +340,25 @@ def validate(A):
                 for p, outer in by_left[k]:
                     add((q, r, p), -c, outer)
                     add((q, p, r), -c if par[p] and par[r] else c, outer)
+    return residuals
 
+
+def validate(A):
+    """Check the grading and the defining identity from the nonzero constants.
+
+    A residual entry c of _residuals is reported as c / d^2, the triples in
+    index order.  On a super skew-symmetric law a transposition of (x,y,z)
+    multiplies the Jacobi residual by eps = -(-1)^(|x||y|+|y||z|+|z||x|)
+    (Scheunert 1979), so each nonzero Lie residual is copied from its
+    nondecreasing rotation to the other permutations, times eps at the odd
+    ones.  Violations are report entries, never exceptions.
+    """
+    kind, basis, par, (d, ilaw) = A.kind, A.combined_basis, A.parities, A.integer_law
+    ordered, violations = kind == LIE and A.skew_symmetric, []
+    for (q, r), cell in ilaw.items():
+        bad = [(basis[k], Fraction(c, d)) for k, c in cell.items() if par[k] != par[q] ^ par[r]]
+        if bad:
+            violations.append(Violation("grading", (basis[q], basis[r]), Element(bad)))
     if kind == LIE and not A.skew_symmetric:
         for i, j in sorted({(min(i, j), max(i, j)) for i, j in ilaw}):
             # [a,b] + (-1)^{|a||b|} [b,a] must vanish
@@ -368,7 +371,7 @@ def validate(A):
                     (basis[k], Fraction(c, d)) for k, c in res.items() if c)))
     identity = "jacobi" if kind == LIE else "leibniz"
     found = {}
-    for (x, y, z), res in residuals.items():
+    for (x, y, z), res in _residuals(A).items():
         if any(res.values()):
             even = found[x, y, z] = Element((basis[k], Fraction(c, d * d))
                                             for k, c in sorted(res.items()))

@@ -2,12 +2,13 @@
 
 An ExtensionSpec holds the nilpotent algebra, the new torus labels, and one
 (left, right) action pair per torus label as sparse rows, checked by
-_check_parity_blocks.  semidirect_extension, the one place a torus is
-adjoined, writes the extended law from those rows and returns it only
-when the kind's defining identity holds; otherwise it raises
+_check_parity_blocks.  _extension_law, the one place a torus is adjoined,
+writes the extended law from those rows; semidirect_extension returns it
+only when the kind's defining identity holds, and otherwise raises
 IdentityViolation carrying the offending triples.  _parameter_solutions
 solves exactly for the left-action parameters of theorems 5.1 and 6.1,
-given the chains they act on and the right actions, with one kernel call;
+given the chains they act on and the right actions, from the residuals
+core._residuals reads off one such law, with one kernel call;
 nilradical_verdict checks a nilradical candidate, and its condition (c)
 decides nil-independence of a diagonal torus.
 """
@@ -15,7 +16,8 @@ decides nil-independence of a diagonal torus.
 from math import lcm
 
 from .linalg import NotNilpotent, _jordan_blocks, _kernel, _reduce, pivot_coefficients
-from .core import EVEN, LIE, SuperAlgebra, _ad, _integer_cells, _label_cells, validate
+from .core import (EVEN, LIE, SuperAlgebra, _ad, _integer_cells, _label_cells, _residuals,
+                   validate)
 from .invariants import product_space, whole_space
 
 
@@ -104,31 +106,38 @@ class ExtensionSpec:
         self.torus_brackets = dict(torus_brackets or {})
 
 
-def semidirect_extension(spec):
-    """Assemble the extension and validate it.
+def _extension_law(nil, torus, action_rows, torus_brackets):
+    """The extension of nil by the even torus labels, unvalidated.
 
-    The result has basis (nilradical even labels, torus labels | nilradical
-    odd labels), the inherited nilradical law, [t, e_j] = left action and
-    [e_j, t] = right action, read from the nonzero entries of each action's
-    rows (entry (i, j) is the coefficient of e_i in the image of e_j), and
-    the given brackets among torus labels.
+    The result has basis (nil's even labels, torus labels | nil's odd
+    labels), the inherited law of nil, [t, e_j] = left action and [e_j, t]
+    = right action, read from the nonzero entries of the (left, right)
+    rows action_rows[t] (entry (i, j) is the coefficient of e_i in the
+    image of e_j), and the given brackets among torus labels.
     """
-    nil, torus = spec.nilradical, spec.torus_labels
     (d, law), even = nil.integer_law, nil.even_basis + torus
     index = {l: i for i, l in enumerate(even + nil.odd_basis)}
     new = [index[l] for l in nil.combined_basis]
     table = {(new[i], new[j]): {new[k]: c for k, c in cell.items()}
              for (i, j), cell in law.items()}
     for a, t in enumerate(torus, nil.dim_even):
-        for i, (left, right) in enumerate(zip(*spec.action_rows[t])):
+        for i, (left, right) in enumerate(zip(*action_rows[t])):
             for j, v in left:
                 table.setdefault((a, new[j]), {})[new[i]] = d * v
             for j, v in right:
                 table.setdefault((new[j], a), {})[new[i]] = d * v
-    for key, cell in _label_cells(index, spec.torus_brackets).items():
+    for key, cell in _label_cells(index, torus_brackets).items():
         table[key] = {k: d * c for k, c in cell.items()}
     D, cells = _integer_cells(table)
-    extended = SuperAlgebra.from_law(nil.kind, even, nil.odd_basis, (d * D, cells))
+    return SuperAlgebra.from_law(nil.kind, even, nil.odd_basis, (d * D, cells))
+
+
+def semidirect_extension(spec):
+    """The extension _extension_law writes from spec, returned when the
+    kind's defining identity holds; otherwise IdentityViolation is raised
+    with the validation report."""
+    extended = _extension_law(spec.nilradical, spec.torus_labels, spec.action_rows,
+                              spec.torus_brackets)
     report = validate(extended)
     if not report.ok:
         raise IdentityViolation(report)
@@ -221,56 +230,34 @@ def nilradical_verdict(A, candidate):
     }
 
 
-def _linear_residuals(nil, left, right):
-    """d times the Leibniz residuals of (t, e_q, e_r), keyed (0, q, r, k)
-    at e_k, and of (e_q, t, e_r), keyed (1, q, r, k), as a dict, for an
-    even label t acting on nil by the sparse rows (left, right), d from
-    nil's integer law.  These triples are linear in t's action pair, and
-    each of their terms holds one law cell."""
-    cols = [[[] for _ in range(nil.dim)] for _ in "lr"]
-    for side, rows in zip(cols, (left, right)):
-        for i, row in enumerate(rows):
-            for j, v in row:
-                side[j].append((i, v))
-    par, res = nil.parities, {}
-
-    def add(key, v):
-        res[key] = res.get(key, 0) + v
-
-    for (i, j), cell in nil.integer_law[1].items():
-        for m, c in cell.items():
-            for side, col in enumerate(cols):  # [t, [e_i, e_j]] and [[e_i, e_j], t]
-                for k, v in col[m]:
-                    add((side, i, j, k), c * v)
-            for w, v in left[i]:  # -[[t, e_w], e_j], and +-[[t, e_w], e_j] at (t, e_j, e_w)
-                add((0, w, j, m), -v * c)
-                add((0, j, w, m), -v * c if par[j] and par[w] else v * c)
-            for w, v in left[j]:  # [e_i, [t, e_w]]
-                add((1, i, w, m), v * c)
-            for w, v in right[i]:  # -[[e_w, t], e_j]
-                add((1, w, j, m), -v * c)
-    return res
-
-
 def _parameter_solutions(nil, supports, rights):
     """The solutions b in Q^r of the triples (t_c, e_q, e_r) and (e_q, t_c,
     e_r) of the Leibniz identity, for r torus labels t_c acting on nil on
     the left by -b_c on the indices supports[c] and on the right by the
     sparse rows rights[c]: None, or (b*, directions), b* the solution with
     its free parameters at 0, integral values as ints.  The residuals are
-    linear in each action, so per label the residual of the right action
-    alone is the constant, in column r, and that of -1 on the support the
-    coefficient of b_c; one _kernel call solves these rows, and column r is
-    free exactly when a solution exists.  The triples with two torus labels
-    in front, quadratic in b, are left to a validation at b*.
+    linear in each action, so they are read off one law, nil extended by
+    2r labels: label c acts by rights[c] alone, its residuals the constant
+    in column r, and label r + c by -1 on supports[c] alone, its residuals
+    the coefficient of b_c.  One _kernel call solves these rows, and column
+    r is free exactly when a solution exists.  The triples with two torus
+    labels in front, quadratic in b, are left to a validation at b*.
     """
-    r, none, eqs = len(rights), [[] for _ in range(nil.dim)], {}
-    for c, (support, right) in enumerate(zip(supports, rights)):
-        left = _diagonal_rows(dict.fromkeys(support, -1), nil.dim)
-        for col, pair in ((r, (none, right)), (c, (left, none))):
-            for key, v in _linear_residuals(nil, *pair).items():
-                if v:
-                    eqs.setdefault((c,) + key, {})[col] = v
+    r, n, ne = len(rights), nil.dim, nil.dim_even
+    none = [[] for _ in range(n)]
+    actions = {c: (none, right) for c, right in enumerate(rights)}
+    actions.update({r + c: (_diagonal_rows(dict.fromkeys(support, -1), n), none)
+                    for c, support in enumerate(supports)})
+    ext = _extension_law(nil, tuple(range(2 * r)), actions, {})
+    torus, eqs = range(ne, ne + 2 * r), {}
+    for (x, y, z), res in _residuals(ext).items():
+        if z in torus or (x in torus) == (y in torus):
+            continue
+        place, a, q = (0, x - ne, y) if x in torus else (1, y - ne, x)
+        c, col = (a, r) if a < r else (a - r, a - r)
+        for k, v in res.items():
+            if v:
+                eqs.setdefault((c, place, q, z, k), {})[col] = v
     kernel = _kernel([eq.items() for eq in eqs.values()], r + 1)
     if not kernel or kernel[-1][0][0] != r:
         return None

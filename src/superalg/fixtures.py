@@ -4,12 +4,13 @@ Theorems 3.1 and 4.1 extend L and N by their maximal tori (computed by
 derivations.maximal_torus) and compare the result with SL and SN.  5.1 and
 6.1 take N's maximal torus as the right actions and solve exactly for the
 left-action parameters, one per torus label acting by -b on x1 or on its
-chain (extension._parameter_solutions); the extension at the solution is
-validated and compared with SLP and SNP.  Each of the four checks torus
-rank = generator count of the nilradical = k + 1 + p, the paper's
-codimension, and the nilradical verdict at that codimension.  7.1 to 7.4
-compute the superderivation spaces of the four solvable families and
-check that all of them are inner.
+chain (extension._parameter_solutions, from the identity residuals that
+validate also reads); the extension at the solution is validated and
+compared with SLP and SNP.  Each of the four checks torus rank =
+generator count of the nilradical = k + 1 + p, the paper's codimension,
+and the nilradical verdict at that codimension.  7.1 to 7.4 compute the
+superderivation spaces of the four solvable families and check that all
+of them are inner.
 
 verify(theorem, even, odd) builds the instance, runs the checks and returns
 both.  Each check is a triple (name, ok, detail).

@@ -9,7 +9,7 @@ from itertools import combinations
 
 from .linalg import (NotNilpotent, _frac, _integer_row, _jordan_blocks, _kernel, _reduce,
                      pivot_coefficients, sparse_rows)
-from .core import EVEN, LIE, Element, _ad, _products
+from .core import LIE, ODD, Element, _ad, _products
 
 DESCENDING_CENTRAL = "descending_central"
 DERIVED = "derived"
@@ -219,7 +219,7 @@ def characteristic_sequence(A, candidates=None):
     else:
         candidates = [A.as_element(c) for c in candidates]
         for c in candidates:
-            if A.element_parity(c) != EVEN:
+            if A.element_parity(c) == ODD:  # 0 is refused next, as it lies in [g0, g0]
                 raise ValueError("candidate %r is not even" % (c,))
             if derived_even.contains_element(c):
                 raise ValueError("candidate %r inside the derived subalgebra" % (c,))

@@ -6,12 +6,11 @@ import pytest
 
 import superalg
 from superalg import extension, fixtures
-from superalg.core import (LEIBNIZ, Element, SuperAlgebra, change_of_basis, equal_laws,
-                           validate)
+from superalg.core import (LEIBNIZ, Element, SuperAlgebra, _residuals, change_of_basis,
+                           equal_laws, validate)
 from superalg.derivations import maximal_torus
 from superalg.extension import (ExtensionSpec, IdentityViolation, _diagonal_rows,
-                                _linear_residuals, _parameter_solutions, nilradical_verdict,
-                                semidirect_extension)
+                                _parameter_solutions, nilradical_verdict, semidirect_extension)
 from superalg.families import (filiform_leibniz, model_filiform_lie,
                                model_nilpotent_leibniz, model_nilpotent_lie,
                                z_basis_filiform_lie, z_basis_nilpotent_lie)
@@ -124,10 +123,12 @@ def test_size_one_odd_block_leaves_its_parameter_free():
 
 
 def test_linear_residuals_match_the_naive_identity():
-    # one even label t with seeded non-diagonal integer actions: the terms
-    # _linear_residuals returns are the naive Leibniz residuals of (t, e_q, e_r)
-    # and (e_q, t, e_r), over nil's d; the residuals are read on any graded
-    # table, here also a seeded one with brackets of two odd labels
+    # one even label t with seeded non-diagonal integer actions: the residuals
+    # core._residuals reads off the extension, among them those of (t, e_q,
+    # e_r) and (e_q, t, e_r) that the 5.1/6.1 solve keeps, are d^2 times the
+    # naive Leibniz residuals at every triple, d the extension's; they are
+    # read on any graded table, here also a seeded one with brackets of two
+    # odd labels
     rng = random.Random(25)
     xs, ys = ("x1", "x2", "x3"), ("y1", "y2")
     law = {(a, b): {c: Fraction(rng.choice((-1, 1, 2)), rng.choice((1, 2)))
@@ -135,7 +136,7 @@ def test_linear_residuals_match_the_naive_identity():
              for a in xs + ys for b in xs + ys if rng.random() < 0.5}
     for nil in (filiform_leibniz(4, 3), model_nilpotent_leibniz((2, 3), (2,)),
                 SuperAlgebra(LEIBNIZ, xs, ys, law)):
-        basis, n, d = nil.combined_basis, nil.dim, nil.integer_law[0]
+        basis, n = nil.combined_basis, nil.dim
         same = [[j for j in range(n) if nil.parities[j] == nil.parities[i]] for i in range(n)]
         left, right = ([[(j, rng.choice((-2, -1, 1, 3))) for j in same[i] if rng.random() < 0.3]
                         for i in range(n)] for _ in "lr")
@@ -144,14 +145,13 @@ def test_linear_residuals_match_the_naive_identity():
             table["t", basis[j]] = {basis[i]: v for i, row in enumerate(left) for c, v in row if c == j}
             table[basis[j], "t"] = {basis[i]: v for i, row in enumerate(right) for c, v in row if c == j}
         ext = SuperAlgebra(nil.kind, nil.even_basis + ("t",), nil.odd_basis, table)
-        want = {}
-        for _, (x, y, z), res in naive_validate(ext, nil.kind):
-            if "t" in (x, y) and z != "t" and (x, y).count("t") == 1:
-                side, q = (0, y) if x == "t" else (1, x)
-                want.update({(side, q, z, l): c for l, c in res.items()})
-        got = _linear_residuals(nil, left, right)
-        assert {(side, basis[q], basis[r], basis[k]): Fraction(v, d)
-                for (side, q, r, k), v in got.items() if v} == want != {}
+        labels, d = ext.combined_basis, ext.integer_law[0]
+        want = {xyz: res for _, xyz, res in naive_validate(ext, nil.kind)}
+        got = {tuple(labels[i] for i in xyz): {labels[k]: Fraction(v, d * d)
+                                                for k, v in res.items() if v}
+               for xyz, res in _residuals(ext).items()}
+        assert {xyz: res for xyz, res in got.items() if res} == want
+        assert any(xyz.count("t") == 1 and xyz[2] != "t" for xyz in want)
 
 
 def _solve_shapes():

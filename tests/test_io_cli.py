@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from superalg import cli, families, fixtures
+from superalg import cli, families, fileformat, fixtures
 from superalg.cli import main, parse_element_expression
 from superalg.core import (EVEN, LIE, ODD, Element, SuperAlgebra, bracket,
                            change_of_basis, equal_laws)
@@ -476,6 +476,20 @@ def test_iso_detects_law_mismatch(tmp_path, capsys):
     assert "laws equal: no" in capsys.readouterr().out
 
 
+def test_iso_reads_the_map_in_the_second_basis_order(tmp_path, capsys):
+    # the identity map with its keys out of basis order replays L^{3,2};
+    # a map onto other labels is still refused as a basis mismatch
+    a = _gen(tmp_path, "a.json", ["--family", "L", "--even", "3", "--odd", "2"])
+    for name, labels, code, out, err in (
+            ("shuffled", ("x2", "x1", "x3", "y1", "y2"), 0, "laws equal: yes\n", ""),
+            ("renamed", ("x2", "x1", "z3", "y1", "y2"), 2, "", "error: basis mismatch\n")):
+        path = tmp_path / ("%s.json" % name)
+        images = dict(zip(labels, ("x2", "x1", "x3", "y1", "y2")))
+        path.write_text(json.dumps({"map": {l: {images[l]: "1"} for l in labels}}))
+        assert main(["iso", a, a, str(path)]) == code
+        assert capsys.readouterr() == (out, err)
+
+
 def test_verify_fixture_exit_codes(monkeypatch, capsys):
     for theorem in sorted(fixtures.THEOREMS):
         instance, checks = fixtures.verify(theorem, *fixtures.default_sizes(theorem))
@@ -655,19 +669,27 @@ def test_dimension_cap(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_cap_refuses_before_building(monkeypatch, capsys):
-    # any constructor call fails the test: the refusal must come first; every
-    # member, filiform or not, is built through the two block constructors
+def test_cap_refuses_before_building(tmp_path, monkeypatch, capsys):
+    # any constructor or validate call fails the test: the refusal must come
+    # first; every member, filiform or not, is built through the two block
+    # constructors, and a loaded file over the cap is refused unvalidated
+    big = str(tmp_path / "l65.json")
+    dump_algebra(model_filiform_lie(34, 31), big)
+
     def refuse(*args, **kwargs):
-        raise RuntimeError("the member was built before the cap check")
+        raise RuntimeError("the member was built or validated before the cap check")
 
     for name in ("model_nilpotent_lie", "model_nilpotent_leibniz"):
         monkeypatch.setattr(families, name, refuse)
+    for module in (cli, fileformat):
+        monkeypatch.setattr(module, "validate", refuse)
     for argv in (["gen", "--family", "L", "--even", "200000", "--odd", "2"],
                  ["gen", "--family", "SNP", "--even", "30", "--even", "30",
                   "--odd", "4"],
                  ["verify", "--theorem", "7.1", "--even", "200000", "--odd", "2"],
-                 ["verify", "--theorem", "6.1", "--even", "40", "--odd", "30"]):
+                 ["verify", "--theorem", "6.1", "--even", "40", "--odd", "30"],
+                 ["check", big], ["classify", big], ["inner", big],
+                 ["extend", big, big], ["iso", big, big, big]):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "exceeds SUPERALG_MAX_DIM=64" in captured.err
@@ -727,6 +749,8 @@ ERROR_LINES = [
     (["verify", "--theorem", "6.1", "--even", "2", "--even", "2", "--odd", "1", "--odd", "2"],
      {}, "theorem 6.1 is checked on blocks of length >= 2, since a block of length 1 leaves "
      "its parameter free"),
+    (["charseq", "{l}", "--candidate", "x1 - x1"], {},
+     "candidate 0 inside the derived subalgebra"),
 ]
 
 
