@@ -13,6 +13,7 @@ import functools
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 from . import fixtures
 from .core import EVEN, ODD, Element, change_of_basis, equal_laws, validate
@@ -71,11 +72,9 @@ def _element_obj(A, el):
     return {l: str(c) for l, c in _in_basis_order(A, el).items()}
 
 
-def _row_strs(row, n):  # a canonical integer row, dense and monic
-    out = ["0"] * n
-    for j, v in _monic(row):
-        out[j] = str(v)
-    return out
+def _row_strs(row, n):  # a canonical integer row, monic, as the writer's sparse row
+    return SimpleNamespace(n=n, pairs=[(j, str(v)) for j, v in (
+        row if row[0][1] == 1 else _monic(row))])
 
 
 def _rendered(S):  # the canonical basis, monic, as printed Elements
@@ -87,12 +86,11 @@ def _subspace_obj(S):
     return {"dim": S.dim, "basis": [_row_strs(r, S.algebra.dim) for r in S.rows]}
 
 
-def _derivation_obj(D):
-    n = D.dim
-    flat = ["0"] * (n * n)
+def _derivation_obj(D):  # the matrix of D as n sparse rows, read off its entries
+    n, pairs = D.dim, [[] for _ in range(D.dim)]
     for t, v in D.entries:
-        flat[t] = str(v)
-    return [flat[k * n:(k + 1) * n] for k in range(n)]
+        pairs[t // n].append((t % n, str(v)))
+    return [SimpleNamespace(n=n, pairs=p) for p in pairs]
 
 
 _TERM_RE = re.compile(r"\s*(?:([+-])\s*)?(?:([0-9]+(?:/[0-9]+)?)\s*\*?\s*)?"

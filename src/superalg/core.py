@@ -430,7 +430,9 @@ def change_of_basis(A, mapping):
     if len(set(new_combined)) != len(new_combined):
         raise ValueError("duplicate labels in the map")
 
-    cols = [sorted((A.index(l), c) for l, c in images[u].items()) for u in new_combined]
+    # an integral entry goes in as an int, so an integral map never makes a Fraction
+    cols = [sorted((A.index(l), c.numerator if c.denominator == 1 else c)
+                   for l, c in images[u].items()) for u in new_combined]
     # row k of the canonical [P^T | I] is lead_k * (e_k | column k of P^{-1})
     reduced, pivots = _reduce([col + [(n + k, 1)] for k, col in enumerate(cols)])
     if pivots != list(range(n)):

@@ -26,6 +26,7 @@ import json
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as quote
+from types import SimpleNamespace
 
 from .core import LIE, LEIBNIZ, Element, SuperAlgebra, validate
 from .extension import ExtensionSpec
@@ -224,48 +225,70 @@ def emit_algebra(A):
 _SCALARS = {str, int, float, bool, type(None)}
 
 
-def _leaf(obj):
-    """Whether obj is a nonempty list or tuple of scalars."""
-    return type(obj) in (list, tuple) and obj and set(map(type, obj)) <= _SCALARS
-
-
 def dumps(obj):
     """json.dumps(obj, indent=2), byte for byte, mostly in C.
 
-    Indented output takes the pure-Python encoder.  Here the C encoder,
-    with item separator "," + the items' indentation, writes each leaf
-    list (see _leaf), or a whole list of leaf lists at once, where "],"
-    followed by that indentation and "[" can only join two leaves, so the
-    lines around them go in by one replace.  Strings are quoted in C too.
-    Indented JSON has no raw newline but the indentation, so the rest
-    (other scalars, empty containers, non-string keys, other types) is
-    left to json.dumps and re-indented.
+    Indented output takes the pure-Python encoder.  Here the pieces go to
+    one list, joined once, so no text is copied again at each level.  The
+    C encoder, with item separator "," + the items' indentation, writes
+    each nonempty list of scalars, and strings are quoted in C too.  A
+    sparse row, SimpleNamespace(n=n, pairs=[(column, str), ...]), is
+    written as the dense list of its n strings, "0" where no pair gives
+    one; the rows of a list share their "0" cells, each with the separator
+    before it, so only the nonzero cells cost a step.  Indented JSON has no
+    raw newline but the indentation, so the rest (other scalars, empty
+    containers, non-string keys, other types) is left to json.dumps and
+    re-indented.
     """
-    encoders = {}
+    out, encoders = [], {}
 
     def encode(obj, pad):
         if pad not in encoders:
             encoders[pad] = json.JSONEncoder(separators=("," + pad, ": ")).encode
         return encoders[pad](obj)
 
+    def rows(obj, pad, head):  # sparse rows, the first after head, the rest after "," + pad
+        deeper, shapes, first = pad + "  ", {}, len(out)
+        sep, start = "," + deeper, "," + pad + "[" + deeper
+        for row in obj:
+            if row.n not in shapes:
+                shapes[row.n] = ([start + '"0"'] + [sep + '"0"'] * (row.n - 1) + [pad + "]"]
+                                 if row.n else ["," + pad + "[]"])
+            at = len(out)
+            out.extend(shapes[row.n])
+            for j, s in row.pairs:
+                out[at + j] = (sep if j else start) + quote(s)
+        out[first] = head + out[first][len(pad) + 1:]
+
     def write(obj, nl):
         inner, kind = nl + "  ", type(obj)
         if kind is str:
-            return quote(obj)
-        if kind is dict and obj and set(map(type, obj)) == {str}:
-            return "{" + inner + ("," + inner).join(
-                [quote(k) + ": " + (quote(v) if type(v) is str else write(v, inner))
-                 for k, v in obj.items()]) + nl + "}"
-        if kind not in (list, tuple) or not obj:
-            return json.dumps(obj, indent=2).replace("\n", nl)
-        if _leaf(obj):
-            return "[" + inner + encode(obj, inner)[1:-1] + nl + "]"
-        if all(map(_leaf, obj)):
-            deeper = inner + "  "
-            text = encode(obj, deeper).replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper)
-            return "".join(("[", inner, "[", deeper, text[2:-2], inner, "]", nl, "]"))
-        return "[" + inner + ("," + inner).join([write(v, inner) for v in obj]) + nl + "]"
-    return write(obj, "\n")
+            out.append(quote(obj))
+        elif kind is dict and obj and set(map(type, obj)) == {str}:
+            head = "{" + inner
+            for k, v in obj.items():
+                out.append(head + quote(k) + ": ")
+                write(v, inner)
+                head = "," + inner
+            out.append(nl + "}")
+        elif kind is SimpleNamespace:
+            rows([obj], nl, "")
+        elif kind not in (list, tuple) or not obj:
+            out.append(json.dumps(obj, indent=2).replace("\n", nl))
+        elif set(map(type, obj)) <= _SCALARS:
+            out.append("[" + inner + encode(obj, inner)[1:-1] + nl + "]")
+        elif set(map(type, obj)) == {SimpleNamespace}:
+            rows(obj, inner, "[" + inner)
+            out.append(nl + "]")
+        else:
+            head = "[" + inner
+            for v in obj:
+                out.append(head)
+                write(v, inner)
+                head = "," + inner
+            out.append(nl + "]")
+    write(obj, "\n")
+    return "".join(out)
 
 
 def dump_algebra(A, target):

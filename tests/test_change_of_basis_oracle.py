@@ -2,18 +2,22 @@
 
 Seeded, parity-preserving, invertible maps that are neither upper nor
 lower triangular, with rational entries (so that P^{-1} has denominators),
-rewrite family members and a law with rational constants.  The oracle
+rewrite family members and a law with rational constants; the
+benchmark's integral unitriangular map rewrites SL^{7,5}.  The oracle
 forms P^{-1}[P(u), P(v)] densely over labels from A.brackets and must
 agree with the result's `integer_law` entry by entry.  A singular map is refused
 with the same message, and `superalg iso` replays the oracle's law.
 """
 
+import importlib
 import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+import superalg
 from naive_gauss import naive_inverse
 from superalg.cli import main
 from superalg.core import Element, SuperAlgebra, change_of_basis
@@ -82,11 +86,17 @@ CASES = [("SL", (4,), (3,)), ("SLP", (4,), (3,)), ("SN", (2, 1), (2,)),
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_change_of_basis_matches_the_dense_oracle(seed):
+def test_change_of_basis_matches_the_dense_oracle(seed, monkeypatch):
     rng = random.Random(seed)
     algebras = [member(*case) for case in CASES] + [rational_law()]
-    for A in algebras:
-        mapping = random_map(rng, A)
+    inputs = [(A, random_map(rng, A)) for A in algebras]
+    # and the benchmark's integral unitriangular map, which keeps P^{-1} integral
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench"))
+    change = importlib.import_module("workloads").change_of_basis_map
+    A = member("SL", (7,), (5,))
+    inputs.append((A, change(superalg, A, random.Random(1))))
+    for A, mapping in inputs:
         B = change_of_basis(A, mapping)
         new, law = oracle_law(A, mapping)
         assert B.combined_basis == new and B.kind == A.kind
